@@ -29,7 +29,6 @@ from .estimation import (
 from .model import (
     FEASIBILITY_TOL,
     SYMMETRY_TOL,
-    ExtremalMatrix,
     ModelSpec,
     TailDepMatrix,
     ValidationReport,
@@ -48,17 +47,7 @@ from .model import (
 )
 from .plotting import pair_scatter_svg
 from .sampling import SampleBatch, sample_batch, sample_unit_frechet, sample_vector
-from .synthesis import (
-    EXACTNESS_TOL,
-    ExactnessReport,
-    SynthesisPlan,
-    SynthesisResult,
-    build_alpha,
-    build_plan,
-    c_min,
-    exactness_check,
-    synthesize,
-)
+from .synthesis import EXACTNESS_TOL, SynthesisResult, synthesize
 
 __version__ = "0.1.0"
 
@@ -80,7 +69,6 @@ __all__ = [
     "theoretical_vs_empirical",
     "FEASIBILITY_TOL",
     "SYMMETRY_TOL",
-    "ExtremalMatrix",
     "ModelSpec",
     "TailDepMatrix",
     "ValidationReport",
@@ -102,13 +90,7 @@ __all__ = [
     "sample_unit_frechet",
     "sample_vector",
     "EXACTNESS_TOL",
-    "ExactnessReport",
-    "SynthesisPlan",
     "SynthesisResult",
-    "build_alpha",
-    "build_plan",
-    "c_min",
-    "exactness_check",
     "synthesize",
     "__version__",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .estimation import estimate_tail_dep, theoretical_vs_empirical
 from .model import (
-    ModelSpec,
+    FEASIBILITY_TOL,
     copula,
     extremal_matrix,
     joint_cdf,
@@ -49,7 +48,7 @@ from .model import (
 )
 from .plotting import pair_scatter_svg
 from .sampling import SampleBatch, sample_batch
-from .synthesis import exactness_check, synthesize
+from .synthesis import synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,30 +60,6 @@ MAX_STABILITY_SMOKE_TOL = 1e-12
 
 class _UsageError(Exception):
     """Bad flag values detected after argparse; mapped to exit code 2."""
-
-
-@dataclass(frozen=True)
-class PlotRequest:
-    """Parsed plot invocation: where the batch lives and what to render.
-
-    ``pairs`` holds 0-based coordinate pairs; None means every pair (s, k)
-    with s < k.
-    """
-
-    source: str
-    out: str
-    pairs: tuple[tuple[int, int], ...] | None
-    scale: str
-
-
-def _load_spec_file(path) -> ModelSpec:
-    """Read a spec file; synthesis result files are unwrapped transparently."""
-    obj = fileio.load_json(path)
-    if "spec" in obj and isinstance(obj["spec"], dict):
-        obj = obj["spec"]
-    spec = ModelSpec.from_json_dict(obj)
-    require_valid_spec(spec)
-    return spec
 
 
 def _warn(msg: str) -> None:
@@ -106,16 +81,17 @@ def cmd_synth(args) -> int:
     if np.all(off == 0.0):
         _warn("no extremal dependence requested; all margins will be independent")
     result = synthesize(canonical, c=args.c)
-    report = exactness_check(canonical)
+    exact_feasible = result.c_min <= 1.0 + FEASIBILITY_TOL
+    entrywise_bound = bool(np.all(off <= 1.0 / (canonical.d - 1)))
     fileio.dump_synthesis(result, args.out)
     print(f"d = {result.spec.d}, shared factors = {result.spec.D}")
     print(f"c_min = {result.c_min:.17g}")
     print(f"c_used = {result.c_used:.17g}")
     print(f"exact construction (scale 1): {'yes' if result.exact else 'no'}")
-    print(f"exact feasible (c_min <= 1): {'yes' if report.exact_feasible else 'no'}")
+    print(f"exact feasible (c_min <= 1): {'yes' if exact_feasible else 'no'}")
     print(
         "entrywise sufficient bound (all coefficients <= 1/(d-1)): "
-        f"{'yes' if report.entrywise_bound else 'no'}"
+        f"{'yes' if entrywise_bound else 'no'}"
     )
     if result.exact:
         print("achieved matrix equals the target")
@@ -128,9 +104,11 @@ def cmd_synth(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 0:
         raise _UsageError(f"--n must be nonnegative, got {args.n}")
+    if args.chunk_size is not None and args.chunk_size < 1:
+        raise _UsageError(f"--chunk-size must be positive, got {args.chunk_size}")
     if not 0 <= args.seed < 2**64:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
-    spec = _load_spec_file(args.spec)
+    spec = require_valid_spec(fileio.load_spec(args.spec))
     batch = sample_batch(spec, args.n, args.seed, chunk_size=args.chunk_size)
     fileio.write_csv(batch, args.out, sidecar=not args.no_sidecar)
     print(f"wrote {batch.n} observations of dimension {batch.d} to {args.out}")
@@ -140,14 +118,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    spec = _load_spec_file(args.spec)
+    spec = require_valid_spec(fileio.load_spec(args.spec))
     lam = tail_dep_matrix(spec)
     eps = extremal_matrix(spec)
     out = {
         "d": spec.d,
         "C": spec.C,
         "lambda": [[float(v) for v in row] for row in lam.values],
-        "extremal": [[float(v) for v in row] for row in eps.values],
+        "extremal": [[float(v) for v in row] for row in eps],
     }
     _emit_json(out, args.out)
     return EXIT_OK
@@ -164,7 +142,7 @@ def _parse_point(text: str, d: int) -> np.ndarray:
 
 
 def cmd_cdf(args) -> int:
-    spec = _load_spec_file(args.spec)
+    spec = require_valid_spec(fileio.load_spec(args.spec))
     point = _parse_point(args.at, spec.d)
     if args.copula:
         log_val = log_copula(spec, point)
@@ -196,7 +174,7 @@ def cmd_estimate(args) -> int:
 
     spec = None
     if args.spec is not None:
-        spec = _load_spec_file(args.spec)
+        spec = require_valid_spec(fileio.load_spec(args.spec))
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
             fingerprint = spec.fingerprint()
@@ -243,24 +221,14 @@ def _parse_pairs(raw: list[str] | None, d: int) -> tuple[tuple[int, int], ...] |
 
 def cmd_plot(args) -> int:
     data = fileio.read_csv(args.data)
-    request = PlotRequest(
-        source=str(args.data),
-        out=str(args.out),
-        pairs=_parse_pairs(args.pairs, data.shape[1]),
-        scale="log" if args.log else "linear",
-    )
-    pair_scatter_svg(
-        data, path=request.out, log_scale=request.scale == "log", pairs=request.pairs
-    )
-    print(f"wrote {request.out}")
+    pairs = _parse_pairs(args.pairs, data.shape[1])
+    pair_scatter_svg(data, path=args.out, log_scale=args.log, pairs=pairs)
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    obj = fileio.load_json(args.spec)
-    if "spec" in obj and isinstance(obj["spec"], dict):
-        obj = obj["spec"]
-    spec = ModelSpec.from_json_dict(obj)
+    spec = fileio.load_spec(args.spec)
     report = validate_spec(spec)
     if not report.ok:
         print(f"spec invalid ({len(report.violations)} violations):", file=sys.stderr)
@@ -270,7 +238,7 @@ def cmd_check(args) -> int:
     print(f"spec valid: d={spec.d}, shared factors={spec.D}, C={spec.C:.17g}")
 
     lam = tail_dep_matrix(spec).values
-    eps = extremal_matrix(spec).values
+    eps = extremal_matrix(spec)
     checks: list[tuple[str, bool, str]] = []
 
     off = ~np.eye(spec.d, dtype=bool)
@@ -421,7 +389,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
-        doc = getattr(exc, "doc", "")
         print(
             f"error: JSON parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,

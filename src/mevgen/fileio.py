@@ -35,7 +35,11 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_spec(path) -> ModelSpec:
-    return ModelSpec.from_json_dict(load_json(path))
+    """Read a spec file; a ``synth`` result file is unwrapped to its spec."""
+    obj = load_json(path)
+    if isinstance(obj.get("spec"), dict):
+        obj = obj["spec"]
+    return ModelSpec.from_json_dict(obj)
 
 
 def dump_spec(spec: ModelSpec, path) -> None:
@@ -118,4 +122,7 @@ def load_sidecar(csv_path) -> dict | None:
     missing = {"n", "seed", "spec_fingerprint"} - obj.keys()
     if missing:
         raise ShapeError(f"{meta}: sidecar missing fields {sorted(missing)}")
+    for key in ("n", "seed"):
+        if type(obj[key]) is not int:
+            raise ShapeError(f"{meta}: sidecar field {key!r}={obj[key]!r} must be an integer")
     return obj

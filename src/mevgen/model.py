@@ -41,6 +41,10 @@ FEASIBILITY_TOL = 1e-9
 #: The upper triangle is authoritative; the lower triangle is mirrored.
 SYMMETRY_TOL = 1e-9
 
+#: Smallest admissible scale constant, the smallest normal float64.  With a
+#: subnormal C, ``alpha * v`` underflows in the copula.
+_MIN_SCALE = float(np.finfo(np.float64).tiny)
+
 
 def _as_readonly_matrix(values, name: str) -> np.ndarray:
     try:
@@ -112,8 +116,10 @@ class ModelSpec:
             d, big_d, c, alpha = obj["d"], obj["D"], obj["C"], obj["alpha"]
         except (KeyError, TypeError) as exc:
             raise ShapeError(f"spec object must carry d, D, C, alpha: {exc}") from exc
+        if type(d) is not int or type(big_d) is not int:
+            raise ShapeError(f"declared dimensions d={d!r}, D={big_d!r} must be integers")
         spec = cls(alpha=alpha, C=c)
-        if spec.d != int(d) or spec.D != int(big_d):
+        if spec.d != d or spec.D != big_d:
             raise ShapeError(
                 f"declared dimensions d={d}, D={big_d} do not match alpha of "
                 f"shape {spec.alpha.shape}"
@@ -157,34 +163,15 @@ class TailDepMatrix:
             d, lam = obj["d"], obj["lambda"]
         except (KeyError, TypeError) as exc:
             raise ShapeError(f"matrix object must carry d and lambda: {exc}") from exc
+        if type(d) is not int:
+            raise ShapeError(f"declared dimension d={d!r} must be an integer")
         mat = cls(values=lam)
-        if mat.d != int(d):
+        if mat.d != d:
             raise ShapeError(
                 f"declared dimension d={d} does not match matrix of shape "
                 f"{mat.values.shape}"
             )
         return mat
-
-
-@dataclass(frozen=True, eq=False)
-class ExtremalMatrix:
-    """Pairwise extremal coefficients, ``2 - lambda`` off the diagonal, 1 on it.
-
-    An off-diagonal value of 1 means complete dependence of the pair, 2 means
-    independence.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly_matrix(self.values, "extremal matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"extremal matrix must be square, got {arr.shape}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -209,8 +196,11 @@ def validate_spec(spec: ModelSpec) -> ValidationReport:
         violations.append(f"dimension d={spec.d} must be at least 2")
     if spec.D < 1:
         violations.append(f"factor count D={spec.D} must be at least 1")
-    if not np.isfinite(spec.C) or spec.C <= 0:
-        violations.append(f"scale constant C={spec.C!r} must be positive and finite")
+    if not np.isfinite(spec.C) or spec.C < _MIN_SCALE:
+        violations.append(
+            f"scale constant C={spec.C!r} must be positive, finite and at least "
+            f"{_MIN_SCALE!r}, the smallest normal float64"
+        )
     if not np.all(np.isfinite(spec.alpha)):
         bad = np.argwhere(~np.isfinite(spec.alpha))
         for i, j in bad[:10]:
@@ -231,10 +221,12 @@ def validate_spec(spec: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def require_valid_spec(spec: ModelSpec) -> None:
+def require_valid_spec(spec: ModelSpec) -> ModelSpec:
+    """Return ``spec`` unchanged; raise SpecValidationError if it is invalid."""
     report = validate_spec(spec)
     if not report.ok:
         raise SpecValidationError(report.violations)
+    return spec
 
 
 def validate_tail_dep_matrix(target: TailDepMatrix) -> ValidationReport:
@@ -357,12 +349,16 @@ def tail_dep_matrix(spec: ModelSpec) -> TailDepMatrix:
     return TailDepMatrix(lam)
 
 
-def extremal_matrix(spec: ModelSpec) -> ExtremalMatrix:
-    """Pairwise extremal coefficients ``2 - lambda``, 1 on the diagonal."""
-    lam = tail_dep_matrix(spec).values
-    eps = 2.0 - lam
+def extremal_matrix(spec: ModelSpec) -> np.ndarray:
+    """Pairwise extremal coefficients ``2 - lambda``, 1 on the diagonal.
+
+    Returns a read-only (d, d) array.  An off-diagonal value of 1 means
+    complete dependence of the pair, 2 means independence.
+    """
+    eps = 2.0 - tail_dep_matrix(spec).values
     np.fill_diagonal(eps, 1.0)
-    return ExtremalMatrix(eps)
+    eps.flags.writeable = False
+    return eps
 
 
 def multivariate_extremal_coeff(spec: ModelSpec, subset: Iterable[int]) -> float:

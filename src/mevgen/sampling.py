@@ -121,8 +121,8 @@ def sample_batch(
         produce bitwise identical batches; distinct seeds give independent
         streams.
     chunk_size : int, optional
-        Observations generated per internal block; output is identical for
-        every choice.  Defaults to a memory-friendly size.
+        Observations generated per internal block, at least 1; output is
+        identical for every choice.  Defaults to a memory-friendly size.
     """
     require_valid_spec(spec)
     n = int(n)
@@ -136,6 +136,8 @@ def sample_batch(
     words_per_obs = big_d + d
     if chunk_size is None:
         chunk_size = max(1, 4_000_000 // words_per_obs)
+    elif chunk_size < 1:
+        raise DomainError(f"chunk size must be positive, got {chunk_size}")
 
     slack = spec.slacks()
     own_margins = np.flatnonzero(slack > 0)

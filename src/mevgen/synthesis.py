@@ -2,21 +2,19 @@
 
 Given a symmetric matrix ``lam`` of pairwise tail dependence coefficients
 (unit diagonal, entries in [0, 1]), one shared factor is allocated per
-margin pair, so D = d(d-1)/2.  Columns are grouped into d-1 blocks: block s
-holds the pairs (s, k) for k > s, ordered lexicographically.  Row i of the
-weight matrix A carries
+margin pair, so D = d(d-1)/2.  Columns follow the pairs (s, k), s < k, in
+lexicographic order (``np.triu_indices(d, 1)``).  In the column of pair
+(s, k) the weight matrix A carries
 
-* in its own block i, the prescribed coefficients ``lam[i, k]`` at the
-  column of pair (i, k);
-* in every earlier block r < i, the block's row maximum
-  ``m_r = max_{k > r} lam[r, k]`` at the column of pair (r, i);
+* ``lam[s, k]`` in row s;
+* the row maximum ``m_s = max_{k' > s} lam[s, k']`` in row k;
 * zeros everywhere else.
 
 Rows s and k of A then share exactly one column with both entries nonzero,
 the column of pair (s, k), where the entries are ``lam[s, k]`` and ``m_s``,
 so the model built on A has tail dependence ``lam[s, k] / C`` for the pair.
-With C = 1 the target is met exactly; that is feasible whenever every row
-sum of A is at most 1.
+C must be at least c_min, the largest row sum of A; with C = 1 the target is
+met exactly, which is feasible whenever c_min is at most 1.
 """
 
 from __future__ import annotations
@@ -40,66 +38,12 @@ EXACTNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SynthesisPlan:
-    """Column bookkeeping for the pair-per-factor construction.
-
-    Attributes
-    ----------
-    d : int
-        Number of margins.
-    boundaries : (d,) int array
-        ``boundaries[i]`` is the number of columns taken by blocks 0..i-1,
-        so block i spans columns ``boundaries[i] .. boundaries[i+1] - 1``
-        (0-based).  ``boundaries[d-1]`` equals the total column count
-        d(d-1)/2.
-    row_maxima : (d-1,) float array
-        ``row_maxima[i] = max_{k > i} lam[i, k]``, the value replicated into
-        block i of every later row.  Row d-1 has no block of its own and no
-        row maximum.
-    """
-
-    d: int
-    boundaries: np.ndarray
-    row_maxima: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=np.int64).copy()
-        m = np.asarray(self.row_maxima, dtype=np.float64).copy()
-        b.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "row_maxima", m)
-
-    @property
-    def n_columns(self) -> int:
-        return self.d * (self.d - 1) // 2
-
-    def col_of_pair(self, s: int, k: int) -> int:
-        """Column index (0-based) owned by the margin pair s < k."""
-        if not 0 <= s < k < self.d:
-            raise DomainError(f"pair ({s}, {k}) must satisfy 0 <= s < k < {self.d}")
-        return int(self.boundaries[s]) + (k - s) - 1
-
-    def pair_of_col(self, col: int) -> tuple[int, int]:
-        """Inverse of :meth:`col_of_pair`."""
-        if not 0 <= col < self.n_columns:
-            raise DomainError(f"column {col} outside range [0, {self.n_columns})")
-        s = int(np.searchsorted(self.boundaries, col, side="right")) - 1
-        k = col - int(self.boundaries[s]) + s + 1
-        return s, k
-
-    def row_max_of(self, i: int) -> float:
-        """Block maximum of row i.  The last row has none; asking is a bug."""
-        if not 0 <= i < self.d - 1:
-            raise DomainError(
-                f"row maximum is defined for rows 0..{self.d - 2}, got {i}"
-            )
-        return float(self.row_maxima[i])
-
-
-@dataclass(frozen=True, eq=False)
 class SynthesisResult:
-    """A built spec together with the coefficients it actually realizes."""
+    """A built spec together with the coefficients it actually realizes.
+
+    ``c_min`` is the smallest feasible scale constant for the construction,
+    the largest row sum of ``spec.alpha``; ``c_used`` is the spec's C.
+    """
 
     spec: ModelSpec
     achieved: TailDepMatrix
@@ -117,69 +61,6 @@ class SynthesisResult:
         }
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    """Which sufficient conditions for an exact (C = 1) construction hold.
-
-    ``exact_feasible`` is the sharp condition: the minimum feasible scale is
-    at most 1.  ``entrywise_bound`` is the simpler sufficient condition that
-    every off-diagonal coefficient is at most 1/(d-1); it implies
-    ``exact_feasible``.
-    """
-
-    exact_feasible: bool
-    entrywise_bound: bool
-    c_min: float
-
-
-def build_plan(target: TailDepMatrix) -> SynthesisPlan:
-    """Block boundaries and row maxima for a valid target matrix."""
-    lam = require_valid_tail_dep_matrix(target).values
-    d = lam.shape[0]
-    sizes = np.arange(d - 1, 0, -1, dtype=np.int64)
-    boundaries = np.concatenate(([0], np.cumsum(sizes)))
-    row_maxima = np.array([lam[i, i + 1 :].max() for i in range(d - 1)])
-    return SynthesisPlan(d=d, boundaries=boundaries, row_maxima=row_maxima)
-
-
-def c_min(target: TailDepMatrix) -> float:
-    """Smallest feasible scale constant for the construction.
-
-    Equals the largest row sum the built weight matrix can have:
-    ``max_i ( sum_{r < i} m_r + sum_{k > i} lam[i, k] )``.  Zero for a
-    target with no dependence at all.
-    """
-    lam = require_valid_tail_dep_matrix(target).values
-    plan = build_plan(target)
-    prior = np.concatenate(([0.0], np.cumsum(plan.row_maxima)))
-    own = np.array([lam[i, i + 1 :].sum() for i in range(plan.d)])
-    return float((prior + own).max())
-
-
-def build_alpha(target: TailDepMatrix, plan: SynthesisPlan) -> np.ndarray:
-    """The d x d(d-1)/2 weight matrix of the pair-per-factor construction.
-
-    Row sums never exceed d - 1, and rows s < k overlap (both nonzero) in at
-    most the single column of pair (s, k).
-    """
-    lam = require_valid_tail_dep_matrix(target).values
-    d = plan.d
-    if lam.shape[0] != d:
-        raise DomainError(
-            f"plan was built for d={d} but target has d={lam.shape[0]}"
-        )
-    a = np.zeros((d, plan.n_columns))
-    for i in range(d):
-        if i > 0:
-            prev = np.arange(i)
-            cols = plan.boundaries[prev] + (i - prev) - 1
-            a[i, cols] = plan.row_maxima[prev]
-        if i < d - 1:
-            cols = plan.boundaries[i] + np.arange(d - 1 - i)
-            a[i, cols] = lam[i, i + 1 :]
-    return a
-
-
 def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult:
     """Build a model spec whose tail dependence matrix is ``target / C``.
 
@@ -188,9 +69,10 @@ def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult
     target : TailDepMatrix
         Prescribed coefficients; validated, upper triangle authoritative.
     c : float, optional
-        Scale constant.  Must be at least :func:`c_min` (within tolerance).
-        Defaults to ``max(c_min, 1)``, which realizes the target exactly
-        whenever that is feasible and scales it minimally otherwise.
+        Scale constant.  Must be at least c_min (within ``FEASIBILITY_TOL``).
+        Defaults to 1 when c_min is at most 1 (within ``FEASIBILITY_TOL``),
+        which realizes the target exactly, and to c_min otherwise, which
+        scales it minimally.
 
     Returns
     -------
@@ -205,37 +87,28 @@ def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult
     SpecValidationError
         If the target matrix is invalid.
     """
-    plan = build_plan(target)
-    cm = c_min(target)
+    lam = require_valid_tail_dep_matrix(target).values
+    d = lam.shape[0]
+    s, k = np.triu_indices(d, 1)
+    cols = np.arange(s.size)
+    row_max = np.triu(lam, 1).max(axis=1)
+    alpha = np.zeros((d, s.size))
+    alpha[s, cols] = lam[s, k]
+    alpha[k, cols] = row_max[s]
+    cm = float(alpha.sum(axis=1).max())
     if c is None:
-        c_used = max(cm, 1.0)
+        c_used = 1.0 if cm <= 1.0 + FEASIBILITY_TOL else cm
     else:
         c_used = float(c)
         if c_used < cm - FEASIBILITY_TOL:
             raise InfeasibleTargetError(c_used, cm)
         if c_used <= 0:
             raise DomainError(f"scale constant must be positive, got {c_used!r}")
-    alpha = build_alpha(target, plan)
     spec = ModelSpec(alpha=alpha, C=c_used)
-    achieved = tail_dep_matrix(spec)
-    exact = abs(c_used - 1.0) <= EXACTNESS_TOL
     return SynthesisResult(
-        spec=spec, achieved=achieved, exact=exact, c_used=c_used, c_min=cm
-    )
-
-
-def exactness_check(target: TailDepMatrix) -> ExactnessReport:
-    """Report whether the target admits an exact construction at C = 1."""
-    lam = require_valid_tail_dep_matrix(target).values
-    d = lam.shape[0]
-    cm = c_min(target)
-    exact_feasible = cm <= 1.0 + FEASIBILITY_TOL
-    off = lam[~np.eye(d, dtype=bool)]
-    entrywise = bool(np.all(off <= 1.0 / (d - 1)))
-    if entrywise and not exact_feasible:
-        raise AssertionError(
-            f"entrywise bound held but c_min={cm!r} > 1; construction is broken"
-        )
-    return ExactnessReport(
-        exact_feasible=exact_feasible, entrywise_bound=entrywise, c_min=cm
+        spec=spec,
+        achieved=tail_dep_matrix(spec),
+        exact=abs(c_used - 1.0) <= EXACTNESS_TOL,
+        c_used=c_used,
+        c_min=cm,
     )

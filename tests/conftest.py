@@ -114,7 +114,8 @@ def model_specs(draw, max_d: int = 6, max_shared: int = 8) -> ModelSpec:
     headroom = draw(st.floats(0.0, 2.0, allow_nan=False))
     slack_free = draw(st.booleans())
     base = float(alpha.sum(axis=1).max())
-    c = base if (slack_free and base > 0) else base + headroom + 0.25
+    # a slack-free scale must be a normal float64, which validation requires
+    c = base if (slack_free and base >= np.finfo(np.float64).tiny) else base + headroom + 0.25
     return ModelSpec(alpha=alpha, C=c)
 
 

@@ -60,6 +60,22 @@ class TestSynth:
         assert "c_min = 1" in printed
         assert "achieved matrix equals the target" in printed
         assert "exact construction (scale 1): yes" in printed
+        assert "exact feasible (c_min <= 1): yes" in printed
+        assert "entrywise sufficient bound (all coefficients <= 1/(d-1)): no" in printed
+
+    def test_entrywise_bound_target_is_met_exactly(self, tmp_path, capsys):
+        # c_min rounds to 1 + ulp here; the build must still use scale 1
+        lam = np.full((10, 10), 1.0 / 9.0)
+        np.fill_diagonal(lam, 1.0)
+        target = tmp_path / "t.json"
+        out = tmp_path / "r.json"
+        fileio.dump_tail_dep(mg.TailDepMatrix(lam), target)
+        assert main(["synth", "--target", str(target), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "c_used = 1\n" in printed
+        assert "entrywise sufficient bound (all coefficients <= 1/(d-1)): yes" in printed
+        assert "achieved matrix equals the target" in printed
+        assert json.loads(out.read_text())["achieved"]["lambda"] == lam.tolist()
 
     def test_identity_target_warns(self, tmp_path, capsys):
         target = tmp_path / "ident.json"
@@ -136,6 +152,13 @@ class TestSample:
         rc = main(["sample", "--spec", str(result_file), "--n", "-5", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("chunk", ["0", "-1"])
+    def test_nonpositive_chunk_size_is_usage_error(self, tmp_path, result_file, chunk):
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--spec", str(result_file), "--n", "5", "--chunk-size", chunk]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCoeffs:
     def test_matches_library_to_full_precision(self, result_file, capsys, ex3_spec):
@@ -143,7 +166,7 @@ class TestCoeffs:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["lambda"] == mg.tail_dep_matrix(ex3_spec).values.tolist()
-        assert obj["extremal"] == mg.extremal_matrix(ex3_spec).values.tolist()
+        assert obj["extremal"] == mg.extremal_matrix(ex3_spec).tolist()
 
     def test_independence_spec_prints_identity(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -295,6 +318,38 @@ class TestCheck:
         rc = main(["check", "--spec", str(bad)])
         assert rc == 3
         assert "must be positive" in capsys.readouterr().err
+
+    def test_subnormal_scale_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        fileio.dump_json({"d": 2, "D": 1, "C": 5e-324, "alpha": [[5e-324], [5e-324]]}, bad)
+        assert main(["check", "--spec", str(bad)]) == 3
+        assert "smallest normal float64" in capsys.readouterr().err
+
+
+class TestHeaderFields:
+    @pytest.mark.parametrize(
+        "kind, field", [("spec", "d"), ("spec", "D"), ("target", "d"), ("sidecar", "seed"), ("sidecar", "n")]
+    )
+    def test_non_integer_field_is_validation_error(
+        self, kind, field, tmp_path, samples_file, ex3_spec, capsys
+    ):
+        spec_path = tmp_path / "spec.json"
+        target_path = tmp_path / "target.json"
+        fileio.dump_spec(ex3_spec, spec_path)
+        fileio.dump_tail_dep(mg.TailDepMatrix(EX3_LAMBDA), target_path)
+        path, argv = {
+            "spec": (spec_path, ["check", "--spec", str(spec_path)]),
+            "target": (target_path, ["synth", "--target", str(target_path), "--out", str(tmp_path / "r.json")]),
+            "sidecar": (fileio.sidecar_path(samples_file), ["estimate", "--data", str(samples_file), "--u", "0.9"]),
+        }[kind]
+        obj = json.loads(path.read_text())
+        obj[field] = "abc"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "'abc'" in err and "integer" in err
+        assert "Traceback" not in err
 
 
 class TestRoundTrip:

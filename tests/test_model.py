@@ -99,6 +99,11 @@ class TestValidation:
             report = mg.validate_spec(mg.ModelSpec(alpha=[[0.1], [0.1]], C=c))
             assert not report.ok
 
+    def test_subnormal_scale_constant_rejected(self):
+        # alpha * v underflows for such a scale, breaking the copula
+        spec = mg.ModelSpec(alpha=[[5e-324], [5e-324]], C=5e-324)
+        assert mg.validate_spec(spec).ok is False
+
     def test_require_valid_raises_with_violations(self):
         spec = mg.ModelSpec(alpha=[[2.0], [0.1]], C=1.0)
         with pytest.raises(SpecValidationError) as err:
@@ -143,7 +148,7 @@ class TestClosedForms:
         assert np.allclose(lam, EX1_LAMBDA, rtol=0.0, atol=1e-12)
 
     def test_reference_model_one_extremal(self, ex1_spec):
-        eps = mg.extremal_matrix(ex1_spec).values
+        eps = mg.extremal_matrix(ex1_spec)
         expect = 2.0 - np.array(EX1_LAMBDA)
         np.fill_diagonal(expect, 1.0)
         assert np.allclose(eps, expect, rtol=0.0, atol=1e-12)
@@ -202,7 +207,7 @@ class TestClosedForms:
         assert mg.copula(ex1_spec, [1.0, 1.0, 1.0]) == 1.0
 
     def test_multivariate_extremal_coeff_pair_matches_matrix(self, ex1_spec):
-        eps = mg.extremal_matrix(ex1_spec).values
+        eps = mg.extremal_matrix(ex1_spec)
         for s in range(3):
             for k in range(s + 1, 3):
                 got = mg.multivariate_extremal_coeff(ex1_spec, [s, k])
@@ -237,7 +242,7 @@ class TestMatrixStructure:
     @given(spec=model_specs())
     def test_extremal_is_two_minus_tail_dep(self, spec):
         lam = mg.tail_dep_matrix(spec).values
-        eps = mg.extremal_matrix(spec).values
+        eps = mg.extremal_matrix(spec)
         off = ~np.eye(spec.d, dtype=bool)
         assert np.array_equal(eps[off], 2.0 - lam[off])
         assert np.all(np.diagonal(eps) == 1.0)

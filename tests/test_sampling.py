@@ -154,6 +154,9 @@ class TestSampleBatch:
             mg.sample_batch(ex3_spec, 10, seed=-1)
         with pytest.raises(DomainError):
             mg.sample_batch(ex3_spec, 10, seed=2**64)
+        for chunk in (0, -1):
+            with pytest.raises(DomainError):
+                mg.sample_batch(ex3_spec, 10, seed=0, chunk_size=chunk)
 
     def test_invalid_spec_rejected(self):
         bad = mg.ModelSpec(alpha=[[2.0], [0.1]], C=1.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import mevgen as mg
 from mevgen.errors import DomainError, InfeasibleTargetError, SpecValidationError
-from mevgen.synthesis import build_alpha, build_plan
 
 from conftest import (
     EX2_ACHIEVED,
@@ -22,85 +21,53 @@ from conftest import (
 )
 
 
-class TestPlan:
-    def test_block_boundaries_d4(self):
-        # hand-unrolled: sizes 3, 2, 1 so boundaries are 0, 3, 5, 6
-        plan = build_plan(mg.TailDepMatrix(np.eye(4) + 0.0))
-        assert plan.boundaries.tolist() == [0, 3, 5, 6]
-        assert plan.n_columns == 6
-
-    def test_pair_to_column_d4(self):
-        plan = build_plan(mg.TailDepMatrix(np.eye(4) + 0.0))
-        # 0-based pair (1, 3) sits at 0-based column 4
-        assert plan.col_of_pair(1, 3) == 4
-        assert plan.pair_of_col(4) == (1, 3)
-
-    def test_single_pair_d2(self):
-        plan = build_plan(mg.TailDepMatrix(np.eye(2) + 0.0))
-        assert plan.n_columns == 1
-        assert plan.col_of_pair(0, 1) == 0
-
-    def test_row_maxima_reference_model_two(self, ex2_target):
-        plan = build_plan(ex2_target)
-        assert plan.row_maxima.tolist() == [0.5, 0.6, 0.9]
-        assert plan.row_max_of(0) == 0.5
-        with pytest.raises(DomainError):
-            plan.row_max_of(3)
-
-    @given(d=st.integers(2, 20))
-    def test_pair_map_is_a_bijection(self, d):
-        plan = build_plan(mg.TailDepMatrix(np.eye(d) + 0.0))
-        cols = [plan.col_of_pair(s, k) for s in range(d) for k in range(s + 1, d)]
-        assert sorted(cols) == list(range(d * (d - 1) // 2))
-        for col in cols:
-            s, k = plan.pair_of_col(col)
-            assert plan.col_of_pair(s, k) == col
+def _pair_columns(d: int) -> dict[tuple[int, int], int]:
+    """Column of each pair s < k: lexicographic, as ``np.triu_indices`` lists them."""
+    s, k = np.triu_indices(d, 1)
+    return {(int(a), int(b)): col for col, (a, b) in enumerate(zip(s, k))}
 
 
 class TestMinimumScale:
     def test_reference_model_two(self, ex2_target):
-        assert mg.c_min(ex2_target) == 2.0
+        assert mg.synthesize(ex2_target).c_min == 2.0
 
     def test_reference_model_three(self, ex3_target):
-        assert mg.c_min(ex3_target) == 1.0
+        assert mg.synthesize(ex3_target).c_min == 1.0
 
     def test_identity_target_needs_no_scale(self):
-        assert mg.c_min(mg.TailDepMatrix(np.eye(5))) == 0.0
+        assert mg.synthesize(mg.TailDepMatrix(np.eye(5))).c_min == 0.0
 
     @given(target=tail_dep_targets(max_d=6), data=st.data())
     @settings(max_examples=150)
     def test_monotone_in_every_entry(self, target, data):
-        base = mg.c_min(target)
+        base = mg.synthesize(target).c_min
         d = target.d
         s = data.draw(st.integers(0, d - 2))
         k = data.draw(st.integers(s + 1, d - 1))
         bump = data.draw(st.floats(0.0, 1.0))
         lam = np.array(target.values)
         lam[s, k] = lam[k, s] = min(1.0, lam[s, k] + bump)
-        assert mg.c_min(mg.TailDepMatrix(lam)) >= base
+        assert mg.synthesize(mg.TailDepMatrix(lam)).c_min >= base
 
 
 class TestBuildAlpha:
     def test_reference_model_two_matrix_exact(self, ex2_target):
-        a = build_alpha(ex2_target, build_plan(ex2_target))
-        assert a.tolist() == EX2_ALPHA
+        assert mg.synthesize(ex2_target).spec.alpha.tolist() == EX2_ALPHA
 
     def test_reference_model_three_matrix_exact(self, ex3_target):
-        a = build_alpha(ex3_target, build_plan(ex3_target))
-        assert a.tolist() == EX3_ALPHA
+        assert mg.synthesize(ex3_target).spec.alpha.tolist() == EX3_ALPHA
 
     def test_d2_places_the_coefficient_in_both_rows(self):
         target = mg.TailDepMatrix([[1.0, 0.35], [0.35, 1.0]])
-        a = build_alpha(target, build_plan(target))
-        assert a.tolist() == [[0.35], [0.35]]
+        assert mg.synthesize(target).spec.alpha.tolist() == [[0.35], [0.35]]
 
     @given(target=tail_dep_targets(max_d=7))
     @settings(max_examples=150)
     def test_disjoint_support_and_row_sums(self, target):
         lam = target.canonical().values
         d = target.d
-        plan = build_plan(target)
-        a = build_alpha(target, plan)
+        a = mg.synthesize(target).spec.alpha
+        col_of_pair = _pair_columns(d)
         assert a.shape == (d, d * (d - 1) // 2)
         assert np.all(a >= 0.0)
         assert np.all(a.sum(axis=1) <= d - 1 + 1e-12)
@@ -108,7 +75,7 @@ class TestBuildAlpha:
             for k in range(s + 1, d):
                 both = np.flatnonzero((a[s] > 0) & (a[k] > 0))
                 if lam[s, k] > 0:
-                    assert both.tolist() == [plan.col_of_pair(s, k)]
+                    assert both.tolist() == [col_of_pair[s, k]]
                 else:
                     assert both.size == 0
 
@@ -137,6 +104,17 @@ class TestSynthesize:
         assert result.c_used == 1.0
         assert np.array_equal(result.achieved.values, np.eye(3))
 
+    def test_rounding_above_one_still_builds_at_scale_one(self):
+        # every entry at the entrywise bound 1/(d-1): c_min rounds to 1 + ulp
+        d = 10
+        lam = np.full((d, d), 1.0 / (d - 1))
+        np.fill_diagonal(lam, 1.0)
+        target = mg.TailDepMatrix(lam)
+        result = mg.synthesize(target)
+        assert result.c_used == 1.0
+        assert result.exact
+        assert np.array_equal(result.achieved.values, target.canonical().values)
+
     def test_infeasible_scale_carries_minimum(self, ex2_target):
         with pytest.raises(InfeasibleTargetError) as err:
             mg.synthesize(ex2_target, c=1.0)
@@ -144,7 +122,7 @@ class TestSynthesize:
         assert "2" in str(err.value)
 
     def test_scale_at_minimum_is_accepted_and_valid(self, ex2_target):
-        result = mg.synthesize(ex2_target, c=mg.c_min(ex2_target))
+        result = mg.synthesize(ex2_target, c=mg.synthesize(ex2_target).c_min)
         assert mg.validate_spec(result.spec).ok
 
     def test_nonpositive_scale_rejected(self):
@@ -179,10 +157,9 @@ class TestSynthesize:
     @given(target=tail_dep_targets(max_d=8, capped=True))
     @settings(max_examples=150)
     def test_capped_targets_build_exactly(self, target):
-        report = mg.exactness_check(target)
-        assert report.entrywise_bound
-        assert report.exact_feasible
         result = mg.synthesize(target)
+        assert result.c_min <= 1.0 + mg.FEASIBILITY_TOL
+        assert result.c_used == 1.0
         assert result.exact
         lam = target.canonical().values
         off = ~np.eye(target.d, dtype=bool)
@@ -191,23 +168,21 @@ class TestSynthesize:
 
 class TestExactnessReport:
     def test_reference_model_three_flags(self, ex3_target):
-        report = mg.exactness_check(ex3_target)
-        assert report.exact_feasible          # scale 1 suffices
-        assert not report.entrywise_bound     # 0.8 > 1/2
-        assert report.c_min == 1.0
+        result = mg.synthesize(ex3_target)  # scale 1 suffices though 0.8 > 1/2
+        assert result.exact
+        assert result.c_min == 1.0
 
     def test_reference_model_two_flags(self, ex2_target):
-        report = mg.exactness_check(ex2_target)
-        assert not report.exact_feasible
-        assert report.c_min == 2.0
+        result = mg.synthesize(ex2_target)
+        assert not result.exact
+        assert result.c_min == 2.0
 
     def test_entrywise_boundary_case(self):
         lam = np.full((3, 3), 0.5)
         np.fill_diagonal(lam, 1.0)
-        report = mg.exactness_check(mg.TailDepMatrix(lam))
-        assert report.entrywise_bound
-        assert report.exact_feasible
-        assert report.c_min == 1.0
+        result = mg.synthesize(mg.TailDepMatrix(lam))
+        assert result.exact
+        assert result.c_min == 1.0
 
 
 class TestResultSerialization:
