@@ -37,7 +37,6 @@ from .estimation import estimate_tail_dep, theoretical_vs_empirical
 from .model import (
     FEASIBILITY_TOL,
     copula,
-    extremal_matrix,
     joint_cdf,
     log_copula,
     log_joint_cdf,
@@ -119,13 +118,13 @@ def cmd_sample(args) -> int:
 
 def cmd_coeffs(args) -> int:
     spec = require_valid_spec(fileio.load_spec(args.spec))
-    lam = tail_dep_matrix(spec)
-    eps = extremal_matrix(spec)
+    lam = tail_dep_matrix(spec).values
+    eps = 2.0 - lam  # extremal coefficients; the unit diagonal of lambda gives 1
     out = {
         "d": spec.d,
         "C": spec.C,
-        "lambda": [[float(v) for v in row] for row in lam.values],
-        "extremal": [[float(v) for v in row] for row in eps],
+        "lambda": lam.tolist(),
+        "extremal": eps.tolist(),
     }
     _emit_json(out, args.out)
     return EXIT_OK
@@ -166,9 +165,14 @@ def cmd_estimate(args) -> int:
     if not 0.0 < args.u < 1.0:
         raise _UsageError(f"--u must lie strictly between 0 and 1, got {args.u}")
     data = fileio.read_csv(args.data)
+    meta = fileio.load_sidecar(args.data)
+    if meta is not None and meta["n"] != data.shape[0]:
+        raise ProvenanceError(
+            f"{args.data} holds {data.shape[0]} observations but its sidecar "
+            f"records n={meta['n']}; the file was truncated or edited"
+        )
     if data.shape[0] == 0:
         raise _UsageError(f"{args.data} holds no observations")
-    meta = fileio.load_sidecar(args.data)
     seed = int(meta["seed"]) if meta else 0
     fingerprint = meta["spec_fingerprint"] if meta else ""
 
@@ -238,7 +242,7 @@ def cmd_check(args) -> int:
     print(f"spec valid: d={spec.d}, shared factors={spec.D}, C={spec.C:.17g}")
 
     lam = tail_dep_matrix(spec).values
-    eps = extremal_matrix(spec)
+    eps = 2.0 - lam  # extremal coefficients; the unit diagonal of lambda gives 1
     checks: list[tuple[str, bool, str]] = []
 
     off = ~np.eye(spec.d, dtype=bool)

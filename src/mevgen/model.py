@@ -107,7 +107,7 @@ class ModelSpec:
             "d": self.d,
             "D": self.D,
             "C": self.C,
-            "alpha": [[float(v) for v in row] for row in self.alpha],
+            "alpha": self.alpha.tolist(),
         }
 
     @classmethod
@@ -155,7 +155,7 @@ class TailDepMatrix:
         return TailDepMatrix(out)
 
     def to_json_dict(self) -> dict:
-        return {"d": self.d, "lambda": [[float(v) for v in row] for row in self.values]}
+        return {"d": self.d, "lambda": self.values.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TailDepMatrix":

@@ -248,6 +248,19 @@ class TestEstimate:
         assert rc == 0
         assert "no provenance sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep_rows", [1000, 0])
+    def test_truncated_data_exits_4(self, samples_file, result_file, keep_rows, capsys):
+        # the sidecar still records n=5000 after the file loses rows
+        lines = samples_file.read_text().splitlines(keepends=True)
+        samples_file.write_text("".join(lines[: 1 + keep_rows]))
+        rc = main(
+            ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        )
+        assert rc == 4
+        assert f"holds {keep_rows} observations but its sidecar records n=5000" in (
+            capsys.readouterr().err
+        )
+
     def test_threshold_out_of_range_is_usage_error(self, samples_file):
         assert main(["estimate", "--data", str(samples_file), "--u", "1.0"]) == 2
 

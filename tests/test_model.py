@@ -67,6 +67,13 @@ class TestModelSpec:
         clone = mg.ModelSpec(alpha=EX1_ALPHA, C=EX1_C)
         assert clone.fingerprint() == ex1_spec.fingerprint()
 
+    def test_fingerprint_is_pinned(self, ex3_spec):
+        # sidecars store this hex; any change to the serialized bytes would
+        # make every sidecar already written fail its provenance check
+        assert ex3_spec.fingerprint() == (
+            "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
+        )
+
 
 class TestValidation:
     def test_valid_spec_passes(self, ex1_spec):

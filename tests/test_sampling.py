@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,21 @@ def one_shot_batch(spec: mg.ModelSpec, n: int, seed: int) -> np.ndarray:
     z = -1.0 / np.log(u[:, : spec.D])
     y = -1.0 / np.log(u[:, spec.D :])
     return np.array([mg.sample_vector(spec, z[t], y[t]) for t in range(n)])
+
+
+def dyadic_target(d: int = 12) -> mg.TailDepMatrix:
+    """Capped target with entries k/128, k in 0..11: the build is exact at
+    C = 1, every row sum of alpha is exact, and some pairs are independent."""
+    iu = np.triu_indices(d, 1)
+    lam = np.eye(d)
+    lam[iu] = np.random.default_rng(12).integers(0, 12, size=iu[0].size) / 128
+    return mg.TailDepMatrix(lam + np.triu(lam, 1).T)
+
+
+def all_positive_spec() -> mg.ModelSpec:
+    """Every row dense; the largest row sums to C, so it has no slack."""
+    alpha = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 20))
+    return mg.ModelSpec(alpha=alpha, C=alpha.sum(axis=1).max())
 
 
 class TestUnitFrechet:
@@ -119,10 +136,55 @@ class TestSampleBatch:
         assert np.array_equal(base.data, chunked.data)
 
     def test_matches_one_shot_stream_oracle(self, ex1_spec, ex3_spec):
-        for spec, seed in ((ex1_spec, 5), (ex3_spec, 1234567)):
-            expect = one_shot_batch(spec, 64, seed)
-            got = mg.sample_batch(spec, 64, seed=seed, chunk_size=7)
-            assert np.array_equal(got.data, expect)
+        # rows with 2 * nnz <= D take the gathered factor max, the others the
+        # dense one in 64-row blocks; chunk 100 is not a multiple of 64
+        cases = {
+            "reference model 1": (ex1_spec, 5),
+            "reference model 3": (ex3_spec, 1234567),
+            "synthesized, sparse rows": (mg.synthesize(dyadic_target()).spec, 11),
+            "all positive, dense rows": (all_positive_spec(), 12),
+            "all-zero row": (
+                mg.ModelSpec(alpha=[[0, 0, 0, 0], [0.3, 0, 0, 0], [0.2, 0.1, 0.4, 0.2]], C=1.0),
+                13,
+            ),
+            "rows on both sides of the rule": (
+                mg.ModelSpec(
+                    alpha=[
+                        [0.1, 0.2, 0.3, 0, 0, 0],  # nnz 3 of 6: sparse, at the bound
+                        [0.1, 0.1, 0.1, 0.1, 0, 0],  # nnz 4: dense
+                        [0, 0, 0, 0, 0, 0.5],
+                    ],
+                    C=1.0,
+                ),
+                14,
+            ),
+        }
+        for label, (spec, seed) in cases.items():
+            expect = one_shot_batch(spec, 150, seed)
+            for chunk in (1, 7, 100, None):
+                got = mg.sample_batch(spec, 150, seed=seed, chunk_size=chunk)
+                assert np.array_equal(got.data, expect), (label, chunk)
+
+    @given(
+        spec=model_specs(),
+        n=st.integers(1, 150),
+        seed=st.integers(0, 2**64 - 1),
+        chunk=st.one_of(st.none(), st.integers(1, 80)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_shot_stream_oracle_on_random_specs(self, spec, n, seed, chunk):
+        got = mg.sample_batch(spec, n, seed=seed, chunk_size=chunk)
+        assert np.array_equal(got.data, one_shot_batch(spec, n, seed))
+
+    def test_pinned_digest_of_synthesized_spec(self):
+        # pins every bit of the output; the dyadic target keeps C and the
+        # slacks exact, so only the stream and the Frechet log enter
+        spec = mg.synthesize(dyadic_target()).spec
+        assert spec.d == 12 and spec.C == 1.0
+        batch = mg.sample_batch(spec, 300, seed=2024)
+        assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
+            "a6ecc93ca80dc1d46428fa9d86ac87dda9d885057b1ce213d9e2319ceeec0ffc"
+        )
 
     def test_prefix_stability(self, ex3_spec):
         # growing n extends the batch without changing earlier rows
