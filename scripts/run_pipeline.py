@@ -14,7 +14,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +59,7 @@ def main() -> None:
     print(f"wrote {args.outdir / 'pairs.svg'}")
 
     comparisons = theoretical_check(result.spec, batch)
-    (args.outdir / "estimates.json").write_text(
-        json.dumps(comparisons, indent=2, sort_keys=True) + "\n"
-    )
+    fileio.dump_json(comparisons, args.outdir / "estimates.json")
     print(f"wrote {args.outdir / 'estimates.json'}")
 
 

@@ -67,7 +67,7 @@ class EstimateReport:
             "margins": self.margins,
             "lambda_hat": _matrix_json(self.lambda_hat),
             "lambda_hat_sym": _matrix_json(self.lambda_hat_sym),
-            "counts": [[int(v) for v in row] for row in self.counts],
+            "counts": self.counts.tolist(),
             "half_width": _matrix_json(self.half_width),
             "exact_finite_u": None if exact_finite_u is None else _matrix_json(exact_finite_u),
             "lambda_limit": None if lambda_limit is None else _matrix_json(lambda_limit),
@@ -97,7 +97,9 @@ class ThresholdComparison:
 
 
 def _matrix_json(arr: np.ndarray) -> list:
-    return [[float(v) if np.isfinite(v) else None for v in row] for row in arr]
+    out = arr.astype(object)
+    out[~np.isfinite(arr)] = None
+    return out.tolist()
 
 
 def _rank_uniforms(data: np.ndarray) -> np.ndarray:
@@ -142,8 +144,9 @@ def estimate_tail_dep(
     else:
         raise DomainError(f"margins must be 'rank' or 'known', got {margins!r}")
 
-    exceed = unif > u
-    counts = exceed.T.astype(np.int64) @ exceed.astype(np.int64)
+    # float64 matmul goes through BLAS; the counts stay below 2**53, so exact
+    exceed = (unif > u).astype(np.float64)
+    counts = (exceed.T @ exceed).astype(np.int64)
     n_cond = np.diagonal(counts).astype(np.float64)
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,11 +5,22 @@ with 17 significant digits so float64 round-trips exactly.  Every sample
 file gets a sidecar ``<path>.meta.json`` carrying the observation count,
 the seed, and the fingerprint of the generating spec; readers use it to
 refuse cross-spec comparisons.
+
+JSON files are written as one compact line with sorted keys, by a single
+``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
+and any ``indent`` run the pure-Python one.  Readers take any layout.
+
+CSV reading has a fast path and a fallback.  After the header check,
+``np.loadtxt`` parses the whole body; its result is kept when it has d
+columns and every value is finite.  Otherwise, or when it raises, the file
+is read again line by line, which accepts exactly the same files and is the
+one source of the ``CsvFormatError`` line messages.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +39,10 @@ def load_json(path) -> dict:
     return obj
 
 
-def dump_json(obj: dict, path) -> None:
+def dump_json(obj: dict | list, path) -> None:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -92,25 +104,40 @@ def read_csv(path) -> np.ndarray:
         if names != [f"x{i + 1}" for i in range(len(names))]:
             raise CsvFormatError(f"{path}: line 1: malformed header {header.strip()!r}")
         d = len(names)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != d:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {d} fields, found {len(fields)}"
-                )
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(np.isfinite(row)):
-                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-            rows.append(row)
-    data = np.array(rows, dtype=np.float64) if rows else np.empty((0, d))
-    return data
+        try:
+            # comments=None: with numpy's default "#", "1,2#x" would parse as 1,2
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == d and np.isfinite(data).all():
+            return data
+        fh.seek(0)
+        fh.readline()
+        return _parse_lines(fh, path, d)
+
+
+def _parse_lines(fh, path, d: int) -> np.ndarray:
+    """Line-by-line reader for the body of a CSV file; the reference parser."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != d:
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected {d} fields, found {len(fields)}"
+            )
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(np.isfinite(row)):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64) if rows else np.empty((0, d))
 
 
 def load_sidecar(csv_path) -> dict | None:

@@ -261,6 +261,17 @@ class TestEstimate:
             capsys.readouterr().err
         )
 
+    def test_old_indented_sidecar_and_spec_accepted(self, samples_file, result_file, capsys):
+        # files written before JSON output became one compact line
+        for path in (fileio.sidecar_path(samples_file), result_file):
+            obj = json.loads(path.read_text())
+            path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        rc = main(
+            ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["known"]["n"] == 5000
+
     def test_threshold_out_of_range_is_usage_error(self, samples_file):
         assert main(["estimate", "--data", str(samples_file), "--u", "1.0"]) == 2
 
@@ -276,6 +287,10 @@ class TestEstimate:
         rc = main(["estimate", "--data", str(samples_file), "--u", "0.9", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["u"] == 0.9
+
+    def test_stdout_report_stays_indented(self, samples_file, capsys):
+        assert main(["estimate", "--data", str(samples_file), "--u", "0.9"]) == 0
+        assert '\n  "margins": "rank",\n' in capsys.readouterr().out
 
 
 class TestPlot:

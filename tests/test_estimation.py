@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -104,6 +105,45 @@ class TestEstimateTailDep:
         known = mg.estimate_tail_dep(batch, 0.95, margins="known", scale=1.0)
         gap = np.abs(rank.lambda_hat - known.lambda_hat)
         assert np.all(gap <= 2.0 * known.half_width + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.integers(1, 6).flatmap(
+            lambda d: arrays(np.bool_, st.tuples(st.integers(1, 300), st.just(d)))
+        )
+    )
+    def test_counts_equal_integer_product(self, pattern):
+        # with known margins at scale 1 and u = 0.5, x exceeds iff x > 1/ln 2
+        pattern = np.column_stack(
+            [pattern, np.zeros(len(pattern), bool), np.ones(len(pattern), bool)]
+        )
+        batch = _batch(np.where(pattern, 10.0, 0.5))
+        report = mg.estimate_tail_dep(batch, 0.5, margins="known", scale=1.0)
+        expected = pattern.T.astype(np.int64) @ pattern.astype(np.int64)
+        assert report.counts.dtype == np.int64
+        assert np.array_equal(report.counts, expected)
+        assert report.counts[-2, -2] == 0
+        assert report.counts[-1, -1] == len(pattern)
+
+    def test_json_matches_elementwise_reference(self):
+        def reference(arr):
+            return [[float(v) if np.isfinite(v) else None for v in row] for row in arr]
+
+        lam = np.array([[1.0, np.nan, -0.0], [np.inf, 1.0, 5e-324], [-np.inf, 0.1, 1.0]])
+        counts = np.array([[7, 0, 2], [0, 3, 1], [2, 1, 9]], dtype=np.int64)
+        report = mg.EstimateReport(
+            u=0.9, n=10, margins="rank", lambda_hat=lam, lambda_hat_sym=lam.T,
+            counts=counts, half_width=np.zeros((3, 3)),
+        )
+        obj = report.to_json_dict(exact_finite_u=lam * 2.0, lambda_limit=None)
+        assert obj["lambda_hat"] == reference(lam)
+        assert obj["lambda_hat"][0][1] is None and obj["lambda_hat"][2][0] is None
+        assert json.dumps(obj["lambda_hat"]) == json.dumps(reference(lam))
+        assert obj["lambda_hat_sym"] == reference(lam.T)
+        assert obj["exact_finite_u"] == reference(lam * 2.0)
+        assert obj["counts"] == [[7, 0, 2], [0, 3, 1], [2, 1, 9]]
+        assert all(type(v) is int for row in obj["counts"] for v in row)
+        assert all(type(v) in (float, type(None)) for row in obj["lambda_hat"] for v in row)
 
     def test_bad_arguments(self, ex3_spec):
         batch = mg.sample_batch(ex3_spec, 100, seed=1)

@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen import fileio
 from mevgen.errors import CsvFormatError, ShapeError
+
+
+def _dump_old_layout(obj, path) -> None:
+    """The indented layout every JSON file was written in before the compact writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_reference(path):
+    """What the line-by-line parser alone makes of a CSV file: array or error text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = len(fh.readline().strip().split(","))
+        try:
+            return fileio._parse_lines(fh, path, d)
+        except CsvFormatError as exc:
+            return str(exc)
 
 
 class TestJsonFiles:
@@ -38,6 +59,41 @@ class TestJsonFiles:
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ShapeError):
             fileio.load_json(path)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"b": [[1.0, None, -0.0], [5e-324, 1e308, 0.1]], "a": "x", "n": 3},
+            [{"u": 0.9, "flagged_pairs": []}, {"u": 0.95, "flagged_pairs": [[1, 2]]}],
+        ],
+    )
+    def test_dump_json_writes_one_compact_line(self, tmp_path, obj):
+        path = tmp_path / "o.json"
+        fileio.dump_json(obj, path)
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert text.count("\n") == 1
+        assert " " not in text
+        assert json.loads(text) == obj
+
+    def test_old_indented_layout_still_reads(self, tmp_path, ex3_target, ex3_spec):
+        spec_path = tmp_path / "spec.json"
+        result_path = tmp_path / "result.json"
+        csv_path = tmp_path / "s.csv"
+        _dump_old_layout(ex3_spec.to_json_dict(), spec_path)
+        _dump_old_layout(mg.synthesize(ex3_target).to_json_dict(), result_path)
+        fileio.write_csv(mg.sample_batch(ex3_spec, 5, seed=77), csv_path, sidecar=False)
+        sidecar = {"n": 5, "seed": 77, "spec_fingerprint": ex3_spec.fingerprint()}
+        _dump_old_layout(sidecar, fileio.sidecar_path(csv_path))
+        assert "\n  " in spec_path.read_text()
+        assert fileio.load_sidecar(csv_path) == sidecar
+        compact = tmp_path / "compact.json"
+        fileio.dump_spec(ex3_spec, compact)
+        for path in (spec_path, result_path, compact):
+            # the pinned EX3 fingerprint, whichever layout the spec came from
+            assert fileio.load_spec(path).fingerprint() == (
+                "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
+            )
 
     def test_malformed_json_raises_decode_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -123,3 +179,84 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CsvFormatError, match="empty"):
             fileio.read_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.integers(1, 5).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(0, 12), st.just(d)),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_written_arrays_read_back_bitwise(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        again = fileio.read_csv(path)
+        assert again.dtype == np.float64
+        assert again.shape == data.shape
+        assert again.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\n3\n", "line 3: expected 2 fields, found 1"),
+            ("1,2\n3,4,5\n", "line 3: expected 2 fields, found 3"),
+            ("1,2,3\n4,5,6\n", "line 2: expected 2 fields, found 3"),
+            ("1,\n", "line 2: non-numeric field"),
+            ("1,abc\n", "line 2: non-numeric field"),
+            ("1,nan\n", "line 2: non-finite value"),
+            ("1,2\ninf,2\n", "line 3: non-finite value"),
+            ("1,-inf\n", "line 2: non-finite value"),
+            ("1e999,2\n", "line 2: non-finite value"),
+            ("1,2#x\n", "line 2: non-numeric field"),
+            ("1,2\n \n3\n", "line 4: expected 2 fields, found 1"),
+            ("1,2\r\n3,x\r\n", "line 3: non-numeric field"),
+            ("1,2\n3", "line 3: expected 2 fields, found 1"),
+        ],
+    )
+    def test_malformed_body_gives_line_message(self, tmp_path, body, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(("x1,x2\n" + body).encode())
+        with pytest.raises(CsvFormatError) as err:
+            fileio.read_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            ("1,2\n \n3,4\n", [[1, 2], [3, 4]]),
+            ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+            ("", []),
+            ("\n\n", []),
+            ("1,2\n3,4", [[1, 2], [3, 4]]),
+            (" 1 ,\t2\n1_0,2\n", [[1, 2], [10, 2]]),
+        ],
+    )
+    def test_accepted_edge_layouts(self, tmp_path, body, rows):
+        path = tmp_path / "s.csv"
+        path.write_bytes(("x1,x2\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file reads without a warning
+            again = fileio.read_csv(path)
+        assert again.shape == (len(rows), 2)
+        assert np.array_equal(again, np.array(rows, dtype=np.float64).reshape(-1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.text(alphabet="0159.e-+,,,\n\n\r \t#nafi_\x0c\xa0", max_size=30),
+        d=st.integers(1, 3),
+    )
+    def test_same_result_as_line_parser(self, tmp_path_factory, body, d):
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        path.write_bytes((fileio.csv_header(d) + "\n" + body).encode())
+        expected = _read_reference(path)
+        if isinstance(expected, str):
+            with pytest.raises(CsvFormatError) as err:
+                fileio.read_csv(path)
+            assert str(err.value) == expected
+        else:
+            again = fileio.read_csv(path)
+            assert again.shape == expected.shape
+            assert again.tobytes() == expected.tobytes()
