@@ -193,8 +193,8 @@ def cmd_estimate(args) -> int:
     if spec is not None:
         comparison = theoretical_vs_empirical(spec, batch, u_grid=[args.u])[0]
         known = comparison.to_json_dict()
-        out["exact_finite_u"] = known["exact_finite_u"]
-        out["lambda_limit"] = known["lambda_limit"]
+        out["exact_finite_u"] = known.pop("exact_finite_u")
+        out["lambda_limit"] = known.pop("lambda_limit")
         out["known"] = known
         if comparison.flagged:
             pairs = ", ".join(f"({s + 1},{k + 1})" for s, k in comparison.flagged)

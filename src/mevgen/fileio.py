@@ -9,6 +9,8 @@ refuse cross-spec comparisons.
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
 and any ``indent`` run the pure-Python one.  Readers take any layout.
+Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
+chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
 CSV reading has a fast path and a fallback.  After the header check,
 ``np.loadtxt`` parses the whole body; its result is kept when it has d

@@ -19,6 +19,13 @@ share across threads.
 
 Indexing convention: margins are 0-based throughout the Python API.  The
 CLI and file formats label coordinates 1-based (``x1``..``xd``).
+
+A synthesized alpha has d - 1 nonzeros per row out of D = d(d - 1)/2, so
+the steps that handle a whole spec follow its nonzeros: the JSON form
+stores alpha as (row, column, value) lists when at most a quarter of it is
+nonzero, the fingerprint builds its dense JSON text from runs of zeros and
+the encoded nonzeros, and the tail dependence matrix sums each sparse row
+over its nonzero columns only.
 """
 
 from __future__ import annotations
@@ -98,26 +105,52 @@ class ModelSpec:
         return np.maximum(self.C - self.row_sums(), 0.0)
 
     def fingerprint(self) -> str:
-        """Content hash identifying this spec across serialization round trips."""
-        payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        """Content hash identifying this spec across serialization round trips.
+
+        The sha256 of the compact, sorted-key JSON of the spec with alpha as
+        a dense list of lists, whichever layout :meth:`to_json_dict` picks.
+        """
+        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), self.D))
+        for s, row in enumerate(self.alpha):
+            h.update(b"," if s else b"")
+            h.update(_dense_row_json(row).encode("ascii"))
+        h.update(b'],"d":%d}' % self.d)
+        return h.hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "D": self.D,
-            "C": self.C,
-            "alpha": self.alpha.tolist(),
-        }
+        """JSON form; alpha is sparse when at most a quarter of it is stored.
+
+        Stored entries are those whose bits are not +0.0, so -0.0 and NaN
+        survive.  The sparse form ``{"i": rows, "j": cols, "v": values}``
+        lists them in row-major order; otherwise alpha is a list of rows.
+        """
+        a = self.alpha
+        stored = _stored(a)
+        if 4 * np.count_nonzero(stored) <= a.size:
+            rows, cols = np.nonzero(stored)
+            alpha = {"i": rows.tolist(), "j": cols.tolist(), "v": a[rows, cols].tolist()}
+        else:
+            alpha = a.tolist()
+        return {"d": self.d, "D": self.D, "C": self.C, "alpha": alpha}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelSpec":
+        """Read either alpha layout of :meth:`to_json_dict`; ShapeError on bad fields."""
         try:
             d, big_d, c, alpha = obj["d"], obj["D"], obj["C"], obj["alpha"]
         except (KeyError, TypeError) as exc:
             raise ShapeError(f"spec object must carry d, D, C, alpha: {exc}") from exc
         if type(d) is not int or type(big_d) is not int:
             raise ShapeError(f"declared dimensions d={d!r}, D={big_d!r} must be integers")
+        # bool is a subclass of int and "1.5" would pass float(); JSON numbers only
+        if type(c) is not int and type(c) is not float:
+            raise ShapeError(f"scale constant C={c!r} must be a number")
+        try:
+            c = float(c)
+        except OverflowError:
+            raise ShapeError(f"scale constant C={c!r} is outside the float64 range") from None
+        if isinstance(alpha, dict):
+            alpha = _alpha_from_entries(alpha, d, big_d)
         spec = cls(alpha=alpha, C=c)
         if spec.d != d or spec.D != big_d:
             raise ShapeError(
@@ -125,6 +158,64 @@ class ModelSpec:
                 f"shape {spec.alpha.shape}"
             )
         return spec
+
+
+def _stored(alpha: np.ndarray) -> np.ndarray:
+    """Entries whose bits are not those of +0.0: nonzero, -0.0 or NaN."""
+    return (alpha != 0) | np.signbit(alpha)
+
+
+def _dense_row_json(row: np.ndarray) -> str:
+    """``json.dumps(row.tolist(), separators=(",", ":"))`` in O(nnz) Python steps.
+
+    The stored entries are encoded by one ``json.dumps``; the +0.0 entries
+    between them are the repeated text ``0.0,``.
+    """
+    pos = np.flatnonzero(_stored(row))
+    if pos.size == row.size:
+        return json.dumps(row.tolist(), separators=(",", ":"))
+    # float texts hold no ", ", so the default separator splits them apart
+    tokens = json.dumps(row[pos].tolist())[1:-1].split(", ") if pos.size else []
+    gaps = (np.diff(pos, prepend=-1) - 1).tolist()
+    tail = row.size - 1 - (int(pos[-1]) if pos.size else -1)
+    text = "".join(["0.0," * g + t + "," for g, t in zip(gaps, tokens)]) + "0.0," * tail
+    return "[" + text[:-1] + "]"
+
+
+def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
+    """The dense (d, D) alpha of a sparse ``{"i", "j", "v"}`` object."""
+    try:
+        rows, cols, vals = obj["i"], obj["j"], obj["v"]
+    except KeyError as exc:
+        raise ShapeError(f"sparse alpha must carry i, j, v: missing {exc}") from None
+    if type(rows) is not list or type(cols) is not list or type(vals) is not list:
+        raise ShapeError("sparse alpha fields i, j, v must be lists")
+    if not len(rows) == len(cols) == len(vals):
+        raise ShapeError(
+            f"sparse alpha lists differ in length: i has {len(rows)}, j {len(cols)}, "
+            f"v {len(vals)}"
+        )
+    for name, idx, bound in (("i", rows, d), ("j", cols, big_d)):
+        if not all(type(x) is int for x in idx):
+            raise ShapeError(f"sparse alpha indices {name} must be integers")
+        if idx and (min(idx) < 0 or max(idx) >= bound):
+            raise ShapeError(f"sparse alpha index {name} outside [0, {bound})")
+    try:
+        v = np.array(vals, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"sparse alpha values must be numbers: {exc}") from exc
+    if v.ndim != 1:
+        raise ShapeError("sparse alpha values must be a flat list of numbers")
+    try:
+        alpha = np.zeros((d, big_d))
+    except (ValueError, MemoryError) as exc:
+        raise ShapeError(f"alpha of shape ({d}, {big_d}) cannot be held: {exc}") from exc
+    i, j = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    flat = np.sort(i * big_d + j)  # np.sort, not np.unique, which imports numpy.ma
+    if np.any(flat[1:] == flat[:-1]):
+        raise ShapeError("sparse alpha lists an entry more than once")
+    alpha[i, j] = v
+    return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +413,9 @@ def log_copula(spec: ModelSpec, u) -> float:
     if not np.all((uv > 0) & (uv <= 1)):
         raise DomainError("copula requires every coordinate in (0, 1]")
     v = -np.log(uv)  # nonnegative; 0 exactly where u == 1
-    shared = (spec.alpha * v[:, None]).max(axis=0).sum()
+    # a margin at u == 1 adds 0 to every column's max, so only the others enter
+    below = np.flatnonzero(uv < 1)
+    shared = (spec.alpha[below] * v[below, None]).max(axis=0, initial=0.0).sum()
     own = (spec.slacks() * v).sum()
     return -(shared + own) / spec.C
 
@@ -337,13 +430,23 @@ def tail_dep_matrix(spec: ModelSpec) -> TailDepMatrix:
 
     ``lambda[s, k] = (1 / C) * sum_j min(alpha[s, j], alpha[k, j])`` off the
     diagonal; the diagonal is 1 by definition, never computed.
+
+    A zero weight in row s makes the column's min 0, so a row with at most
+    half of its D entries nonzero sums over its nonzero columns only; the
+    others sum over all D.  On a synthesized spec every pair shares one
+    column, so both give the same bits; elsewhere the sparse sum may differ
+    from the full one in the last place.
     """
     require_valid_spec(spec)
-    d = spec.d
+    d, alpha = spec.d, spec.alpha
     lam = np.zeros((d, d))
     # Row-at-a-time keeps peak memory at O(d * D) even for d ~ 1e3, D ~ 1e4.
     for s in range(d - 1):
-        lam[s, s + 1 :] = np.minimum(spec.alpha[s + 1 :], spec.alpha[s]).sum(axis=1)
+        cols = np.flatnonzero(alpha[s])
+        if 2 * cols.size <= spec.D:
+            lam[s, s + 1 :] = np.minimum(alpha[s + 1 :, cols], alpha[s, cols]).sum(axis=1)
+        else:
+            lam[s, s + 1 :] = np.minimum(alpha[s + 1 :], alpha[s]).sum(axis=1)
     lam = (lam + lam.T) / spec.C
     np.fill_diagonal(lam, 1.0)
     return TailDepMatrix(lam)

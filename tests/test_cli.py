@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mevgen as mg
 from mevgen import fileio
 from mevgen.cli import main
 
-from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_LAMBDA
+from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA
 
 
 @pytest.fixture
@@ -226,6 +232,9 @@ class TestEstimate:
         )
         assert obj["known"]["margins"] == "known"
         assert obj["known"]["flagged_pairs"] == []
+        # the model matrices appear once, at the top level of the report
+        assert "lambda_limit" not in obj["known"]
+        assert "exact_finite_u" not in obj["known"]
 
     def test_provenance_mismatch_exits_4(self, samples_file, tmp_path, capsys):
         # same dimension as the samples but a different model, so only the
@@ -378,6 +387,128 @@ class TestHeaderFields:
         err = capsys.readouterr().err
         assert "'abc'" in err and "integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", None, [1], "1.5", True],
+        ids=["string", "null", "list", "numeric-string", "bool"],
+    )
+    def test_non_numeric_scale_is_validation_error(self, value, tmp_path, ex3_spec, capsys):
+        path = tmp_path / "spec.json"
+        obj = ex3_spec.to_json_dict()
+        obj["C"] = value
+        path.write_text(json.dumps(obj))
+        assert main(["check", "--spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"C={value!r} must be a number" in err
+        assert "Traceback" not in err
+
+
+def _ex3_doc(layout: str) -> dict:
+    """EX3 as a spec file object, with alpha in the given layout."""
+    alpha = np.array(EX3_ALPHA)
+    if layout == "sparse":
+        i, j = np.nonzero(alpha)
+        doc_alpha = {"i": i.tolist(), "j": j.tolist(), "v": alpha[i, j].tolist()}
+    else:
+        doc_alpha = alpha.tolist()
+    return {"d": 3, "D": 3, "C": 1.0, "alpha": doc_alpha}
+
+
+_NOT_AN_INDEX = st.sampled_from([-1, 3, 7, 10**20, 1.0, 0.5, True, False, "0", None, [0]])
+_NOT_A_NUMBER = st.sampled_from(["abc", "", None, [0.1], [], {}, {"v": 1}])
+_NOT_A_LIST = st.sampled_from([3, 0.5, "abc", None, True, {"a": 1}])
+
+
+@st.composite
+def malformed_spec_docs(draw) -> dict:
+    """EX3 spec objects in either layout with one malformed field."""
+    layout = draw(st.sampled_from(["dense", "sparse"]))
+    doc = _ex3_doc(layout)
+    alpha = doc["alpha"]
+    kinds = ["C", "d", "dense_value", "dense_shape", "not_a_list"]
+    if layout == "sparse":
+        kinds = ["C", "d", "index", "lengths", "repeat", "sparse_value", "not_a_list"]
+    kind = draw(st.sampled_from(kinds))
+    pos = draw(st.integers(0, 5))
+    if kind == "C":
+        doc["C"] = draw(st.one_of(_NOT_A_NUMBER, st.sampled_from(["1.5", True, False])))
+    elif kind == "d":
+        key = draw(st.sampled_from(["d", "D"]))
+        doc[key] = draw(st.sampled_from([3.0, "3", True, None, -3]))
+    elif kind == "dense_value":
+        alpha[pos % 3][pos // 2] = draw(_NOT_A_NUMBER.filter(lambda v: v is not None))
+    elif kind == "dense_shape":
+        del alpha[pos % 3][pos // 2]
+    elif kind == "not_a_list":
+        if layout == "dense":
+            doc["alpha"] = draw(_NOT_A_LIST)
+        else:
+            alpha[draw(st.sampled_from("ijv"))] = draw(_NOT_A_LIST)
+    elif kind == "index":
+        alpha[draw(st.sampled_from("ij"))][pos] = draw(_NOT_AN_INDEX)
+    elif kind == "lengths":
+        key = draw(st.sampled_from("ijv"))
+        if draw(st.booleans()):
+            del alpha[key][pos]
+        else:
+            alpha[key].append(alpha[key][pos])
+    elif kind == "repeat":
+        other = (pos + draw(st.integers(1, 5))) % 6
+        alpha["i"][pos], alpha["j"][pos] = alpha["i"][other], alpha["j"][other]
+    else:
+        alpha["v"][pos] = draw(_NOT_A_NUMBER.filter(lambda v: v is not None))
+    return doc
+
+
+class TestMalformedSpecFuzz:
+    @given(doc=malformed_spec_docs())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_message_without_traceback(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(doc))
+            for argv in (
+                ["check", "--spec", str(path)],
+                ["coeffs", "--spec", str(path)],
+                ["sample", "--spec", str(path), "--n", "3", "--out", str(Path(tmp) / "s.csv")],
+            ):
+                err, out = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                    rc = main(argv)
+                assert rc in (2, 3), (argv[0], rc)
+                assert "error" in err.getvalue() or "invalid" in err.getvalue()
+                assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_unmodified_docs_are_accepted(self, layout, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_ex3_doc(layout)))
+        assert main(["check", "--spec", str(path)]) == 0
+
+
+class TestSpecLayout:
+    def test_sparse_and_dense_files_sample_the_same_bytes(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        lam = np.eye(10)
+        iu = np.triu_indices(10, 1)
+        lam[iu] = lam[iu[1], iu[0]] = rng.uniform(0.0, 1.0 / 9.0, iu[0].size)
+        target, result = tmp_path / "t.json", tmp_path / "r.json"
+        fileio.dump_tail_dep(mg.TailDepMatrix(lam), target)
+        assert main(["synth", "--target", str(target), "--out", str(result)]) == 0
+        obj = json.loads(result.read_text())
+        assert set(obj["spec"]["alpha"]) == {"i", "j", "v"}
+        dense = tmp_path / "dense.json"
+        obj["spec"]["alpha"] = fileio.load_spec(result).alpha.tolist()
+        dense.write_text(json.dumps(obj, indent=2))
+        for name, spec_path in (("a", result), ("b", dense)):
+            rc = main(
+                ["sample", "--spec", str(spec_path), "--n", "50", "--seed", "3",
+                 "--out", str(tmp_path / f"{name}.csv")]
+            )
+            assert rc == 0
+        for suffix in (".csv", ".csv.meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -94,6 +95,27 @@ class TestJsonFiles:
             assert fileio.load_spec(path).fingerprint() == (
                 "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
             )
+
+    def test_old_dense_spec_files_keep_their_fingerprint(self, tmp_path):
+        # a synthesized d=9 spec is now written sparse; files from before hold it dense
+        lam = np.full((9, 9), 0.1)
+        np.fill_diagonal(lam, 1.0)
+        result = mg.synthesize(mg.TailDepMatrix(lam))
+        obj = result.to_json_dict()
+        assert set(obj["spec"]["alpha"]) == {"i", "j", "v"}
+        obj["spec"]["alpha"] = result.spec.alpha.tolist()
+        dense = {"d": 9, "D": 36, "C": 1.0, "alpha": result.spec.alpha.tolist()}
+        expect = hashlib.sha256(
+            json.dumps(dense, sort_keys=True, separators=(",", ":")).encode("ascii")
+        ).hexdigest()
+        assert result.spec.fingerprint() == expect
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        compact.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        _dump_old_layout(obj, indented)
+        for path in (compact, indented):
+            spec = fileio.load_spec(path)
+            assert np.array_equal(spec.alpha, result.spec.alpha)
+            assert spec.fingerprint() == expect
 
     def test_malformed_json_raises_decode_error(self, tmp_path):
         path = tmp_path / "bad.json"

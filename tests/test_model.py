@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen.errors import DomainError, ShapeError, SpecValidationError
@@ -17,8 +21,52 @@ from conftest import (
     EX3_ALPHA,
     EX3_C,
     model_specs,
+    tail_dep_targets,
     unit_points,
 )
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def edge_specs(draw) -> mg.ModelSpec:
+    """Specs of any density holding -0.0, 5e-324, all-zero and all-positive rows."""
+    d = draw(st.integers(1, 6))
+    big_d = draw(st.integers(0, 12))
+    weights = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+        st.floats(0.0, 2.0, allow_nan=False),
+    )
+    alpha = draw(arrays(np.float64, (d, big_d), elements=weights))
+    alpha[draw(st.integers(0, d - 1))] = 0.0
+    if draw(st.booleans()):
+        alpha[draw(st.integers(0, d - 1))] = np.linspace(0.5, 1.5, big_d)
+    return mg.ModelSpec(alpha=alpha, C=draw(st.sampled_from([1.0, 2.5, 1e300, 5e-324])))
+
+
+def _dense_json(spec: mg.ModelSpec) -> str:
+    """The spec JSON every fingerprint is taken over: compact, sorted, alpha dense."""
+    obj = {"d": spec.d, "D": spec.D, "C": spec.C, "alpha": spec.alpha.tolist()}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _tail_dep_full_sums(spec: mg.ModelSpec) -> np.ndarray:
+    """Reference lambda: every row summed over all D columns."""
+    d = spec.d
+    lam = np.zeros((d, d))
+    for s in range(d - 1):
+        lam[s, s + 1 :] = np.minimum(spec.alpha[s + 1 :], spec.alpha[s]).sum(axis=1)
+    lam = (lam + lam.T) / spec.C
+    np.fill_diagonal(lam, 1.0)
+    return lam
+
+
+def _log_copula_all_margins(spec: mg.ModelSpec, u) -> float:
+    """Reference log copula: the shared max taken over every margin."""
+    v = -np.log(np.asarray(u, dtype=np.float64))
+    shared = (spec.alpha * v[:, None]).max(axis=0).sum()
+    own = (spec.slacks() * v).sum()
+    return -(shared + own) / spec.C
 
 
 class TestModelSpec:
@@ -73,6 +121,80 @@ class TestModelSpec:
         assert ex3_spec.fingerprint() == (
             "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
         )
+
+
+class TestSpecJson:
+    @given(spec=edge_specs())
+    @settings(max_examples=300)
+    def test_fingerprint_is_sha256_of_dense_json(self, spec):
+        expect = hashlib.sha256(_dense_json(spec).encode("ascii")).hexdigest()
+        assert spec.fingerprint() == expect
+
+    @given(spec=edge_specs())
+    @settings(max_examples=300)
+    def test_round_trip_is_bitwise_in_both_layouts(self, spec):
+        obj = spec.to_json_dict()
+        stored = np.count_nonzero((spec.alpha != 0) | np.signbit(spec.alpha))
+        assert isinstance(obj["alpha"], dict) == (4 * stored <= spec.alpha.size)
+        again = mg.ModelSpec.from_json_dict(json.loads(json.dumps(obj)))
+        assert again.alpha.shape == spec.alpha.shape
+        assert np.array_equal(again.alpha.view(np.uint64), spec.alpha.view(np.uint64))
+        assert again.C == spec.C
+        assert again.fingerprint() == spec.fingerprint()
+
+    def test_layout_threshold(self):
+        # EX3 stores 6 of 9 entries, dense; 2 of 8 is exactly a quarter, sparse
+        assert isinstance(mg.ModelSpec(alpha=EX3_ALPHA, C=1.0).to_json_dict()["alpha"], list)
+        alpha = np.zeros((2, 4))
+        alpha[0, 1], alpha[1, 3] = 0.5, -0.0
+        obj = mg.ModelSpec(alpha=alpha, C=1.0).to_json_dict()
+        assert obj["alpha"] == {"i": [0, 1], "j": [1, 3], "v": [0.5, -0.0]}
+        alpha[1, 0] = 0.25
+        assert isinstance(mg.ModelSpec(alpha=alpha, C=1.0).to_json_dict()["alpha"], list)
+
+    @pytest.mark.parametrize(
+        "alpha, words",
+        [
+            ({"i": [0, 1], "j": [0]}, "must carry i, j, v"),
+            ({"i": [0, 1], "j": [0], "v": [0.1, 0.1]}, "differ in length"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1]}, "differ in length"),
+            ({"i": "01", "j": [0, 0], "v": [0.1, 0.1]}, "must be lists"),
+            ({"i": [0, 1], "j": [0, 0], "v": 0.1}, "must be lists"),
+            ({"i": [0, 1.0], "j": [0, 0], "v": [0.1, 0.1]}, "must be integers"),
+            ({"i": [0, True], "j": [0, 0], "v": [0.1, 0.1]}, "must be integers"),
+            ({"i": [0, 1], "j": [0, None], "v": [0.1, 0.1]}, "must be integers"),
+            ({"i": [0, -1], "j": [0, 0], "v": [0.1, 0.1]}, "outside [0, 2)"),
+            ({"i": [0, 2], "j": [0, 0], "v": [0.1, 0.1]}, "outside [0, 2)"),
+            ({"i": [0, 1], "j": [0, 1], "v": [0.1, 0.1]}, "outside [0, 1)"),
+            ({"i": [1, 1], "j": [0, 0], "v": [0.1, 0.1]}, "more than once"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1, "abc"]}, "must be numbers"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1, [0.1]]}, "must be numbers"),
+            ({"i": [0, 1], "j": [0, 0], "v": [[0.1], [0.1]]}, "flat list"),
+        ],
+    )
+    def test_malformed_sparse_alpha_rejected(self, alpha, words):
+        with pytest.raises(ShapeError, match="sparse alpha") as err:
+            mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": 1.0, "alpha": alpha})
+        assert words in str(err.value)
+
+    def test_sparse_alpha_needs_nonnegative_dimensions(self):
+        with pytest.raises(ShapeError, match="negative dimensions"):
+            mg.ModelSpec.from_json_dict(
+                {"d": -1, "D": 2, "C": 1.0, "alpha": {"i": [], "j": [], "v": []}}
+            )
+
+    @pytest.mark.parametrize(
+        "c",
+        ["1.5", True, None, [1.0], {"c": 1}, 10**400],
+        ids=["string", "bool", "null", "list", "object", "huge-int"],
+    )
+    def test_scale_must_be_a_json_number(self, c):
+        with pytest.raises(ShapeError, match="scale constant"):
+            mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": c, "alpha": [[0.1], [0.1]]})
+
+    def test_integer_scale_accepted(self):
+        spec = mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": 2, "alpha": [[0.1], [0.1]]})
+        assert spec.C == 2.0 and type(spec.C) is float
 
 
 class TestValidation:
@@ -253,6 +375,36 @@ class TestMatrixStructure:
         off = ~np.eye(spec.d, dtype=bool)
         assert np.array_equal(eps[off], 2.0 - lam[off])
         assert np.all(np.diagonal(eps) == 1.0)
+
+
+class TestSparseSums:
+    @given(spec=model_specs(max_d=6, max_shared=10), data=st.data())
+    @settings(max_examples=200)
+    def test_tail_dep_matches_full_sums(self, spec, data):
+        # zero out a random share of alpha so rows fall on both sides of 2 * nnz <= D
+        keep = data.draw(arrays(np.bool_, spec.alpha.shape))
+        spec = mg.ModelSpec(alpha=np.where(keep, spec.alpha, 0.0), C=spec.C)
+        got = mg.tail_dep_matrix(spec).values
+        ref = _tail_dep_full_sums(spec)
+        # two summation orders of D nonnegative terms: at most 2 (D - 1) eps apart, relatively
+        assert np.all(np.abs(got - ref) <= 2 * max(spec.D - 1, 1) * EPS * ref)
+        sparse = 2 * np.count_nonzero(spec.alpha, axis=1) <= spec.D
+        dense_rows = np.flatnonzero(~sparse)
+        assert np.array_equal(got[dense_rows], ref[dense_rows])
+
+    @given(target=tail_dep_targets(max_d=14))
+    @settings(max_examples=100)
+    def test_tail_dep_of_synthesized_specs_is_bitwise(self, target):
+        spec = mg.synthesize(target).spec
+        assert np.array_equal(mg.tail_dep_matrix(spec).values, _tail_dep_full_sums(spec))
+
+    @given(spec=model_specs(max_d=6, max_shared=8), data=st.data())
+    @settings(max_examples=200)
+    def test_log_copula_matches_all_margin_max(self, spec, data):
+        u = data.draw(unit_points(spec.d))
+        at_one = data.draw(arrays(np.bool_, (spec.d,)))
+        u[at_one] = 1.0
+        assert mg.log_copula(spec, u) == _log_copula_all_margins(spec, u)
 
 
 class TestCopulaProperties:
