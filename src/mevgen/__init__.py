@@ -46,7 +46,7 @@ from .model import (
     validate_tail_dep_matrix,
 )
 from .plotting import pair_scatter_svg
-from .sampling import SampleBatch, sample_batch, sample_unit_frechet, sample_vector
+from .sampling import SampleBatch, sample_batch, sample_chunks, sample_unit_frechet, sample_vector
 from .synthesis import EXACTNESS_TOL, SynthesisResult, synthesize
 
 __version__ = "0.1.0"
@@ -87,6 +87,7 @@ __all__ = [
     "pair_scatter_svg",
     "SampleBatch",
     "sample_batch",
+    "sample_chunks",
     "sample_unit_frechet",
     "sample_vector",
     "EXACTNESS_TOL",

@@ -6,6 +6,16 @@ file gets a sidecar ``<path>.meta.json`` carrying the observation count,
 the seed, and the fingerprint of the generating spec; readers use it to
 refuse cross-spec comparisons.
 
+:func:`write_csv_blocks` streams: it takes an iterable of (m, d) blocks,
+such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
+and writes each block before it asks for the next, so memory is O(block).
+Rows are formatted by one ``%`` over a row format repeated once per row,
+at most ``_FORMAT_VALUES`` values per call, which gives the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")``.  The CSV is written to a
+temporary file next to the target and moved into place only when
+complete; the old sidecar is removed first and the new one written last,
+so a sidecar never describes other data than the CSV beside it.
+
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
 and any ``indent`` run the pure-Python one.  Readers take any layout.
@@ -22,8 +32,10 @@ one source of the ``CsvFormatError`` line messages.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +43,10 @@ from .errors import CsvFormatError, ShapeError
 from .model import ModelSpec, TailDepMatrix
 from .sampling import SampleBatch
 from .synthesis import SynthesisResult
+
+#: Values formatted per ``%`` call when writing CSV; a large block is split
+#: so that its text and Python floats stay a few MB.
+_FORMAT_VALUES = 2**16
 
 
 def load_json(path) -> dict:
@@ -82,14 +98,41 @@ def csv_header(d: int) -> str:
 
 def write_csv(batch: SampleBatch, path, sidecar: bool = True) -> None:
     """Write a batch as CSV; optionally drop the provenance sidecar next to it."""
-    np.savetxt(
-        path, batch.data, fmt="%.17g", delimiter=",", header=csv_header(batch.d), comments=""
-    )
-    if sidecar:
-        dump_json(
-            {"n": batch.n, "seed": batch.seed, "spec_fingerprint": batch.spec_fingerprint},
-            sidecar_path(path),
-        )
+    meta = {"n": batch.n, "seed": batch.seed, "spec_fingerprint": batch.spec_fingerprint}
+    write_csv_blocks([batch.data], batch.d, path, meta if sidecar else None)
+
+
+def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | None) -> int:
+    """Write (m, d) blocks as one CSV at ``path``; returns the rows written.
+
+    Any sidecar already at ``path`` is removed before the first block is
+    asked for, and ``meta``, when given, is written as the new sidecar after
+    the CSV is in place.  If a block raises, the partial CSV is deleted and
+    ``path`` is left as it was.
+    """
+    path = Path(path)
+    sidecar_path(path).unlink(missing_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    row_fmt = ",".join(["%.17g"] * d) + "\n"
+    step = max(1, _FORMAT_VALUES // max(d, 1))
+    rows = 0
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(csv_header(d) + "\n")
+            for block in blocks:
+                if block.ndim != 2 or block.shape[1] != d:
+                    raise ShapeError(f"CSV block of shape {block.shape} does not have {d} columns")
+                for lo in range(0, block.shape[0], step):
+                    part = block[lo : lo + step]
+                    fh.write((row_fmt * part.shape[0]) % tuple(part.ravel().tolist()))
+                rows += block.shape[0]
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if meta is not None:
+        dump_json(meta, sidecar_path(path))
+    return rows
 
 
 def read_csv(path) -> np.ndarray:

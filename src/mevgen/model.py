@@ -58,6 +58,8 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
         arr = np.array(values, dtype=np.float64, copy=True)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{name} must be a rectangular numeric matrix: {exc}") from exc
+    except OverflowError:
+        raise ShapeError(f"{name} holds a value outside the float64 range") from None
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
     arr.flags.writeable = False
@@ -151,6 +153,10 @@ class ModelSpec:
             raise ShapeError(f"scale constant C={c!r} is outside the float64 range") from None
         if isinstance(alpha, dict):
             alpha = _alpha_from_entries(alpha, d, big_d)
+        elif type(alpha) is list:
+            for i, row in enumerate(alpha):
+                if type(row) is list and (j := _first_non_number(row)) is not None:
+                    raise ShapeError(f"alpha values must be numbers: alpha[{i}][{j}]={row[j]!r}")
         spec = cls(alpha=alpha, C=c)
         if spec.d != d or spec.D != big_d:
             raise ShapeError(
@@ -158,6 +164,17 @@ class ModelSpec:
                 f"shape {spec.alpha.shape}"
             )
         return spec
+
+
+def _first_non_number(values: list) -> int | None:
+    """Index of the first value that is not a JSON number, or None.
+
+    bool is a subclass of int and ``"0.5"`` would pass ``float()``, so only
+    the exact types int and float count.
+    """
+    if set(map(type, values)) <= {int, float}:
+        return None
+    return next(k for k, x in enumerate(values) if type(x) is not int and type(x) is not float)
 
 
 def _stored(alpha: np.ndarray) -> np.ndarray:
@@ -200,12 +217,12 @@ def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
             raise ShapeError(f"sparse alpha indices {name} must be integers")
         if idx and (min(idx) < 0 or max(idx) >= bound):
             raise ShapeError(f"sparse alpha index {name} outside [0, {bound})")
+    if (k := _first_non_number(vals)) is not None:
+        raise ShapeError(f"sparse alpha values must be numbers, in a flat list: v[{k}]={vals[k]!r}")
     try:
         v = np.array(vals, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"sparse alpha values must be numbers: {exc}") from exc
-    if v.ndim != 1:
-        raise ShapeError("sparse alpha values must be a flat list of numbers")
+    except OverflowError:
+        raise ShapeError("sparse alpha values must lie in the float64 range") from None
     try:
         alpha = np.zeros((d, big_d))
     except (ValueError, MemoryError) as exc:
@@ -409,6 +426,11 @@ def log_copula(spec: ModelSpec, u) -> float:
     Satisfies max-stability: ``t * log_copula(u) == log_copula(u**t)`` for
     every t > 0.
     """
+    return _log_copula(spec, u, spec.slacks())
+
+
+def _log_copula(spec: ModelSpec, u, slack: np.ndarray) -> float:
+    """:func:`log_copula` given ``spec.slacks()``, for callers that loop over points."""
     uv = _check_point(u, spec.d, "u")
     if not np.all((uv > 0) & (uv <= 1)):
         raise DomainError("copula requires every coordinate in (0, 1]")
@@ -416,7 +438,7 @@ def log_copula(spec: ModelSpec, u) -> float:
     # a margin at u == 1 adds 0 to every column's max, so only the others enter
     below = np.flatnonzero(uv < 1)
     shared = (spec.alpha[below] * v[below, None]).max(axis=0, initial=0.0).sum()
-    own = (spec.slacks() * v).sum()
+    own = (slack * v).sum()
     return -(shared + own) / spec.C
 
 

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo generation of model observations.
+"""Seeded Monte Carlo generation of model observations, streamed in chunks.
 
 Each observation t consumes D + d uniforms from a counter-based Philox
 stream keyed by the seed: first the shared factors Z_1..Z_D, then the
@@ -7,13 +7,21 @@ idiosyncratic factors Y_1..Y_d.  Observation t owns words
 reproducible from ``(spec, n, seed)`` no matter how generation is chunked,
 and chunks could be produced concurrently without changing the output.
 
+:func:`sample_chunks` is the one generation loop.  It keeps one Philox
+generator and draws each chunk's words from it in order, about
+``CHUNK_WORDS`` words at a time, so memory is O(chunk) whatever n is: a
+caller that writes each chunk out before asking for the next (as the
+``sample`` subcommand does) never holds the whole batch.  :func:`sample_batch`
+collects the chunks into one (n, d) array.
+
 Uniforms are mapped to the open interval (0, 1) by taking the top 53 bits
 of each 64-bit word and centering on the lattice midpoint,
 ``(k + 0.5) * 2**-53``, so log(0) and division by zero are impossible in
-the Fréchet inversion.
+the Fréchet inversion.  Every step after the one float conversion runs in
+place on the chunk's array of uniforms.
 
 The factor max ``max_j alpha[i, j] * Z_j`` follows the structure of alpha,
-read once per :func:`sample_batch` call.  A row with at most half of its D
+read once per :func:`sample_chunks` call.  A row with at most half of its D
 entries nonzero takes the max over its nonzero columns only, so sparse rows
 cost O(n * sum_i nnz_i) instead of O(n * d * D); a synthesized spec has at
 most d - 1 nonzeros of d(d - 1)/2 per row, so for d >= 4 every row is sparse.
@@ -26,6 +34,7 @@ whichever branch a row takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Philox
@@ -35,6 +44,11 @@ from .model import ModelSpec, require_valid_spec
 
 _U64_FULL = 2**64
 _LATTICE_SCALE = 2.0**-53
+
+#: Stream words per default chunk, 2**19: its uniforms take 4 MiB, small
+#: enough to stay mostly in cache between the in-place steps, and enough
+#: work that the per-chunk Python steps cost little.
+CHUNK_WORDS = 2**19
 
 #: Observations per block of the dense factor max; one reused block of
 #: products (``_BLOCK_ROWS`` x D) stays in cache where a whole chunk would not.
@@ -106,15 +120,6 @@ def sample_vector(spec: ModelSpec, z, y) -> np.ndarray:
     return np.maximum(shared, own)
 
 
-def _open_uniforms(seed: int, word_offset: int, count: int) -> np.ndarray:
-    """``count`` open-interval uniforms starting at a word offset of the stream."""
-    bit_gen = Philox(key=seed)
-    blocks, rem = divmod(word_offset, 4)  # Philox emits 4 words per counter step
-    bit_gen.advance(blocks)
-    raw = bit_gen.random_raw(rem + count)[rem:]
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _LATTICE_SCALE
-
-
 def _factor_max(alpha: np.ndarray):
     """Kernel writing ``out[:, i] = max_j alpha[i, j] * z[:, j]`` for a chunk z.
 
@@ -148,24 +153,29 @@ def _factor_max(alpha: np.ndarray):
     return kernel
 
 
-def sample_batch(
+def sample_chunks(
     spec: ModelSpec, n: int, seed: int, chunk_size: int | None = None
-) -> SampleBatch:
-    """Generate n independent observations of the model.
+) -> Iterator[np.ndarray]:
+    """Generate n independent observations of the model, chunk by chunk.
+
+    Returns an iterator of (m, d) float64 arrays, at most ``chunk_size``
+    rows each, whose rows in order are observations 0..n-1; each array is
+    new, so a caller may keep it.  Arguments are checked here, before the
+    first chunk is asked for.
 
     Parameters
     ----------
     spec : ModelSpec
         Must validate; raises ``SpecValidationError`` otherwise.
     n : int
-        Observation count; 0 yields an empty batch.
+        Observation count; 0 yields no chunks.
     seed : int
         Stream key in ``[0, 2**64)``.  Identical (spec, n, seed) triples
-        produce bitwise identical batches; distinct seeds give independent
-        streams.
+        produce bitwise identical observations; distinct seeds give
+        independent streams.
     chunk_size : int, optional
-        Observations generated per internal block, at least 1; output is
-        identical for every choice.  Defaults to a memory-friendly size.
+        Observations per chunk, at least 1; it sets the memory used and
+        never the values.  Defaults to ``CHUNK_WORDS // (D + d)``.
     """
     require_valid_spec(spec)
     n = int(n)
@@ -174,28 +184,49 @@ def sample_batch(
     seed = int(seed)
     if not 0 <= seed < _U64_FULL:
         raise DomainError("seed must be a 64-bit nonnegative integer")
-
-    d, big_d = spec.d, spec.D
-    words_per_obs = big_d + d
+    words_per_obs = spec.D + spec.d
     if chunk_size is None:
-        chunk_size = max(1, 4_000_000 // words_per_obs)
+        chunk_size = max(1, CHUNK_WORDS // words_per_obs)
     elif chunk_size < 1:
         raise DomainError(f"chunk size must be positive, got {chunk_size}")
+    return _chunks(spec, n, seed, int(chunk_size))
 
+
+def _chunks(spec: ModelSpec, n: int, seed: int, chunk_size: int) -> Iterator[np.ndarray]:
+    d, big_d = spec.d, spec.D
     slack = spec.slacks()
     own_margins = np.flatnonzero(slack > 0)
     factor_max = _factor_max(spec.alpha)
-    data = np.empty((n, d))
+    bit_gen = Philox(key=seed)
     for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        m = stop - start
-        u = _open_uniforms(seed, start * words_per_obs, m * words_per_obs)
-        u = u.reshape(m, words_per_obs)
-        z = -1.0 / np.log(u[:, :big_d])
-        y = -1.0 / np.log(u[:, big_d:])
-        factor_max(z, data[start:stop])
+        m = min(chunk_size, n - start)
+        raw = bit_gen.random_raw(m * (big_d + d))  # the next words of the stream
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64).reshape(m, big_d + d)
+        del raw
+        u += 0.5
+        u *= _LATTICE_SCALE
+        np.log(u, out=u)
+        np.divide(-1.0, u, out=u)  # unit Frechet: Z in the first D columns, then Y
+        out = np.empty((m, d))
+        factor_max(u[:, :big_d], out)
         for i in own_margins:
-            np.maximum(
-                data[start:stop, i], slack[i] * y[:, i], out=data[start:stop, i]
-            )
-    return SampleBatch(data=data, seed=seed, spec_fingerprint=spec.fingerprint())
+            np.maximum(out[:, i], slack[i] * u[:, big_d + i], out=out[:, i])
+        yield out
+
+
+def sample_batch(
+    spec: ModelSpec, n: int, seed: int, chunk_size: int | None = None
+) -> SampleBatch:
+    """Generate n independent observations of the model as one batch.
+
+    Takes the arguments of :func:`sample_chunks` and holds all n rows;
+    the batch is bitwise the same for every ``chunk_size``.
+    """
+    chunks = sample_chunks(spec, n, seed, chunk_size)
+    data = np.empty((int(n), spec.d))
+    start = 0
+    for block in chunks:
+        data[start : start + block.shape[0]] = block
+        start += block.shape[0]
+    return SampleBatch(data=data, seed=int(seed), spec_fingerprint=spec.fingerprint())

@@ -7,6 +7,8 @@ frozen values, never against the code's own output.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -72,6 +74,14 @@ EX2_ACHIEVED = [
 EX3_LAMBDA = [[1.0, 0.2, 0.1], [0.2, 1.0, 0.8], [0.1, 0.8, 1.0]]
 EX3_ALPHA = [[0.2, 0.1, 0.0], [0.2, 0.0, 0.8], [0.0, 0.2, 0.8]]
 EX3_C = 1.0
+
+
+def savetxt_bytes(data: np.ndarray) -> bytes:
+    """Reference CSV bytes of a sample matrix: ``np.savetxt``, the writer before streaming."""
+    buf = io.BytesIO()
+    header = ",".join(f"x{i + 1}" for i in range(data.shape[1]))
+    np.savetxt(buf, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import mevgen as mg
 from mevgen import fileio
 from mevgen.cli import main
 
-from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA
+from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA, savetxt_bytes
 
 
 @pytest.fixture
@@ -164,6 +165,85 @@ class TestSample:
         argv = ["sample", "--spec", str(result_file), "--n", "5", "--chunk-size", chunk]
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def _all_positive_spec(d: int, big_d: int, seed: int) -> mg.ModelSpec:
+    """Every alpha > 0 and every row sum below C = 1, so slack is live in each row."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.2, 1.0, size=(d, big_d))
+    alpha *= (rng.uniform(0.5, 0.9, size=d) / alpha.sum(axis=1))[:, None]
+    return mg.ModelSpec(alpha=alpha, C=1.0)
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _all_positive_spec(4, 9, seed=1),
+            mg.ModelSpec(alpha=EX2_ALPHA, C=2.0),
+            mg.ModelSpec(
+                alpha=[[0, 0, 0, 0], [0.3, 0, 0, 0], [0.2, 0.1, 0.4, 0.2], [0.5, 0.5, 0, 0]], C=1.0
+            ),
+        ],
+        ids=["dense-rows", "sparse-rows", "zero-row-and-slack"],
+    )
+    @pytest.mark.parametrize("chunk", ["1", "7", None])
+    def test_csv_bytes_equal_savetxt_of_the_batch(self, spec, chunk, tmp_path, capsys):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "s.csv"
+        fileio.dump_spec(spec, spec_path)
+        argv = ["sample", "--spec", str(spec_path), "--n", "40", "--seed", "11", "--out", str(out)]
+        assert main([*argv, *(["--chunk-size", chunk] if chunk else [])]) == 0
+        batch = mg.sample_batch(spec, 40, seed=11)
+        assert out.read_bytes() == savetxt_bytes(batch.data)
+        assert fileio.load_sidecar(out) == {
+            "n": 40, "seed": 11, "spec_fingerprint": spec.fingerprint()
+        }
+
+    def test_memory_is_bounded_and_flat_in_n(self, tmp_path, capsys):
+        # at d=80, D=1600 the whole batch is 1.25 MB per 2k rows, but holding
+        # it plus its CSV text and several chunk-sized temporaries of the
+        # old 4M-word chunk took over 150 MiB
+        spec_path = tmp_path / "spec.json"
+        fileio.dump_spec(_all_positive_spec(80, 1600, seed=2), spec_path)
+        peaks = {}
+        for n in (2000, 8000):
+            argv = ["sample", "--spec", str(spec_path), "--n", str(n), "--out", str(tmp_path / "s.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 32 * 2**20, peaks
+        assert abs(peaks[8000] - peaks[2000]) < 2 * 2**20, peaks
+
+    def test_rerun_without_sidecar_removes_the_stale_one(self, tmp_path, capsys):
+        a, b = _all_positive_spec(3, 4, seed=3), mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
+        a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.csv"
+        fileio.dump_spec(a, a_path)
+        fileio.dump_spec(b, b_path)
+        assert main(["sample", "--spec", str(a_path), "--n", "300", "--seed", "1", "--out", str(out)]) == 0
+        argv = ["sample", "--spec", str(b_path), "--n", "300", "--seed", "2", "--out", str(out)]
+        assert main([*argv, "--no-sidecar"]) == 0
+        assert not fileio.sidecar_path(out).exists()
+        assert out.read_bytes() == savetxt_bytes(mg.sample_batch(b, 300, seed=2).data)
+        # with the seed-1 sidecar of spec a left behind, estimate accepted a
+        # and refused b, the spec the data was drawn from
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(out), "--u", "0.9", "--spec", str(b_path)]) == 0
+        assert "no provenance sidecar" in capsys.readouterr().err
+
+    def test_interrupted_sample_leaves_no_output(self, tmp_path, result_file, monkeypatch, capsys):
+        def failing_chunks(*args, **kwargs):
+            yield np.ones((2, 3))
+            raise OSError("disk full")
+
+        monkeypatch.setattr("mevgen.cli.sample_chunks", failing_chunks)
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        assert main(["sample", "--spec", str(result_file), "--n", "9", "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
 
 
 class TestCoeffs:
@@ -418,6 +498,7 @@ def _ex3_doc(layout: str) -> dict:
 _NOT_AN_INDEX = st.sampled_from([-1, 3, 7, 10**20, 1.0, 0.5, True, False, "0", None, [0]])
 _NOT_A_NUMBER = st.sampled_from(["abc", "", None, [0.1], [], {}, {"v": 1}])
 _NOT_A_LIST = st.sampled_from([3, 0.5, "abc", None, True, {"a": 1}])
+_NOT_AN_ALPHA = st.one_of(_NOT_A_NUMBER, st.sampled_from(["0.5", True, False, 10**400]))
 
 
 @st.composite
@@ -437,7 +518,7 @@ def malformed_spec_docs(draw) -> dict:
         key = draw(st.sampled_from(["d", "D"]))
         doc[key] = draw(st.sampled_from([3.0, "3", True, None, -3]))
     elif kind == "dense_value":
-        alpha[pos % 3][pos // 2] = draw(_NOT_A_NUMBER.filter(lambda v: v is not None))
+        alpha[pos % 3][pos // 2] = draw(_NOT_AN_ALPHA)
     elif kind == "dense_shape":
         del alpha[pos % 3][pos // 2]
     elif kind == "not_a_list":
@@ -457,7 +538,7 @@ def malformed_spec_docs(draw) -> dict:
         other = (pos + draw(st.integers(1, 5))) % 6
         alpha["i"][pos], alpha["j"][pos] = alpha["i"][other], alpha["j"][other]
     else:
-        alpha["v"][pos] = draw(_NOT_A_NUMBER.filter(lambda v: v is not None))
+        alpha["v"][pos] = draw(_NOT_AN_ALPHA)
     return doc
 
 
@@ -485,6 +566,46 @@ class TestMalformedSpecFuzz:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(_ex3_doc(layout)))
         assert main(["check", "--spec", str(path)]) == 0
+
+
+class TestAlphaValues:
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, None, 10**400], ids=["numeric-string", "bool", "null", "huge-int"]
+    )
+    def test_non_number_is_validation_error(self, layout, value, tmp_path, capsys):
+        # "0.5" and true were coerced to numbers; 10**400 raised OverflowError
+        doc = _ex3_doc(layout)
+        if layout == "sparse":
+            doc["alpha"]["v"][1] = value
+        else:
+            doc["alpha"][0][1] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        for cmd in ("check", "coeffs"):
+            assert main([cmd, "--spec", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert "must be numbers" in err or "float64 range" in err
+            assert "Traceback" not in err
+
+    def test_reported_example_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"d": 2, "D": 1, "C": 1.0, "alpha": [["0.5"], [true]]}')
+        assert main(["check", "--spec", str(path)]) == 3
+        assert "alpha[0][0]='0.5'" in capsys.readouterr().err
+
+
+class TestCheckSlacks:
+    def test_slacks_computed_once_not_per_pair(self, tmp_path, monkeypatch, capsys):
+        spec = _all_positive_spec(12, 30, seed=4)  # 66 pairs
+        path = tmp_path / "spec.json"
+        fileio.dump_spec(spec, path)
+        calls = []
+        slacks = mg.ModelSpec.slacks
+        monkeypatch.setattr(mg.ModelSpec, "slacks", lambda self: calls.append(1) or slacks(self))
+        assert main(["check", "--spec", str(path)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert len(calls) <= 2  # check itself and log_joint_cdf
 
 
 class TestSpecLayout:

@@ -16,12 +16,20 @@ import mevgen as mg
 from mevgen import fileio
 from mevgen.errors import CsvFormatError, ShapeError
 
+from conftest import EX3_ALPHA, savetxt_bytes
+
 
 def _dump_old_layout(obj, path) -> None:
     """The indented layout every JSON file was written in before the compact writer."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def _read_reference(path):
@@ -282,3 +290,68 @@ class TestCsv:
             again = fileio.read_csv(path)
             assert again.shape == expected.shape
             assert again.tobytes() == expected.tobytes()
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.integers(1, 6).flatmap(
+            lambda d: arrays(np.float64, st.tuples(st.integers(0, 30), st.just(d)), elements=_EDGE_FLOATS)
+        ),
+        cuts=st.lists(st.integers(0, 30), max_size=4),
+    )
+    def test_bytes_equal_savetxt_for_any_blocking(self, tmp_path_factory, data, cuts):
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        blocks = np.split(data, sorted(c for c in cuts if c <= data.shape[0]))
+        rows = fileio.write_csv_blocks(iter(blocks), data.shape[1], path, None)
+        assert rows == data.shape[0]
+        assert path.read_bytes() == savetxt_bytes(data)
+        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        assert path.read_bytes() == savetxt_bytes(data)
+
+    @pytest.mark.parametrize("values_per_call", [1, 4, 7, 2**16])
+    def test_large_blocks_are_formatted_in_pieces(self, tmp_path, monkeypatch, values_per_call):
+        monkeypatch.setattr(fileio, "_FORMAT_VALUES", values_per_call)
+        data = mg.sample_batch(mg.ModelSpec(alpha=EX3_ALPHA, C=1.0), 23, seed=5).data
+        path = tmp_path / "s.csv"
+        assert fileio.write_csv_blocks([data[:20], data[20:]], 3, path, None) == 23
+        assert path.read_bytes() == savetxt_bytes(data)
+
+    def test_interrupted_stream_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+
+        def blocks():
+            yield np.ones((4, 2))
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            fileio.write_csv_blocks(blocks(), 2, path, {"n": 8, "seed": 0, "spec_fingerprint": ""})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_rerun_keeps_the_old_file_and_drops_its_sidecar(self, tmp_path, ex3_spec):
+        path = tmp_path / "s.csv"
+        fileio.write_csv(mg.sample_batch(ex3_spec, 5, seed=1), path)
+        old = path.read_bytes()
+
+        def blocks():
+            yield np.ones((2, 3))
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            fileio.write_csv_blocks(blocks(), 3, path, {"n": 4, "seed": 2, "spec_fingerprint": ""})
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+    def test_block_of_the_wrong_width_is_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ShapeError, match="does not have 3 columns"):
+            fileio.write_csv_blocks([np.ones((2, 3)), np.ones((3, 2))], 3, path, None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rewrite_without_sidecar_removes_the_old_one(self, tmp_path, ex3_spec):
+        path = tmp_path / "s.csv"
+        fileio.write_csv(mg.sample_batch(ex3_spec, 5, seed=1), path)
+        assert fileio.load_sidecar(path) is not None
+        fileio.write_csv(mg.sample_batch(ex3_spec, 6, seed=2), path, sidecar=False)
+        assert fileio.load_sidecar(path) is None
+        assert fileio.read_csv(path).shape == (6, 3)

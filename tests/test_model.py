@@ -170,12 +170,34 @@ class TestSpecJson:
             ({"i": [0, 1], "j": [0, 0], "v": [0.1, "abc"]}, "must be numbers"),
             ({"i": [0, 1], "j": [0, 0], "v": [0.1, [0.1]]}, "must be numbers"),
             ({"i": [0, 1], "j": [0, 0], "v": [[0.1], [0.1]]}, "flat list"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1, "0.5"]}, "v[1]='0.5'"),
+            ({"i": [0, 1], "j": [0, 0], "v": [True, 0.1]}, "v[0]=True"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1, None]}, "v[1]=None"),
+            ({"i": [0, 1], "j": [0, 0], "v": [0.1, 10**400]}, "float64 range"),
         ],
     )
     def test_malformed_sparse_alpha_rejected(self, alpha, words):
         with pytest.raises(ShapeError, match="sparse alpha") as err:
             mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": 1.0, "alpha": alpha})
         assert words in str(err.value)
+
+    @pytest.mark.parametrize(
+        "alpha, words",
+        [
+            ([[0.1], ["0.5"]], "alpha[1][0]='0.5'"),
+            ([[False], [0.1]], "alpha[0][0]=False"),
+            ([[0.1], [None]], "alpha[1][0]=None"),
+            ([[0.1], [10**400]], "float64 range"),
+        ],
+    )
+    def test_dense_alpha_values_must_be_json_numbers(self, alpha, words):
+        with pytest.raises(ShapeError) as err:
+            mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": 1.0, "alpha": alpha})
+        assert words in str(err.value)
+
+    def test_integer_alpha_values_accepted(self):
+        spec = mg.ModelSpec.from_json_dict({"d": 2, "D": 1, "C": 2, "alpha": [[1], [0]]})
+        assert spec.alpha.tolist() == [[1.0], [0.0]]
 
     def test_sparse_alpha_needs_nonnegative_dimensions(self):
         with pytest.raises(ShapeError, match="negative dimensions"):
@@ -388,9 +410,10 @@ class TestSparseSums:
         ref = _tail_dep_full_sums(spec)
         # two summation orders of D nonnegative terms: at most 2 (D - 1) eps apart, relatively
         assert np.all(np.abs(got - ref) <= 2 * max(spec.D - 1, 1) * EPS * ref)
+        # lambda[s, k], s < k, is summed by row s's rule; the lower triangle is its mirror
         sparse = 2 * np.count_nonzero(spec.alpha, axis=1) <= spec.D
-        dense_rows = np.flatnonzero(~sparse)
-        assert np.array_equal(got[dense_rows], ref[dense_rows])
+        for s in np.flatnonzero(~sparse):
+            assert np.array_equal(got[s, s + 1 :], ref[s, s + 1 :])
 
     @given(target=tail_dep_targets(max_d=14))
     @settings(max_examples=100)

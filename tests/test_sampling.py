@@ -242,6 +242,42 @@ class TestSampleBatch:
         assert np.array_equal(b1.data[:, 0], b2.data[:, 0])
 
 
+class TestSampleChunks:
+    def test_chunks_concatenate_to_the_batch(self, ex3_spec):
+        batch = mg.sample_batch(ex3_spec, 101, seed=9)
+        for chunk in (1, 7, 100, 101, 500):
+            blocks = list(mg.sample_chunks(ex3_spec, 101, seed=9, chunk_size=chunk))
+            assert [b.shape for b in blocks[:-1]] == [(chunk, 3)] * (len(blocks) - 1)
+            assert 1 <= blocks[-1].shape[0] <= chunk
+            assert np.array_equal(np.concatenate(blocks), batch.data), chunk
+
+    def test_default_chunk_holds_about_chunk_words(self):
+        spec = all_positive_spec()  # d=5, D=20
+        rows = mg.sampling.CHUNK_WORDS // 25
+        blocks = list(mg.sample_chunks(spec, 2 * rows + 3, seed=1))
+        assert [b.shape[0] for b in blocks] == [rows, rows, 3]
+
+    def test_chunks_are_independent_arrays(self, ex3_spec):
+        # a caller may keep every chunk: none is a view of a reused buffer
+        blocks = list(mg.sample_chunks(ex3_spec, 20, seed=4, chunk_size=5))
+        assert not any(np.shares_memory(a, b) for a in blocks for b in blocks if a is not b)
+        assert np.array_equal(np.concatenate(blocks), mg.sample_batch(ex3_spec, 20, seed=4).data)
+
+    def test_zero_observations_yield_no_chunks(self, ex3_spec):
+        assert list(mg.sample_chunks(ex3_spec, 0, seed=1)) == []
+
+    def test_arguments_checked_before_the_first_chunk(self, ex3_spec):
+        # raised by the call itself, with no next() on the iterator
+        with pytest.raises(DomainError):
+            mg.sample_chunks(ex3_spec, -1, seed=0)
+        with pytest.raises(DomainError):
+            mg.sample_chunks(ex3_spec, 10, seed=2**64)
+        with pytest.raises(DomainError):
+            mg.sample_chunks(ex3_spec, 10, seed=0, chunk_size=0)
+        with pytest.raises(mg.SpecValidationError):
+            mg.sample_chunks(mg.ModelSpec(alpha=[[2.0], [0.1]], C=1.0), 10, seed=0)
+
+
 class TestMarginalAndDependenceLaws:
     @pytest.mark.parametrize("seed", [2024, 77])
     def test_margins_are_frechet_with_shared_scale(self, ex1_spec, seed):
