@@ -11,9 +11,10 @@ such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
 and writes each block before it asks for the next, so memory is O(block).
 Rows are formatted by one ``%`` over a row format repeated once per row,
 at most ``_FORMAT_VALUES`` values per call, which gives the bytes of
-``np.savetxt(fmt="%.17g", delimiter=",")``.  The CSV is written to a
-temporary file next to the target and moved into place only when
-complete; the old sidecar is removed first and the new one written last,
+``np.savetxt(fmt="%.17g", delimiter=",")``.  A target that is absent or a
+regular file is written as a temporary file next to it and moved into
+place only when complete; a symlink, pipe or device is written through
+directly.  The old sidecar is removed first and the new one written last,
 so a sidecar never describes other data than the CSV beside it.
 
 JSON files are written as one compact line with sorted keys, by a single
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Iterable
@@ -107,17 +109,24 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
 
     Any sidecar already at ``path`` is removed before the first block is
     asked for, and ``meta``, when given, is written as the new sidecar after
-    the CSV is in place.  If a block raises, the partial CSV is deleted and
-    ``path`` is left as it was.
+    the CSV is in place.  When ``path`` is absent or a regular file, the CSV
+    goes to a temporary file that replaces it when complete, and if a block
+    raises, the temporary file is deleted and ``path`` is left as it was.
+    Any other ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``)
+    is opened and written directly, as ``np.savetxt`` did.
     """
     path = Path(path)
     sidecar_path(path).unlink(missing_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        atomic = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        atomic = True
+    target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if atomic else path
     row_fmt = ",".join(["%.17g"] * d) + "\n"
     step = max(1, _FORMAT_VALUES // max(d, 1))
     rows = 0
     try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+        with open(target, "w", encoding="ascii", newline="\n") as fh:
             fh.write(csv_header(d) + "\n")
             for block in blocks:
                 if block.ndim != 2 or block.shape[1] != d:
@@ -126,9 +135,11 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
                     part = block[lo : lo + step]
                     fh.write((row_fmt * part.shape[0]) % tuple(part.ravel().tolist()))
                 rows += block.shape[0]
-        os.replace(tmp, path)
+        if atomic:
+            os.replace(target, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if atomic:
+            target.unlink(missing_ok=True)
         raise
     if meta is not None:
         dump_json(meta, sidecar_path(path))

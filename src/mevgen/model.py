@@ -24,8 +24,8 @@ A synthesized alpha has d - 1 nonzeros per row out of D = d(d - 1)/2, so
 the steps that handle a whole spec follow its nonzeros: the JSON form
 stores alpha as (row, column, value) lists when at most a quarter of it is
 nonzero, the fingerprint builds its dense JSON text from runs of zeros and
-the encoded nonzeros, and the tail dependence matrix sums each sparse row
-over its nonzero columns only.
+the encoded nonzeros, and the tail dependence matrix sums each pair of
+sparse rows over the nonzero columns of one of them.
 """
 
 from __future__ import annotations
@@ -453,22 +453,28 @@ def tail_dep_matrix(spec: ModelSpec) -> TailDepMatrix:
     ``lambda[s, k] = (1 / C) * sum_j min(alpha[s, j], alpha[k, j])`` off the
     diagonal; the diagonal is 1 by definition, never computed.
 
-    A zero weight in row s makes the column's min 0, so a row with at most
-    half of its D entries nonzero sums over its nonzero columns only; the
-    others sum over all D.  On a synthesized spec every pair shares one
-    column, so both give the same bits; elsewhere the sparse sum may differ
-    from the full one in the last place.
+    A zero weight in row s makes the column's min 0, so a pair of rows that
+    both have at most half of their D entries nonzero sums over the first
+    row's nonzero columns only; a pair with a denser row sums over all D,
+    so every entry of a dense row has the bits of the full sum.  On a
+    synthesized spec every pair shares one column, so both give the same
+    bits; elsewhere the sparse sum may differ from the full one in the last
+    place.
     """
     require_valid_spec(spec)
     d, alpha = spec.d, spec.alpha
+    dense = 2 * np.count_nonzero(alpha, axis=1) > spec.D
     lam = np.zeros((d, d))
     # Row-at-a-time keeps peak memory at O(d * D) even for d ~ 1e3, D ~ 1e4.
     for s in range(d - 1):
-        cols = np.flatnonzero(alpha[s])
-        if 2 * cols.size <= spec.D:
-            lam[s, s + 1 :] = np.minimum(alpha[s + 1 :, cols], alpha[s, cols]).sum(axis=1)
-        else:
+        if dense[s]:
             lam[s, s + 1 :] = np.minimum(alpha[s + 1 :], alpha[s]).sum(axis=1)
+            continue
+        cols = np.flatnonzero(alpha[s])
+        lam[s, s + 1 :] = np.minimum(alpha[s + 1 :, cols], alpha[s, cols]).sum(axis=1)
+        if dense[s + 1 :].any():
+            k = s + 1 + np.flatnonzero(dense[s + 1 :])
+            lam[s, k] = np.minimum(alpha[k], alpha[s]).sum(axis=1)
     lam = (lam + lam.T) / spec.C
     np.fill_diagonal(lam, 1.0)
     return TailDepMatrix(lam)

@@ -233,6 +233,17 @@ class TestSampleStream:
         assert main(["estimate", "--data", str(out), "--u", "0.9", "--spec", str(b_path)]) == 0
         assert "no provenance sidecar" in capsys.readouterr().err
 
+    def test_symlinked_out_is_written_through(self, tmp_path, result_file, ex3_spec, capsys):
+        target, link = tmp_path / "data" / "s.csv", tmp_path / "s.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["sample", "--spec", str(result_file), "--n", "9", "--seed", "4", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == savetxt_bytes(mg.sample_batch(ex3_spec, 9, seed=4).data)
+        assert fileio.load_sidecar(link)["n"] == 9
+        assert main(["estimate", "--data", str(link), "--u", "0.9", "--spec", str(result_file)]) == 0
+
     def test_interrupted_sample_leaves_no_output(self, tmp_path, result_file, monkeypatch, capsys):
         def failing_chunks(*args, **kwargs):
             yield np.ones((2, 3))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -347,6 +349,41 @@ class TestCsvWriter:
         with pytest.raises(ShapeError, match="does not have 3 columns"):
             fileio.write_csv_blocks([np.ones((2, 3)), np.ones((3, 2))], 3, path, None)
         assert list(tmp_path.iterdir()) == []
+
+    def test_symlinked_target_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        data = np.arange(6.0).reshape(3, 2)
+        assert fileio.write_csv_blocks([data], 2, link, None) == 3
+        assert link.is_symlink()
+        assert target.read_bytes() == savetxt_bytes(data)
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        fileio.write_csv_blocks([np.ones((1, 2))], 2, link, None)
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_bytes() == savetxt_bytes(np.ones((1, 2)))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_written_to_not_replaced(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        data = np.arange(4.0).reshape(2, 2)
+        # a read end opened first lets the writer's open return at once; the
+        # few bytes fit in the pipe buffer
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            fileio.write_csv_blocks([data], 2, fifo, None)
+            out = os.read(fd, 2**16)
+        finally:
+            os.close(fd)
+        assert out == savetxt_bytes(data)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     def test_rewrite_without_sidecar_removes_the_old_one(self, tmp_path, ex3_spec):
         path = tmp_path / "s.csv"

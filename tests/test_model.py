@@ -410,10 +410,20 @@ class TestSparseSums:
         ref = _tail_dep_full_sums(spec)
         # two summation orders of D nonnegative terms: at most 2 (D - 1) eps apart, relatively
         assert np.all(np.abs(got - ref) <= 2 * max(spec.D - 1, 1) * EPS * ref)
-        # lambda[s, k], s < k, is summed by row s's rule; the lower triangle is its mirror
         sparse = 2 * np.count_nonzero(spec.alpha, axis=1) <= spec.D
-        for s in np.flatnonzero(~sparse):
-            assert np.array_equal(got[s, s + 1 :], ref[s, s + 1 :])
+        dense_rows = np.flatnonzero(~sparse)
+        assert np.array_equal(got[dense_rows], ref[dense_rows])
+
+    def test_dense_row_below_sparse_row_is_bitwise(self):
+        # row 0 is sparse, row 1 dense: summed over row 0's 4 nonzero columns
+        # lambda[0, 1] is ((0.1 + 0.1) + 0.1) + 0.3, over all 8 it is
+        # 0.1 + ((0.1 + 0.1) + 0.3), one ulp apart
+        spec = mg.ModelSpec(
+            alpha=[[0.1, 0, 0, 0, 0.1, 0.1, 0, 0.3], [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.3]],
+            C=1.0,
+        )
+        got = mg.tail_dep_matrix(spec).values
+        assert np.array_equal(got, _tail_dep_full_sums(spec))
 
     @given(target=tail_dep_targets(max_d=14))
     @settings(max_examples=100)
