@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .model import (
     FEASIBILITY_TOL,
-    SYMMETRY_TOL,
     ModelSpec,
     TailDepMatrix,
     ValidationReport,
@@ -46,8 +45,8 @@ from .model import (
     validate_tail_dep_matrix,
 )
 from .plotting import pair_scatter_svg
-from .sampling import SampleBatch, sample_batch, sample_chunks, sample_unit_frechet, sample_vector
-from .synthesis import EXACTNESS_TOL, SynthesisResult, synthesize
+from .sampling import SampleBatch, sample_batch, sample_chunks
+from .synthesis import SynthesisResult, synthesize
 
 __version__ = "0.1.0"
 
@@ -68,7 +67,6 @@ __all__ = [
     "ks_statistic",
     "theoretical_vs_empirical",
     "FEASIBILITY_TOL",
-    "SYMMETRY_TOL",
     "ModelSpec",
     "TailDepMatrix",
     "ValidationReport",
@@ -88,9 +86,6 @@ __all__ = [
     "SampleBatch",
     "sample_batch",
     "sample_chunks",
-    "sample_unit_frechet",
-    "sample_vector",
-    "EXACTNESS_TOL",
     "SynthesisResult",
     "synthesize",
     "__version__",

@@ -37,8 +37,6 @@ from .estimation import estimate_tail_dep, theoretical_vs_empirical
 from .model import (
     FEASIBILITY_TOL,
     _log_copula,
-    copula,
-    joint_cdf,
     log_copula,
     log_joint_cdf,
     require_valid_spec,
@@ -108,7 +106,7 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--chunk-size must be positive, got {args.chunk_size}")
     if not 0 <= args.seed < 2**64:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
-    spec = require_valid_spec(fileio.load_spec(args.spec))
+    spec = fileio.load_spec(args.spec)
     chunks = sample_chunks(spec, args.n, args.seed, chunk_size=args.chunk_size)
     meta = None
     if not args.no_sidecar:
@@ -121,7 +119,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    spec = require_valid_spec(fileio.load_spec(args.spec))
+    spec = fileio.load_spec(args.spec)
     lam = tail_dep_matrix(spec).values
     eps = 2.0 - lam  # extremal coefficients; the unit diagonal of lambda gives 1
     out = {
@@ -147,20 +145,9 @@ def _parse_point(text: str, d: int) -> np.ndarray:
 def cmd_cdf(args) -> int:
     spec = require_valid_spec(fileio.load_spec(args.spec))
     point = _parse_point(args.at, spec.d)
-    if args.copula:
-        log_val = log_copula(spec, point)
-        out = {
-            "u": [float(v) for v in point],
-            "log_copula": log_val,
-            "copula": copula(spec, point),
-        }
-    else:
-        log_val = log_joint_cdf(spec, point)
-        out = {
-            "x": [float(v) for v in point],
-            "log_cdf": log_val,
-            "cdf": joint_cdf(spec, point),
-        }
+    at, name, log_fn = ("u", "copula", log_copula) if args.copula else ("x", "cdf", log_joint_cdf)
+    log_val = log_fn(spec, point)
+    out = {at: point.tolist(), f"log_{name}": log_val, name: float(np.exp(log_val))}
     _emit_json(out, args.out)
     return EXIT_OK
 
@@ -169,6 +156,7 @@ def cmd_estimate(args) -> int:
     if not 0.0 < args.u < 1.0:
         raise _UsageError(f"--u must lie strictly between 0 and 1, got {args.u}")
     data = fileio.read_csv(args.data)
+    data.flags.writeable = False  # the batch below takes it without a copy
     meta = fileio.load_sidecar(args.data)
     if meta is not None and meta["n"] != data.shape[0]:
         raise ProvenanceError(
@@ -395,38 +383,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(
             f"error: JSON parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SpecValidationError as exc:
         print("error: validation failed:", file=sys.stderr)
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_INVALID
-    except InfeasibleTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (DomainError, ShapeError) as exc:
+    except (_UsageError, CsvFormatError, OSError, UnicodeDecodeError) as exc:
+        prefix = "input is not UTF-8 text: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (InfeasibleTargetError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ProvenanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVENANCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

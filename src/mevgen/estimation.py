@@ -47,7 +47,6 @@ class EstimateReport:
     n: int
     margins: str
     lambda_hat: np.ndarray
-    lambda_hat_sym: np.ndarray
     counts: np.ndarray
     half_width: np.ndarray
 
@@ -66,7 +65,6 @@ class EstimateReport:
             "d": self.d,
             "margins": self.margins,
             "lambda_hat": _matrix_json(self.lambda_hat),
-            "lambda_hat_sym": _matrix_json(self.lambda_hat_sym),
             "counts": self.counts.tolist(),
             "half_width": _matrix_json(self.half_width),
             "exact_finite_u": None if exact_finite_u is None else _matrix_json(exact_finite_u),
@@ -151,21 +149,16 @@ def estimate_tail_dep(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_hat = counts / n_cond[None, :]
-        pair_floor = np.minimum(n_cond[:, None], n_cond[None, :])
-        lam_sym = counts / pair_floor
         half = Z_95 * np.sqrt(lam_hat * (1.0 - lam_hat) / n_cond[None, :])
     lam_hat[:, n_cond == 0] = np.nan
-    lam_sym[pair_floor == 0] = np.nan
     half[:, n_cond == 0] = np.nan
     np.fill_diagonal(lam_hat, 1.0)
-    np.fill_diagonal(lam_sym, 1.0)
     np.fill_diagonal(half, 0.0)
     return EstimateReport(
         u=float(u),
         n=batch.n,
         margins=margins,
         lambda_hat=lam_hat,
-        lambda_hat_sym=lam_sym,
         counts=counts,
         half_width=half,
     )

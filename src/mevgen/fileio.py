@@ -74,16 +74,8 @@ def load_spec(path) -> ModelSpec:
     return ModelSpec.from_json_dict(obj)
 
 
-def dump_spec(spec: ModelSpec, path) -> None:
-    dump_json(spec.to_json_dict(), path)
-
-
 def load_tail_dep(path) -> TailDepMatrix:
     return TailDepMatrix.from_json_dict(load_json(path))
-
-
-def dump_tail_dep(matrix: TailDepMatrix, path) -> None:
-    dump_json(matrix.to_json_dict(), path)
 
 
 def dump_synthesis(result: SynthesisResult, path) -> None:

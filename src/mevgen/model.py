@@ -46,7 +46,7 @@ FEASIBILITY_TOL = 1e-9
 
 #: Tolerance for symmetry / unit-diagonal checks on tail dependence matrices.
 #: The upper triangle is authoritative; the lower triangle is mirrored.
-SYMMETRY_TOL = 1e-9
+_SYMMETRY_TOL = 1e-9
 
 #: Smallest admissible scale constant, the smallest normal float64.  With a
 #: subnormal C, ``alpha * v`` underflows in the copula.
@@ -153,10 +153,8 @@ class ModelSpec:
             raise ShapeError(f"scale constant C={c!r} is outside the float64 range") from None
         if isinstance(alpha, dict):
             alpha = _alpha_from_entries(alpha, d, big_d)
-        elif type(alpha) is list:
-            for i, row in enumerate(alpha):
-                if type(row) is list and (j := _first_non_number(row)) is not None:
-                    raise ShapeError(f"alpha values must be numbers: alpha[{i}][{j}]={row[j]!r}")
+        else:
+            _require_number_rows(alpha, "alpha")
         spec = cls(alpha=alpha, C=c)
         if spec.d != d or spec.D != big_d:
             raise ShapeError(
@@ -175,6 +173,13 @@ def _first_non_number(values: list) -> int | None:
     if set(map(type, values)) <= {int, float}:
         return None
     return next(k for k, x in enumerate(values) if type(x) is not int and type(x) is not float)
+
+
+def _require_number_rows(rows, name: str) -> None:
+    """Raise ShapeError naming ``name[i][j]`` when a list of rows holds a non-number."""
+    for i, row in enumerate(rows if type(rows) is list else ()):
+        if type(row) is list and (j := _first_non_number(row)) is not None:
+            raise ShapeError(f"{name} values must be numbers: {name}[{i}][{j}]={row[j]!r}")
 
 
 def _stored(alpha: np.ndarray) -> np.ndarray:
@@ -273,6 +278,7 @@ class TailDepMatrix:
             raise ShapeError(f"matrix object must carry d and lambda: {exc}") from exc
         if type(d) is not int:
             raise ShapeError(f"declared dimension d={d!r} must be an integer")
+        _require_number_rows(lam, "lambda")
         mat = cls(values=lam)
         if mat.d != d:
             raise ShapeError(
@@ -348,10 +354,10 @@ def validate_tail_dep_matrix(target: TailDepMatrix) -> ValidationReport:
         violations.append("matrix contains non-finite entries")
         return ValidationReport(tuple(violations))
     diag_off = np.abs(np.diagonal(lam) - 1.0)
-    for i in np.flatnonzero(diag_off > SYMMETRY_TOL)[:10]:
+    for i in np.flatnonzero(diag_off > _SYMMETRY_TOL)[:10]:
         violations.append(f"diagonal entry [{i}][{i}] = {float(lam[i, i])!r} must be 1")
     asym = np.abs(lam - lam.T)
-    for i, j in np.argwhere(np.triu(asym, k=1) > SYMMETRY_TOL)[:10]:
+    for i, j in np.argwhere(np.triu(asym, k=1) > _SYMMETRY_TOL)[:10]:
         violations.append(
             f"asymmetric pair [{i}][{j}]={float(lam[i, j])!r} vs [{j}][{i}]={float(lam[j, i])!r}"
         )

@@ -36,7 +36,7 @@ def _fmt(v: float) -> str:
 
 def _axis_range(values: np.ndarray, log_scale: bool) -> tuple[float, float]:
     if values.size == 0:
-        return (0.0, 1.0) if not log_scale else (0.0, 1.0)
+        return (0.0, 1.0)
     hi = float(np.percentile(values, CLIP_PERCENTILE))
     if log_scale:
         pos = values[values > 0]

@@ -61,7 +61,9 @@ class SampleBatch:
 
     ``data`` is an (n, d) read-only array of strictly positive values;
     ``spec_fingerprint`` ties the batch to the generating spec so later
-    comparisons can refuse foreign data.
+    comparisons can refuse foreign data.  A read-only float64 array that
+    owns its memory is taken as it is; anything else is copied, so a
+    caller handing over an array it no longer writes saves the copy.
     """
 
     data: np.ndarray
@@ -69,11 +71,13 @@ class SampleBatch:
     spec_fingerprint: str
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = self.data
+        owned = type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
+        if not (owned and arr.dtype == np.float64):
+            arr = np.array(arr, dtype=np.float64, order="C")
+            arr.flags.writeable = False
         if arr.ndim != 2:
             raise ShapeError(f"batch data must be 2-D, got ndim={arr.ndim}")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -83,41 +87,6 @@ class SampleBatch:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-
-def sample_unit_frechet(u):
-    """Map uniforms in the open interval (0, 1) to unit Fréchet variates.
-
-    Inverse-CDF transform ``-1 / log(u)``; strictly increasing in u.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(u, dtype=np.float64)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError("uniform input must lie strictly inside (0, 1)")
-    out = -1.0 / np.log(arr)
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-
-def sample_vector(spec: ModelSpec, z, y) -> np.ndarray:
-    """One deterministic observation from given factor values.
-
-    ``X_i = max_j(alpha[i, j] * z_j) v slack_i * y_i``.  Factor terms with a
-    zero coefficient contribute 0 to the maximum regardless of the factor
-    value, and a margin with zero slack takes no idiosyncratic term.
-    """
-    zv = np.asarray(z, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if zv.shape != (spec.D,):
-        raise ShapeError(f"z must have shape ({spec.D},), got {zv.shape}")
-    if yv.shape != (spec.d,):
-        raise ShapeError(f"y must have shape ({spec.d},), got {yv.shape}")
-    if not (np.all(zv > 0) and np.all(yv > 0)):
-        raise DomainError("factor values must be positive")
-    with np.errstate(invalid="ignore"):  # 0 * inf in masked-out positions
-        shared = np.where(spec.alpha > 0, spec.alpha * zv[None, :], 0.0).max(axis=1)
-        slack = spec.slacks()
-        own = np.where(slack > 0, slack * yv, 0.0)
-    return np.maximum(shared, own)
 
 
 def _factor_max(alpha: np.ndarray):
@@ -212,7 +181,9 @@ def _chunks(spec: ModelSpec, n: int, seed: int, chunk_size: int) -> Iterator[np.
         factor_max(u[:, :big_d], out)
         for i in own_margins:
             np.maximum(out[:, i], slack[i] * u[:, big_d + i], out=out[:, i])
+        del u  # no array of this chunk stays alive while the next one is drawn
         yield out
+        del out
 
 
 def sample_batch(
@@ -229,4 +200,6 @@ def sample_batch(
     for block in chunks:
         data[start : start + block.shape[0]] = block
         start += block.shape[0]
+        del block  # freed before the next chunk is drawn
+    data.flags.writeable = False
     return SampleBatch(data=data, seed=int(seed), spec_fingerprint=spec.fingerprint())

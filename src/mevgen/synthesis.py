@@ -34,7 +34,7 @@ from .model import (
 
 #: Two scale constants closer than this count as equal when deciding whether
 #: a synthesis met its target exactly (C == 1) or proportionally.
-EXACTNESS_TOL = 1e-12
+_EXACTNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +108,7 @@ def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult
     return SynthesisResult(
         spec=spec,
         achieved=tail_dep_matrix(spec),
-        exact=abs(c_used - 1.0) <= EXACTNESS_TOL,
+        exact=abs(c_used - 1.0) <= _EXACTNESS_TOL,
         c_used=c_used,
         c_min=cm,
     )

@@ -72,7 +72,7 @@ def test_criterion_1_reference_model_one_closed_form():
 def test_criterion_2_synthesis_cli_reproduces_reference_model_two(tmp_path):
     target = tmp_path / "target.json"
     out = tmp_path / "result.json"
-    fileio.dump_tail_dep(mg.TailDepMatrix(EX2_LAMBDA), target)
+    fileio.dump_json(mg.TailDepMatrix(EX2_LAMBDA).to_json_dict(), target)
     rc = main(["synth", "--target", str(target), "--c", "2", "--out", str(out)])
     obj = json.loads(out.read_text())
     alpha_exact = obj["spec"]["alpha"] == EX2_ALPHA

@@ -24,7 +24,7 @@ from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA, savetxt_bytes
 @pytest.fixture
 def target_file(tmp_path):
     path = tmp_path / "target.json"
-    fileio.dump_tail_dep(mg.TailDepMatrix(EX3_LAMBDA), path)
+    fileio.dump_json(mg.TailDepMatrix(EX3_LAMBDA).to_json_dict(), path)
     return path
 
 
@@ -49,7 +49,7 @@ class TestSynth:
     def test_reference_model_two_build(self, tmp_path, capsys):
         target = tmp_path / "t.json"
         out = tmp_path / "r.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(EX2_LAMBDA), target)
+        fileio.dump_json(mg.TailDepMatrix(EX2_LAMBDA).to_json_dict(), target)
         rc = main(["synth", "--target", str(target), "--c", "2", "--out", str(out)])
         assert rc == 0
         obj = json.loads(out.read_text())
@@ -76,7 +76,7 @@ class TestSynth:
         np.fill_diagonal(lam, 1.0)
         target = tmp_path / "t.json"
         out = tmp_path / "r.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(lam), target)
+        fileio.dump_json(mg.TailDepMatrix(lam).to_json_dict(), target)
         assert main(["synth", "--target", str(target), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "c_used = 1\n" in printed
@@ -86,7 +86,7 @@ class TestSynth:
 
     def test_identity_target_warns(self, tmp_path, capsys):
         target = tmp_path / "ident.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(np.eye(3)), target)
+        fileio.dump_json(mg.TailDepMatrix(np.eye(3)).to_json_dict(), target)
         rc = main(["synth", "--target", str(target), "--out", str(tmp_path / "r.json")])
         assert rc == 0
         assert "no extremal dependence requested" in capsys.readouterr().err
@@ -108,7 +108,7 @@ class TestSynth:
 
     def test_infeasible_scale_reports_minimum(self, tmp_path, capsys):
         target = tmp_path / "t.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(EX2_LAMBDA), target)
+        fileio.dump_json(mg.TailDepMatrix(EX2_LAMBDA).to_json_dict(), target)
         rc = main(
             ["synth", "--target", str(target), "--c", "1.5", "--out", str(tmp_path / "r.json")]
         )
@@ -144,7 +144,7 @@ class TestSample:
 
     def test_plain_spec_file_accepted(self, tmp_path, ex3_spec):
         spec_path = tmp_path / "spec.json"
-        fileio.dump_spec(ex3_spec, spec_path)
+        fileio.dump_json(ex3_spec.to_json_dict(), spec_path)
         rc = main(["sample", "--spec", str(spec_path), "--n", "10", "--out", str(tmp_path / "s.csv")])
         assert rc == 0
 
@@ -190,7 +190,7 @@ class TestSampleStream:
     @pytest.mark.parametrize("chunk", ["1", "7", None])
     def test_csv_bytes_equal_savetxt_of_the_batch(self, spec, chunk, tmp_path, capsys):
         spec_path, out = tmp_path / "spec.json", tmp_path / "s.csv"
-        fileio.dump_spec(spec, spec_path)
+        fileio.dump_json(spec.to_json_dict(), spec_path)
         argv = ["sample", "--spec", str(spec_path), "--n", "40", "--seed", "11", "--out", str(out)]
         assert main([*argv, *(["--chunk-size", chunk] if chunk else [])]) == 0
         batch = mg.sample_batch(spec, 40, seed=11)
@@ -204,7 +204,7 @@ class TestSampleStream:
         # it plus its CSV text and several chunk-sized temporaries of the
         # old 4M-word chunk took over 150 MiB
         spec_path = tmp_path / "spec.json"
-        fileio.dump_spec(_all_positive_spec(80, 1600, seed=2), spec_path)
+        fileio.dump_json(_all_positive_spec(80, 1600, seed=2).to_json_dict(), spec_path)
         peaks = {}
         for n in (2000, 8000):
             argv = ["sample", "--spec", str(spec_path), "--n", str(n), "--out", str(tmp_path / "s.csv")]
@@ -220,8 +220,8 @@ class TestSampleStream:
     def test_rerun_without_sidecar_removes_the_stale_one(self, tmp_path, capsys):
         a, b = _all_positive_spec(3, 4, seed=3), mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
         a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.csv"
-        fileio.dump_spec(a, a_path)
-        fileio.dump_spec(b, b_path)
+        fileio.dump_json(a.to_json_dict(), a_path)
+        fileio.dump_json(b.to_json_dict(), b_path)
         assert main(["sample", "--spec", str(a_path), "--n", "300", "--seed", "1", "--out", str(out)]) == 0
         argv = ["sample", "--spec", str(b_path), "--n", "300", "--seed", "2", "--out", str(out)]
         assert main([*argv, "--no-sidecar"]) == 0
@@ -267,7 +267,7 @@ class TestCoeffs:
 
     def test_independence_spec_prints_identity(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        fileio.dump_spec(mg.ModelSpec(alpha=np.zeros((3, 1)), C=1.0), spec_path)
+        fileio.dump_json(mg.ModelSpec(alpha=np.zeros((3, 1)), C=1.0).to_json_dict(), spec_path)
         rc = main(["coeffs", "--spec", str(spec_path)])
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
@@ -279,7 +279,8 @@ class TestCoeffs:
 class TestCdf:
     def test_joint_cdf_hand_value(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        fileio.dump_spec(mg.ModelSpec(alpha=[[0.5, 2.0], [0.25, 2.0], [1.0, 0.5]], C=2.5), spec_path)
+        spec = mg.ModelSpec(alpha=[[0.5, 2.0], [0.25, 2.0], [1.0, 0.5]], C=2.5)
+        fileio.dump_json(spec.to_json_dict(), spec_path)
         rc = main(["cdf", "--spec", str(spec_path), "--at", "1,2,4"])
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
@@ -327,12 +328,22 @@ class TestEstimate:
         assert "lambda_limit" not in obj["known"]
         assert "exact_finite_u" not in obj["known"]
 
+    def test_report_keys_are_pinned(self, samples_file, result_file, capsys):
+        rc = main(
+            ["estimate", "--data", str(samples_file), "--u", "0.95", "--spec", str(result_file)]
+        )
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        report = {"u", "n", "d", "margins", "lambda_hat", "counts", "half_width"}
+        assert set(obj) == report | {"exact_finite_u", "lambda_limit", "known"}
+        assert set(obj["known"]) == report | {"flagged_pairs"}
+
     def test_provenance_mismatch_exits_4(self, samples_file, tmp_path, capsys):
         # same dimension as the samples but a different model, so only the
         # fingerprint can tell them apart
         other = tmp_path / "other.json"
         lam = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        fileio.dump_tail_dep(mg.TailDepMatrix(lam), tmp_path / "t2.json")
+        fileio.dump_json(mg.TailDepMatrix(lam).to_json_dict(), tmp_path / "t2.json")
         assert main(["synth", "--target", str(tmp_path / "t2.json"), "--out", str(other)]) == 0
         capsys.readouterr()
         rc = main(
@@ -463,8 +474,8 @@ class TestHeaderFields:
     ):
         spec_path = tmp_path / "spec.json"
         target_path = tmp_path / "target.json"
-        fileio.dump_spec(ex3_spec, spec_path)
-        fileio.dump_tail_dep(mg.TailDepMatrix(EX3_LAMBDA), target_path)
+        fileio.dump_json(ex3_spec.to_json_dict(), spec_path)
+        fileio.dump_json(mg.TailDepMatrix(EX3_LAMBDA).to_json_dict(), target_path)
         path, argv = {
             "spec": (spec_path, ["check", "--spec", str(spec_path)]),
             "target": (target_path, ["synth", "--target", str(target_path), "--out", str(tmp_path / "r.json")]),
@@ -606,11 +617,53 @@ class TestAlphaValues:
         assert "alpha[0][0]='0.5'" in capsys.readouterr().err
 
 
+class TestTargetValues:
+    @pytest.mark.parametrize(
+        "lam, named",
+        [
+            ([[1, "0.5"], ["0.5", 1]], "lambda[0][1]='0.5'"),
+            ([[True, 0.5], [0.5, True]], "lambda[0][0]=True"),
+        ],
+        ids=["numeric-string", "bool"],
+    )
+    def test_non_number_is_validation_error(self, lam, named, tmp_path, capsys):
+        # both were coerced to numbers, and synth exited 0
+        target, out = tmp_path / "target.json", tmp_path / "model.json"
+        target.write_text(json.dumps({"d": 2, "lambda": lam}))
+        assert main(["synth", "--target", str(target), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("kind", ["csv", "spec", "target", "sidecar"])
+    def test_exits_2_without_traceback(self, kind, samples_file, result_file, target_file, capsys):
+        bad = {
+            "csv": samples_file,
+            "spec": result_file,
+            "target": target_file,
+            "sidecar": fileio.sidecar_path(samples_file),
+        }[kind]
+        bad.write_bytes(bad.read_bytes().rstrip(b"\n") + b"\xff\n")
+        if kind == "target":
+            argv = ["synth", "--target", str(target_file), "--out", str(result_file)]
+        else:
+            argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
+            argv += ["--spec", str(result_file)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
 class TestCheckSlacks:
     def test_slacks_computed_once_not_per_pair(self, tmp_path, monkeypatch, capsys):
         spec = _all_positive_spec(12, 30, seed=4)  # 66 pairs
         path = tmp_path / "spec.json"
-        fileio.dump_spec(spec, path)
+        fileio.dump_json(spec.to_json_dict(), path)
         calls = []
         slacks = mg.ModelSpec.slacks
         monkeypatch.setattr(mg.ModelSpec, "slacks", lambda self: calls.append(1) or slacks(self))
@@ -626,7 +679,7 @@ class TestSpecLayout:
         iu = np.triu_indices(10, 1)
         lam[iu] = lam[iu[1], iu[0]] = rng.uniform(0.0, 1.0 / 9.0, iu[0].size)
         target, result = tmp_path / "t.json", tmp_path / "r.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(lam), target)
+        fileio.dump_json(mg.TailDepMatrix(lam).to_json_dict(), target)
         assert main(["synth", "--target", str(target), "--out", str(result)]) == 0
         obj = json.loads(result.read_text())
         assert set(obj["spec"]["alpha"]) == {"i", "j", "v"}
@@ -647,7 +700,7 @@ class TestRoundTrip:
     def test_synth_then_coeffs_reproduces_scaled_target(self, tmp_path, capsys):
         target = tmp_path / "t.json"
         out = tmp_path / "r.json"
-        fileio.dump_tail_dep(mg.TailDepMatrix(EX2_LAMBDA), target)
+        fileio.dump_json(mg.TailDepMatrix(EX2_LAMBDA).to_json_dict(), target)
         assert main(["synth", "--target", str(target), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["coeffs", "--spec", str(out)]) == 0

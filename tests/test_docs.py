@@ -15,6 +15,49 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_public_names_are_pinned():
+    assert sorted(mg.__all__) == [
+        "CsvFormatError",
+        "DEFAULT_U_GRID",
+        "DomainError",
+        "EstimateReport",
+        "FEASIBILITY_TOL",
+        "InfeasibleTargetError",
+        "MevError",
+        "ModelSpec",
+        "ProvenanceError",
+        "SampleBatch",
+        "ShapeError",
+        "SpecValidationError",
+        "SynthesisResult",
+        "TailDepMatrix",
+        "ThresholdComparison",
+        "ValidationReport",
+        "Z_95",
+        "__version__",
+        "copula",
+        "estimate_tail_dep",
+        "extremal_matrix",
+        "finite_u_tail_dep",
+        "joint_cdf",
+        "ks_statistic",
+        "log_copula",
+        "log_joint_cdf",
+        "marginal_cdf",
+        "multivariate_extremal_coeff",
+        "pair_scatter_svg",
+        "require_valid_spec",
+        "require_valid_tail_dep_matrix",
+        "sample_batch",
+        "sample_chunks",
+        "synthesize",
+        "tail_dep_matrix",
+        "theoretical_vs_empirical",
+        "validate_spec",
+        "validate_tail_dep_matrix",
+    ]
+
+
 def test_readme_library_quick_start_runs():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library quick start", 1)[1]

@@ -47,7 +47,7 @@ def _read_reference(path):
 class TestJsonFiles:
     def test_spec_round_trip(self, tmp_path, ex1_spec):
         path = tmp_path / "spec.json"
-        fileio.dump_spec(ex1_spec, path)
+        fileio.dump_json(ex1_spec.to_json_dict(), path)
         again = fileio.load_spec(path)
         assert np.array_equal(again.alpha, ex1_spec.alpha)
         assert again.C == ex1_spec.C
@@ -55,7 +55,7 @@ class TestJsonFiles:
 
     def test_tail_dep_round_trip(self, tmp_path, ex2_target):
         path = tmp_path / "lam.json"
-        fileio.dump_tail_dep(ex2_target, path)
+        fileio.dump_json(ex2_target.to_json_dict(), path)
         assert np.array_equal(fileio.load_tail_dep(path).values, ex2_target.values)
 
     def test_synthesis_result_file_shape(self, tmp_path, ex2_target):
@@ -99,7 +99,7 @@ class TestJsonFiles:
         assert "\n  " in spec_path.read_text()
         assert fileio.load_sidecar(csv_path) == sidecar
         compact = tmp_path / "compact.json"
-        fileio.dump_spec(ex3_spec, compact)
+        fileio.dump_json(ex3_spec.to_json_dict(), compact)
         for path in (spec_path, result_path, compact):
             # the pinned EX3 fingerprint, whichever layout the spec came from
             assert fileio.load_spec(path).fingerprint() == (

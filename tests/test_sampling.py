@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,27 @@ import mevgen as mg
 from mevgen.errors import DomainError, ShapeError
 
 from conftest import model_specs
+
+
+def unit_frechet(u):
+    """Oracle: the inverse unit Fréchet CDF, ``-1 / log(u)``."""
+    return -1.0 / np.log(u)
+
+
+def sample_vector(spec: mg.ModelSpec, z, y) -> np.ndarray:
+    """Oracle: one observation from given factor values.
+
+    ``X_i = max_j(alpha[i, j] * z_j) v slack_i * y_i``.  Factor terms with a
+    zero coefficient contribute 0 to the maximum regardless of the factor
+    value, and a margin with zero slack takes no idiosyncratic term.
+    """
+    zv = np.asarray(z, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # 0 * inf in masked-out positions
+        shared = np.where(spec.alpha > 0, spec.alpha * zv[None, :], 0.0).max(axis=1)
+        slack = spec.slacks()
+        own = np.where(slack > 0, slack * yv, 0.0)
+    return np.maximum(shared, own)
 
 
 def one_shot_batch(spec: mg.ModelSpec, n: int, seed: int) -> np.ndarray:
@@ -27,9 +49,9 @@ def one_shot_batch(spec: mg.ModelSpec, n: int, seed: int) -> np.ndarray:
     raw = gen.integers(0, 2**64, size=words, dtype=np.uint64)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     u = u.reshape(n, spec.D + spec.d)
-    z = -1.0 / np.log(u[:, : spec.D])
-    y = -1.0 / np.log(u[:, spec.D :])
-    return np.array([mg.sample_vector(spec, z[t], y[t]) for t in range(n)])
+    z = unit_frechet(u[:, : spec.D])
+    y = unit_frechet(u[:, spec.D :])
+    return np.array([sample_vector(spec, z[t], y[t]) for t in range(n)])
 
 
 def dyadic_target(d: int = 12) -> mg.TailDepMatrix:
@@ -48,60 +70,51 @@ def all_positive_spec() -> mg.ModelSpec:
 
 
 class TestUnitFrechet:
+    """Hand values that anchor the stream oracle's Fréchet transform."""
+
     def test_inversion_fixed_points(self):
-        assert mg.sample_unit_frechet(np.exp(-1.0)) == pytest.approx(1.0, abs=1e-15)
-        assert mg.sample_unit_frechet(np.exp(-0.5)) == pytest.approx(2.0, abs=1e-14)
+        assert unit_frechet(np.exp(-1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert unit_frechet(np.exp(-0.5)) == pytest.approx(2.0, abs=1e-14)
 
     def test_vectorized(self):
         u = np.exp([-1.0, -0.25])
-        assert np.allclose(mg.sample_unit_frechet(u), [1.0, 4.0], atol=1e-13)
+        assert np.allclose(unit_frechet(u), [1.0, 4.0], atol=1e-13)
 
     def test_monotone(self):
         u = np.linspace(0.01, 0.99, 50)
-        z = mg.sample_unit_frechet(u)
+        z = unit_frechet(u)
         assert np.all(np.diff(z) > 0)
-
-    def test_domain(self):
-        for u in (0.0, 1.0, -0.5, 1.5, np.nan):
-            with pytest.raises(DomainError):
-                mg.sample_unit_frechet(u)
 
 
 class TestSampleVector:
+    """Hand values that anchor the stream oracle's factor max."""
+
     def test_reference_model_one_hand_value(self, ex1_spec):
         # slacks are (0, 0.25, 1); with all latents at 1 the shared factor
         # with weight 2 dominates margins 1-2, margin 3 ties at 1
-        x = mg.sample_vector(ex1_spec, z=[1.0, 1.0], y=[1.0, 1.0, 1.0])
+        x = sample_vector(ex1_spec, z=[1.0, 1.0], y=[1.0, 1.0, 1.0])
         assert x.tolist() == [2.0, 2.0, 1.0]
 
     def test_reference_model_three_hand_value(self, ex3_spec):
         # row 0 slack 0.7 wins via y=4; rows 1-2 driven by the 0.8 factor
-        x = mg.sample_vector(ex3_spec, z=[1.0, 2.0, 3.0], y=[4.0, 5.0, 6.0])
+        x = sample_vector(ex3_spec, z=[1.0, 2.0, 3.0], y=[4.0, 5.0, 6.0])
         assert np.allclose(x, [2.8, 2.4, 2.4], atol=1e-15)
 
     def test_independence_spec_passes_y_through(self):
         spec = mg.ModelSpec(alpha=np.zeros((3, 1)), C=1.0)
         y = [0.3, 7.0, 2.0]
-        assert mg.sample_vector(spec, z=[5.0], y=y).tolist() == y
+        assert sample_vector(spec, z=[5.0], y=y).tolist() == y
 
     def test_complete_dependence_spec_ignores_y(self):
         spec = mg.ModelSpec(alpha=[[2.0], [2.0]], C=2.0)
-        x = mg.sample_vector(spec, z=[3.0], y=[100.0, 0.001])
+        x = sample_vector(spec, z=[3.0], y=[100.0, 0.001])
         assert x.tolist() == [6.0, 6.0]
 
     def test_zero_weight_never_multiplies_infinity(self):
         spec = mg.ModelSpec(alpha=[[0.0, 1.0], [1.0, 0.0]], C=1.0)
-        x = mg.sample_vector(spec, z=[np.inf, 2.0], y=[1.0, 1.0])
+        x = sample_vector(spec, z=[np.inf, 2.0], y=[1.0, 1.0])
         assert x[0] == 2.0
         assert np.isinf(x[1])
-
-    def test_shape_and_domain_errors(self, ex1_spec):
-        with pytest.raises(ShapeError):
-            mg.sample_vector(ex1_spec, z=[1.0], y=[1.0, 1.0, 1.0])
-        with pytest.raises(ShapeError):
-            mg.sample_vector(ex1_spec, z=[1.0, 1.0], y=[1.0, 1.0])
-        with pytest.raises(DomainError):
-            mg.sample_vector(ex1_spec, z=[1.0, -1.0], y=[1.0, 1.0, 1.0])
 
     @given(spec=model_specs(max_d=4, max_shared=5), data=st.data())
     @settings(max_examples=100)
@@ -109,7 +122,7 @@ class TestSampleVector:
         pos = st.floats(1e-6, 1e6, allow_nan=False)
         z = data.draw(st.lists(pos, min_size=spec.D, max_size=spec.D))
         y = data.draw(st.lists(pos, min_size=spec.d, max_size=spec.d))
-        got = mg.sample_vector(spec, z, y)
+        got = sample_vector(spec, z, y)
         slack = spec.slacks()
         for i in range(spec.d):
             terms = [a * zi for a, zi in zip(spec.alpha[i], z) if a > 0]
@@ -208,6 +221,50 @@ class TestSampleBatch:
             batch.data[0, 0] = 1.0
         assert batch.seed == 99
         assert batch.spec_fingerprint == ex3_spec.fingerprint()
+
+    def test_peak_memory_is_the_data_plus_one_chunk(self, ex3_spec):
+        # besides the result, only the chunk being drawn may be alive: no
+        # copy of the batch and no array of the chunk before it
+        rows = mg.sampling.CHUNK_WORDS // (ex3_spec.D + ex3_spec.d)
+        mg.sample_batch(ex3_spec, 1000, seed=1)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            chunk = next(mg.sample_chunks(ex3_spec, rows, seed=1))
+            one_chunk = tracemalloc.get_traced_memory()[1]
+            del chunk
+            tracemalloc.reset_peak()
+            batch = mg.sample_batch(ex3_spec, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= batch.data.nbytes + one_chunk + 2**16
+
+    def test_owned_read_only_data_is_taken_as_is(self):
+        data = np.ones((2, 3))
+        data.flags.writeable = False
+        assert mg.SampleBatch(data=data, seed=0, spec_fingerprint="").data is data
+
+    @pytest.mark.parametrize("kind", ["writable", "float32", "read-only view", "list"])
+    def test_other_data_is_copied(self, kind):
+        source = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        data = {
+            "writable": source,
+            "float32": source.astype(np.float32),
+            "read-only view": source[:, :2],
+            "list": source.tolist(),
+        }[kind]
+        if kind != "writable":
+            source.flags.writeable = False
+            if isinstance(data, np.ndarray):
+                data.flags.writeable = False
+        batch = mg.SampleBatch(data=data, seed=0, spec_fingerprint="")
+        assert not np.shares_memory(batch.data, source)
+        assert batch.data.dtype == np.float64 and not batch.data.flags.writeable
+        assert np.array_equal(batch.data, np.asarray(data, dtype=np.float64))
+
+    def test_data_must_be_2d(self):
+        with pytest.raises(ShapeError):
+            mg.SampleBatch(data=np.zeros(3), seed=0, spec_fingerprint="")
 
     def test_bad_arguments(self, ex3_spec):
         with pytest.raises(DomainError):
