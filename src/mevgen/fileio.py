@@ -36,6 +36,7 @@ import json
 import os
 import stat
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -51,8 +52,19 @@ from .synthesis import SynthesisResult
 _FORMAT_VALUES = 2**16
 
 
+@contextmanager
+def _utf8_text(path):
+    """Open ``path`` as UTF-8 text; a decode error names the file at its end."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} in {path}"
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
+
+
 def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ShapeError(f"{path}: expected a JSON object at top level")
@@ -144,7 +156,7 @@ def read_csv(path) -> np.ndarray:
     The header fixes d.  Raises CsvFormatError naming the first bad line
     (1-based, header included) on width or parse problems.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         header = fh.readline()
         if not header:
             raise CsvFormatError(f"{path}: empty file, expected a header row")

@@ -25,10 +25,23 @@ read once per :func:`sample_chunks` call.  A row with at most half of its D
 entries nonzero takes the max over its nonzero columns only, so sparse rows
 cost O(n * sum_i nnz_i) instead of O(n * d * D); a synthesized spec has at
 most d - 1 nonzeros of d(d - 1)/2 per row, so for d >= 4 every row is sparse.
-The other rows take the full product over blocks of observations small
-enough to stay in cache.  Both branches form the same products and a max
-does not depend on evaluation order, so the output is bitwise the same
-whichever branch a row takes.
+The other, dense rows go through blocks of observations small enough to
+stay in cache.
+
+Unit Fréchet factors are heavy-tailed, so a dense row's max is nearly
+always set by one of an observation's few largest factors.  When a spec has
+at least ``2 * (_TOP_K + 1)`` dense rows and ``D > 4 * (_TOP_K + 1)``, each
+observation's ``_TOP_K + 1`` largest factors are found once per block and
+shared by all dense rows; the smallest of them, ``z_(k+1)``, bounds every
+other factor.  A row's largest product over those columns, ``best``, is its
+max whenever ``best >= amax_i * z_(k+1)``, where ``amax_i`` is the row's
+largest weight: multiplying nonnegative floats rounds correctly and
+monotonically, so no product outside those columns can exceed
+``fl(amax_i * z_(k+1))``.  Where the bound fails, the full product is taken,
+so the result never depends on the bound holding.
+
+Every branch forms the same products and a max does not depend on evaluation
+order, so the output is bitwise the same whichever branch a row takes.
 """
 
 from __future__ import annotations
@@ -50,9 +63,18 @@ _LATTICE_SCALE = 2.0**-53
 #: work that the per-chunk Python steps cost little.
 CHUNK_WORDS = 2**19
 
+#: Most stream words a chunk may hold, 2**26 (its uniforms take 512 MiB); a
+#: ``chunk_size`` whose chunks would hold more is refused before anything is
+#: allocated, though a chunk of one observation is always allowed.
+MAX_CHUNK_WORDS = 2**26
+
 #: Observations per block of the dense factor max; one reused block of
 #: products (``_BLOCK_ROWS`` x D) stays in cache where a whole chunk would not.
 _BLOCK_ROWS = 64
+
+#: A dense row's max is bounded through each observation's ``_TOP_K + 1``
+#: largest factors; see :func:`_factor_max`.
+_TOP_K = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +115,30 @@ def _factor_max(alpha: np.ndarray):
     """Kernel writing ``out[:, i] = max_j alpha[i, j] * z[:, j]`` for a chunk z.
 
     Each row is classified once here: a row with ``2 * nnz <= D`` gathers its
-    nonzero columns (a row with none gives 0); the others multiply in full,
-    ``_BLOCK_ROWS`` observations at a time into one reused buffer.
+    nonzero columns (a row with none gives 0); the others are dense and go
+    ``_BLOCK_ROWS`` observations at a time through one reused buffer.
+
+    With at least ``2 * (_TOP_K + 1)`` dense rows and ``D > 4 * (_TOP_K + 1)``,
+    dense rows are bounded before any full product.  For each observation t
+    of a block, ``np.argpartition`` at ``D - _TOP_K - 1`` finds its
+    ``_TOP_K + 1`` largest factors; the first of them is ``z_(k+1)``, the
+    (k+1)-th largest, and every factor left out is at most ``z_(k+1)``.  For
+    dense row i, ``best`` is the largest product over those columns, and it
+    is the row's max when ``best >= amax_i * z_(k+1)``, with ``amax_i =
+    max_j alpha[i, j]``.  This is exact, not approximate: products of
+    nonnegative floats round correctly and monotonically, so each product
+    left out satisfies ``fl(alpha[i, j] * z_j) <= fl(amax_i * z_(k+1)) <=
+    best``, and a max does not depend on evaluation order.  Where the bound
+    fails, the full product is taken: over the whole block for a row that
+    fails on more than a quarter of its observations, otherwise for each
+    failing (observation, row) pair, ``_BLOCK_ROWS`` pairs at a time.  Either
+    way the output is bitwise that of the full product.  With fewer dense
+    rows or a smaller D, the selection would cost more than it saves, and
+    every dense row takes the full product.
+
+    Temporaries are O(block): the candidate products go through the reused
+    buffer in groups of ``D // (_TOP_K + 1)`` rows, and the bounds of a block
+    take the size of its output.
     """
     big_d = alpha.shape[1]
     gathered, dense = [], []
@@ -105,6 +149,50 @@ def _factor_max(alpha: np.ndarray):
         else:
             dense.append(i)
     buf = np.empty((_BLOCK_ROWS, big_d)) if dense else None
+    # the selection costs about as much as a few rows of full products, so
+    # it pays only when many rows share it and D is well above _TOP_K + 1
+    if len(dense) >= 2 * (_TOP_K + 1) and big_d > 4 * (_TOP_K + 1):
+        rows = np.array(dense)
+        weights_t = np.ascontiguousarray(alpha[rows].T)  # (D, rows): row j holds column j
+        amax = weights_t.max(axis=0)
+        best = np.empty((_BLOCK_ROWS, rows.size))
+        # rows per candidate group, so that one group's products fit in buf
+        group = big_d // (_TOP_K + 1)
+    else:
+        rows = None
+
+    def full(block, dst, i):
+        prod = buf[: block.shape[0]]
+        np.multiply(block, alpha[i], out=prod)
+        prod.max(axis=1, out=dst[:, i])
+
+    def bounded(block, dst):
+        b = block.shape[0]
+        top = np.argpartition(block, big_d - _TOP_K - 1, axis=1)[:, big_d - _TOP_K - 1 :]
+        ztop = np.take_along_axis(block, top, axis=1)  # column 0 holds z_(k+1)
+        # candidates ordered (rank, observation, row): the max over ranks is
+        # then an elementwise max of _TOP_K + 1 contiguous (b, rows) slabs
+        cols, zcol = top.T.ravel(), ztop.T.reshape(-1, 1)
+        for g in range(0, rows.size, group):
+            w = weights_t[:, g : g + group]
+            cand = buf.reshape(-1)[: cols.size * w.shape[1]].reshape(cols.size, w.shape[1])
+            np.take(w, cols, axis=0, out=cand, mode="clip")
+            cand *= zcol
+            cand.reshape(_TOP_K + 1, b, w.shape[1]).max(axis=0, out=best[:b, g : g + group])
+        fail = best[:b] < np.multiply.outer(ztop[:, 0], amax)
+        dst[:, rows] = best[:b]
+        if not fail.any():
+            return
+        whole = 4 * fail.sum(axis=0) > b
+        for i in rows[whole]:
+            full(block, dst, i)
+        fail[:, whole] = False
+        ti, ri = np.nonzero(fail)
+        for lo in range(0, ri.size, _BLOCK_ROWS):
+            t, r = ti[lo : lo + _BLOCK_ROWS], ri[lo : lo + _BLOCK_ROWS]
+            prod = buf[: r.size]
+            np.multiply(alpha[rows[r]], block[t], out=prod)
+            dst[t, rows[r]] = prod.max(axis=1)
 
     def kernel(z: np.ndarray, out: np.ndarray) -> None:
         for i, cols, weights in gathered:
@@ -114,10 +202,12 @@ def _factor_max(alpha: np.ndarray):
             return
         for lo in range(0, z.shape[0], _BLOCK_ROWS):
             block = z[lo : lo + _BLOCK_ROWS]
-            prod = buf[: block.shape[0]]
-            for i in dense:
-                np.multiply(block, alpha[i], out=prod)
-                prod.max(axis=1, out=out[lo : lo + block.shape[0], i])
+            dst = out[lo : lo + block.shape[0]]
+            if rows is not None:
+                bounded(block, dst)
+            else:
+                for i in dense:
+                    full(block, dst, i)
 
     return kernel
 
@@ -144,7 +234,10 @@ def sample_chunks(
         independent streams.
     chunk_size : int, optional
         Observations per chunk, at least 1; it sets the memory used and
-        never the values.  Defaults to ``CHUNK_WORDS // (D + d)``.
+        never the values.  A chunk of ``min(chunk_size, n)`` observations
+        may hold at most ``MAX_CHUNK_WORDS`` stream words (or be one
+        observation), else ``DomainError``.  Defaults to
+        ``CHUNK_WORDS // (D + d)``.
     """
     require_valid_spec(spec)
     n = int(n)
@@ -158,6 +251,11 @@ def sample_chunks(
         chunk_size = max(1, CHUNK_WORDS // words_per_obs)
     elif chunk_size < 1:
         raise DomainError(f"chunk size must be positive, got {chunk_size}")
+    elif min(chunk_size, n) > max(1, MAX_CHUNK_WORDS // words_per_obs):
+        raise DomainError(
+            f"chunk size {chunk_size} takes {min(chunk_size, n) * words_per_obs} stream "
+            f"words per chunk, more than the limit of {MAX_CHUNK_WORDS}"
+        )
     return _chunks(spec, n, seed, int(chunk_size))
 
 

@@ -129,6 +129,44 @@ def model_specs(draw, max_d: int = 6, max_shared: int = 8) -> ModelSpec:
     return ModelSpec(alpha=alpha, C=c)
 
 
+#: Kinds of dense row drawn by :func:`dense_row_specs`.
+DENSE_ROW_KINDS = ("uniform", "dominant", "equal", "signed zeros", "just dense")
+
+
+@st.composite
+def dense_row_specs(draw, max_d: int = 24, max_shared: int = 300) -> ModelSpec:
+    """Valid specs whose rows are nearly all dense (``2 * nnz > D``).
+
+    Half of them reach the factor max's bounded path (at least 18 dense rows
+    and D > 36), from D = 36, where it is just off; the others have any D
+    and 2 to ``max_d`` dense rows.  Each dense row is one of
+    ``DENSE_ROW_KINDS``: uniform weights, one column 1000 times the rest,
+    all weights equal (so the best candidate ties the bound), nonzeros mixed
+    with -0.0, or nnz = D // 2 + 1.  Up to two sparse rows with nnz = D // 2
+    sit among them.  Weights come from a drawn numpy seed, which keeps
+    specs of 26 x 300 cheap to draw.
+    """
+    bounded = draw(st.booleans())
+    n_dense = draw(st.integers(18 if bounded else 2, max_d))
+    big_d = draw(st.integers(36 if bounded else 1, max_shared))
+    kinds = draw(st.lists(st.sampled_from(DENSE_ROW_KINDS), min_size=n_dense, max_size=n_dense))
+    kinds += ["just sparse"] * draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.uniform(0.2, 1.0, size=(len(kinds), big_d))
+    for row, kind in zip(alpha, rng.permutation(kinds)):
+        if kind == "dominant":
+            row[rng.integers(big_d)] *= 1000.0
+        elif kind == "equal":
+            row[:] = row[0]
+        elif kind == "signed zeros":
+            row[rng.random(big_d) < 0.3] = -0.0
+        elif kind in ("just dense", "just sparse"):
+            nnz = big_d // 2 + (kind == "just dense")
+            row[rng.permutation(big_d)[nnz:]] = 0.0
+    base = float(alpha.sum(axis=1).max()) or 1.0  # -0.0 may empty a 1-column row
+    return ModelSpec(alpha=alpha, C=base if draw(st.booleans()) else 1.25 * base)
+
+
 @st.composite
 def tail_dep_targets(draw, max_d: int = 8, capped: bool = False) -> TailDepMatrix:
     """Valid symmetric targets with unit diagonal; ``capped`` bounds entries

@@ -166,6 +166,24 @@ class TestSample:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_huge_chunk_size_exits_3_before_allocating(self, tmp_path, result_file, capsys):
+        # a chunk of 10**12 observations would need 1.49 PiB of stream words
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--spec", str(result_file), "--n", "1000000000000"]
+        argv += ["--chunk-size", "1000000000000", "--out", str(out)]
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "more than the limit of" in err and "Traceback" not in err
+        assert peak < 2**20
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json", "target.json"]
+
 
 def _all_positive_spec(d: int, big_d: int, seed: int) -> mg.ModelSpec:
     """Every alpha > 0 and every row sum below C = 1, so slack is live in each row."""
@@ -656,6 +674,7 @@ class TestNonUtf8Input:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "input is not UTF-8 text" in err
+        assert f"in {bad}\n" in err  # names the offending file
         assert "Traceback" not in err
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mevgen as mg
 from mevgen.errors import DomainError, ShapeError
 
-from conftest import model_specs
+from conftest import dense_row_specs, model_specs
 
 
 def unit_frechet(u):
@@ -67,6 +67,30 @@ def all_positive_spec() -> mg.ModelSpec:
     """Every row dense; the largest row sums to C, so it has no slack."""
     alpha = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 20))
     return mg.ModelSpec(alpha=alpha, C=alpha.sum(axis=1).max())
+
+
+def full_factor_max(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Reference: every product ``alpha[i, j] * z[t, j]``, then the max over j."""
+    return (z[:, None, :] * alpha[None, :, :]).max(axis=2)
+
+
+def kernel_factor_max(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    out = np.empty((z.shape[0], alpha.shape[0]))
+    mg.sampling._factor_max(alpha)(z, out)
+    return out
+
+
+def bound_fails(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(observation, row) mask where the documented top-k bound fails.
+
+    ``best`` is the largest product over the k + 1 largest factors of the
+    observation and the bound is ``max_j alpha[i, j] * z_(k+1)``; the k + 1
+    largest factors must be one set, with no tie at the (k+1)-th.
+    """
+    top = np.argsort(z, axis=1)[:, -(mg.sampling._TOP_K + 1) :]
+    ztop = np.take_along_axis(z, top, axis=1)
+    best = (alpha[:, top] * ztop[None]).max(axis=2).T
+    return best < np.multiply.outer(ztop[:, 0], alpha.max(axis=1))
 
 
 class TestUnitFrechet:
@@ -189,6 +213,20 @@ class TestSampleBatch:
         got = mg.sample_batch(spec, n, seed=seed, chunk_size=chunk)
         assert np.array_equal(got.data, one_shot_batch(spec, n, seed))
 
+    @given(
+        spec=dense_row_specs(),
+        n=st.integers(1, 150),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_shot_stream_oracle_on_dense_specs(self, spec, n, seed):
+        # rows past the 2 * nnz > D rule, and the bounded top-k path once
+        # there are at least 18 of them and D > 36
+        expect = one_shot_batch(spec, n, seed)
+        for chunk in (1, 7, 100, None):
+            got = mg.sample_batch(spec, n, seed=seed, chunk_size=chunk)
+            assert np.array_equal(got.data, expect), chunk
+
     def test_pinned_digest_of_synthesized_spec(self):
         # pins every bit of the output; the dyadic target keeps C and the
         # slacks exact, so only the stream and the Frechet log enter
@@ -299,6 +337,77 @@ class TestSampleBatch:
         assert np.array_equal(b1.data[:, 0], b2.data[:, 0])
 
 
+class TestDenseFactorMax:
+    """The top-k bound of dense rows against the full product, on given z."""
+
+    def test_both_fallbacks_are_exact(self):
+        # 69 observations (a full block and a partial one), D = 60, 23 rows.
+        # Everywhere, the k + 1 largest factors sit in columns 0..8 and the
+        # largest is 1e6; every fifth observation its largest is only 108.
+        rng = np.random.default_rng(8)
+        n, big_d = 69, 60
+        z = rng.uniform(0.5, 1.0, size=(n, big_d))
+        z[:, 1:9] = np.arange(100.0, 108.0)
+        z[:, 0] = 1e6
+        low = np.arange(n) % 5 == 0
+        z[low, 0] = 108.0
+        z[:, 59] = 50.0
+        alpha = rng.uniform(0.2, 1.0, size=(23, big_d))
+        alpha[16] = 1.0
+        alpha[16, 59] = 1e5  # 5e6 from column 59, which is never in the top
+        for r, col in zip(range(17, 23), range(50, 56)):
+            alpha[r] = 1.0
+            alpha[r, col] = 20.0  # 1800 from column col where it is 90
+            z[low, col] = 90.0
+        fails = bound_fails(alpha, z)
+        block = mg.sampling._BLOCK_ROWS
+        for lo in range(0, n, block):
+            part = fails[lo : lo + block]
+            whole = 4 * part.sum(axis=0) > part.shape[0]
+            assert whole.tolist() == [False] * 16 + [True] + [False] * 6
+            pairs = part[:, ~whole]
+            assert pairs[:, 16:].all(axis=1).tolist() == low[lo : lo + block].tolist()
+        assert fails[:block, fails[:block].sum(axis=0) * 4 <= block].sum() > block  # 2+ groups
+        expect = full_factor_max(alpha, z)
+        assert expect[:, 16].tolist() == [5e6] * n
+        assert (expect[low, 17:] == 1800.0).all()
+        assert np.array_equal(kernel_factor_max(alpha, z), expect)
+
+    def test_ties_at_the_bound(self):
+        rng = np.random.default_rng(9)
+        big_d = 50
+        z = rng.uniform(1.0, 2.0, size=(40, big_d))
+        for t in range(0, 40, 2):
+            # 8 distinct largest factors, then 5 tied at the (k+1)-th place
+            cols = rng.permutation(big_d)
+            z[t, cols[:8]] = np.arange(1000.0, 1008.0)
+            z[t, cols[8:13]] = 500.0
+        z[1] = 3.0  # every factor equal: best equals the bound
+        z[3, : big_d // 2] = 7.0
+        alpha = rng.uniform(0.2, 1.0, size=(20, big_d))
+        alpha[:4] = 0.5  # all weights equal
+        for r in range(4, 20):
+            alpha[r, rng.integers(big_d)] = 3.0  # sometimes on a tied column
+        assert np.array_equal(kernel_factor_max(alpha, z), full_factor_max(alpha, z))
+
+    def test_factors_near_the_largest_the_stream_gives(self):
+        # -1 / log(1 - 2**-54) is about 1.8e16; neighbouring floats and
+        # weights like 1/3 round to equal products from distinct factors
+        top = -1.0 / np.log1p(-(2.0**-54))
+        assert 1.8e16 < top < 1.81e16
+        rng = np.random.default_rng(10)
+        steps = np.nextafter(top, 0.0) - top  # one ulp below, negative
+        z = top + steps * rng.integers(0, 40, size=(70, 45))
+        alpha = rng.choice([1 / 3, 2 / 3, 1.0, 0.1, np.nextafter(1.0, 0.0)], size=(18, 45))
+        assert np.array_equal(kernel_factor_max(alpha, z), full_factor_max(alpha, z))
+
+    @given(spec=dense_row_specs(), n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_product_on_heavy_tailed_z(self, spec, n, seed):
+        z = -1.0 / np.log(np.random.default_rng(seed).random((n, spec.D)))
+        assert np.array_equal(kernel_factor_max(spec.alpha, z), full_factor_max(spec.alpha, z))
+
+
 class TestSampleChunks:
     def test_chunks_concatenate_to_the_batch(self, ex3_spec):
         batch = mg.sample_batch(ex3_spec, 101, seed=9)
@@ -319,6 +428,20 @@ class TestSampleChunks:
         blocks = list(mg.sample_chunks(ex3_spec, 20, seed=4, chunk_size=5))
         assert not any(np.shares_memory(a, b) for a in blocks for b in blocks if a is not b)
         assert np.array_equal(np.concatenate(blocks), mg.sample_batch(ex3_spec, 20, seed=4).data)
+
+    def test_chunk_words_are_bounded(self, ex3_spec, monkeypatch):
+        # 6 words per observation: chunks of 2 observations fit in 12 words
+        monkeypatch.setattr(mg.sampling, "MAX_CHUNK_WORDS", 12)
+        assert len(list(mg.sample_chunks(ex3_spec, 5, seed=1, chunk_size=2))) == 3
+        with pytest.raises(DomainError, match="more than the limit of 12"):
+            mg.sample_chunks(ex3_spec, 5, seed=1, chunk_size=3)
+        # the rows actually drawn count: a large chunk size for a small n is fine
+        assert len(list(mg.sample_chunks(ex3_spec, 2, seed=1, chunk_size=10**12))) == 1
+        # one observation per chunk is always allowed
+        monkeypatch.setattr(mg.sampling, "MAX_CHUNK_WORDS", 4)
+        assert len(list(mg.sample_chunks(ex3_spec, 3, seed=1, chunk_size=1))) == 3
+        with pytest.raises(DomainError):
+            mg.sample_chunks(ex3_spec, 3, seed=1, chunk_size=2)
 
     def test_zero_observations_yield_no_chunks(self, ex3_spec):
         assert list(mg.sample_chunks(ex3_spec, 0, seed=1)) == []
