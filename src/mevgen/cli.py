@@ -110,7 +110,13 @@ def cmd_sample(args) -> int:
     chunks = sample_chunks(spec, args.n, args.seed, chunk_size=args.chunk_size)
     meta = None
     if not args.no_sidecar:
-        meta = {"n": args.n, "seed": args.seed, "spec_fingerprint": spec.fingerprint()}
+        fingerprint = spec.fingerprint()
+        meta = {
+            "n": args.n,
+            "seed": args.seed,
+            "spec_fingerprint": fingerprint,
+            "spec_digest": spec.digest(fingerprint),
+        }
     rows = fileio.write_csv_blocks(chunks, spec.d, args.out, meta)
     print(f"wrote {rows} observations of dimension {spec.d} to {args.out}")
     if meta is not None:
@@ -167,6 +173,7 @@ def cmd_estimate(args) -> int:
         raise _UsageError(f"{args.data} holds no observations")
     seed = int(meta["seed"]) if meta else 0
     fingerprint = meta["spec_fingerprint"] if meta else ""
+    digest = meta.get("spec_digest") if meta else None
 
     spec = None
     if args.spec is not None:
@@ -174,11 +181,12 @@ def cmd_estimate(args) -> int:
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
             fingerprint = spec.fingerprint()
+            digest = spec.digest(fingerprint)
         if data.shape[1] != spec.d:
             raise ShapeError(
                 f"data has {data.shape[1]} columns but spec has dimension {spec.d}"
             )
-    batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint)
+    batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint, spec_digest=digest)
 
     rank_report = estimate_tail_dep(batch, args.u, margins="rank")
     out = rank_report.to_json_dict()

@@ -13,6 +13,11 @@ with limit coefficient ``lam`` follows from the pair copula diagonal
 ``u ** (2 - lam)``:
 
     (1 - 2u + u**(2 - lam)) / (1 - u)  ->  lam   as u -> 1.
+
+Rank margins need only which ranks pass u, the top K of each column, so
+those are selected, not sorted.  A comparison against a spec confirms
+provenance through the batch's spec digest in O(nnz), and builds the
+O(d * D) fingerprint only when the digest is missing or differs.
 """
 
 from __future__ import annotations
@@ -100,15 +105,27 @@ def _matrix_json(arr: np.ndarray) -> list:
     return out.tolist()
 
 
-def _rank_uniforms(data: np.ndarray) -> np.ndarray:
-    """Per-column empirical transform rank / (n + 1), ranks ordinal from 1."""
+def _rank_exceedances(data: np.ndarray, u: float) -> np.ndarray:
+    """Per column, whether rank / (n + 1) > u, ranks stable ordinal from 1.
+
+    Stable ordinal ranks order a column by value and break ties by row
+    index.  The ranks that pass are the top K, K = #{r in 1..n : r / (n + 1)
+    > u}, so each column needs only its K-th largest value, found by
+    ``np.partition``: every row above it passes, and of the rows equal to
+    it, those with the highest indices.  Values must not be NaN.
+    """
     n = data.shape[0]
-    order = np.argsort(data, axis=0, kind="stable")
-    ranks = np.empty_like(data)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(1.0, n + 1.0)[:, None], data.shape), axis=0
-    )
-    return ranks / (n + 1.0)
+    k = int(np.count_nonzero(np.arange(1.0, n + 1.0) / (n + 1.0) > u))
+    if k == 0:
+        return np.zeros(data.shape, dtype=bool)
+    kth = np.partition(data, n - k, axis=0)[n - k]
+    exceed = data >= kth
+    # fewer than k rows lie above kth, so a surplus is made of ties at kth
+    surplus = np.count_nonzero(exceed, axis=0) - k
+    for j in np.flatnonzero(surplus):
+        tied = np.flatnonzero(data[:, j] == kth[j])
+        exceed[tied[: surplus[j]], j] = False
+    return exceed
 
 
 def estimate_tail_dep(
@@ -134,16 +151,16 @@ def estimate_tail_dep(
     if not 0.0 < u < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {u!r}")
     if margins == "rank":
-        unif = _rank_uniforms(batch.data)
+        exceed = _rank_exceedances(batch.data, u)
     elif margins == "known":
         if scale is None or not scale > 0:
             raise DomainError("margins='known' requires a positive scale constant")
-        unif = np.exp(-scale / batch.data)
+        exceed = np.exp(-scale / batch.data) > u
     else:
         raise DomainError(f"margins must be 'rank' or 'known', got {margins!r}")
 
     # float64 matmul goes through BLAS; the counts stay below 2**53, so exact
-    exceed = (unif > u).astype(np.float64)
+    exceed = exceed.astype(np.float64)
     counts = (exceed.T @ exceed).astype(np.int64)
     n_cond = np.diagonal(counts).astype(np.float64)
 
@@ -179,6 +196,19 @@ def finite_u_tail_dep(u: float, lam):
     return float(out) if lam_arr.ndim == 0 else out
 
 
+def _drawn_from(spec: ModelSpec, batch: SampleBatch) -> bool:
+    """Whether the batch's fingerprint is that of ``spec``.
+
+    A batch digest equal to ``spec.digest(batch.spec_fingerprint)`` shows
+    that ``spec`` is bitwise the spec that fingerprint was taken from, in
+    O(nnz).  Without a digest, or when it differs (an edited spec or an
+    edited fingerprint), the fingerprint is recomputed and compared.
+    """
+    if batch.spec_digest is not None and batch.spec_digest == spec.digest(batch.spec_fingerprint):
+        return True
+    return batch.spec_fingerprint == spec.fingerprint()
+
+
 def theoretical_vs_empirical(
     spec: ModelSpec,
     batch: SampleBatch,
@@ -186,12 +216,13 @@ def theoretical_vs_empirical(
 ) -> list[ThresholdComparison]:
     """Compare empirical estimates against the model's exact values.
 
-    The batch must carry the fingerprint of ``spec``; estimates use known
-    margins with the spec's scale constant.  Each threshold yields one
-    comparison; a pair is flagged when its estimate misses the exact
-    finite-u value by more than three half-widths.
+    The batch must carry the fingerprint of ``spec`` (see
+    :func:`_drawn_from`); estimates use known margins with the spec's scale
+    constant.  Each threshold yields one comparison; a pair is flagged when
+    its estimate misses the exact finite-u value by more than three
+    half-widths.
     """
-    if batch.spec_fingerprint != spec.fingerprint():
+    if not _drawn_from(spec, batch):
         raise ProvenanceError(
             "batch fingerprint does not match the spec it is compared against"
         )

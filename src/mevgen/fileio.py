@@ -3,8 +3,10 @@
 CSV layout: header ``x1,...,xd``, one observation per row, values written
 with 17 significant digits so float64 round-trips exactly.  Every sample
 file gets a sidecar ``<path>.meta.json`` carrying the observation count,
-the seed, and the fingerprint of the generating spec; readers use it to
-refuse cross-spec comparisons.
+the seed, the fingerprint of the generating spec and its digest
+(:meth:`ModelSpec.digest`); readers use them to refuse cross-spec
+comparisons.  Sidecars written before the digest existed lack it and are
+still read.
 
 :func:`write_csv_blocks` streams: it takes an iterable of (m, d) blocks,
 such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
@@ -50,6 +52,8 @@ from .synthesis import SynthesisResult
 #: Values formatted per ``%`` call when writing CSV; a large block is split
 #: so that its text and Python floats stay a few MB.
 _FORMAT_VALUES = 2**16
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 @contextmanager
@@ -105,6 +109,8 @@ def csv_header(d: int) -> str:
 def write_csv(batch: SampleBatch, path, sidecar: bool = True) -> None:
     """Write a batch as CSV; optionally drop the provenance sidecar next to it."""
     meta = {"n": batch.n, "seed": batch.seed, "spec_fingerprint": batch.spec_fingerprint}
+    if batch.spec_digest is not None:
+        meta["spec_digest"] = batch.spec_digest
     write_csv_blocks([batch.data], batch.d, path, meta if sidecar else None)
 
 
@@ -201,7 +207,11 @@ def _parse_lines(fh, path, d: int) -> np.ndarray:
 
 
 def load_sidecar(csv_path) -> dict | None:
-    """Return the sidecar dict for a CSV path, or None when absent."""
+    """Return the sidecar dict for a CSV path, or None when absent.
+
+    ``n``, ``seed`` and ``spec_fingerprint`` are required; ``spec_digest`` is
+    optional, but when present must be 64 lowercase hex digits.
+    """
     meta = sidecar_path(csv_path)
     if not meta.exists():
         return None
@@ -212,4 +222,9 @@ def load_sidecar(csv_path) -> dict | None:
     for key in ("n", "seed"):
         if type(obj[key]) is not int:
             raise ShapeError(f"{meta}: sidecar field {key!r}={obj[key]!r} must be an integer")
+    digest = obj.get("spec_digest")
+    if "spec_digest" in obj and not (
+        type(digest) is str and len(digest) == 64 and set(digest) <= _HEX_DIGITS
+    ):
+        raise ShapeError(f"{meta}: sidecar field 'spec_digest'={digest!r} must be 64 hex digits")
     return obj

@@ -26,6 +26,11 @@ stores alpha as (row, column, value) lists when at most a quarter of it is
 nonzero, the fingerprint builds its dense JSON text from runs of zeros and
 the encoded nonzeros, and the tail dependence matrix sums each pair of
 sparse rows over the nonzero columns of one of them.
+
+The fingerprint still encodes every entry of a dense alpha as text.
+:meth:`ModelSpec.digest` hashes the stored entries' bits instead; sample
+sidecars carry it, so ``estimate`` can confirm that a spec is the sampled
+one without building that text.
 """
 
 from __future__ import annotations
@@ -117,6 +122,23 @@ class ModelSpec:
             h.update(b"," if s else b"")
             h.update(_dense_row_json(row).encode("ascii"))
         h.update(b'],"d":%d}' % self.d)
+        return h.hexdigest()
+
+    def digest(self, fingerprint: str) -> str:
+        """sha256 binding a fingerprint string to this spec's exact bits, in O(nnz).
+
+        It hashes the JSON text of ``fingerprint``, d, D, the bits of C, and
+        the flat index and float64 bits of every stored alpha entry (see
+        :meth:`to_json_dict`).  Those determine :meth:`fingerprint`, so a
+        spec whose digest with a sidecar's fingerprint equals the sidecar's
+        digest has that fingerprint, without the O(d * D) text being built.
+        """
+        flat = np.flatnonzero(_stored(self.alpha))
+        h = hashlib.sha256(json.dumps(fingerprint).encode())
+        h.update(np.array([self.d, self.D], dtype="<i8").tobytes())
+        h.update(np.array([self.C], dtype="<f8").tobytes())
+        h.update(flat.astype("<i8").tobytes())
+        h.update(self.alpha.ravel()[flat].astype("<f8").tobytes())
         return h.hexdigest()
 
     def to_json_dict(self) -> dict:

@@ -96,10 +96,13 @@ def _panel_svg(
     lo_txt, hi_txt = (f"1e{y_lo:.3g}", f"1e{y_hi:.3g}") if log_scale else (_fmt(y_lo), _fmt(y_hi))
     parts.append(f'<text x="{_fmt(ox - 4)}" y="{_fmt(oy + PANEL)}" text-anchor="end" {_FONT}>{lo_txt}</text>')
     parts.append(f'<text x="{_fmt(ox - 4)}" y="{_fmt(oy + 10)}" text-anchor="end" {_FONT}>{hi_txt}</text>')
-    for x, y in zip(px, py):
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{POINT_RADIUS}" fill="{_POINT_COLOR}" fill-opacity="0.55"/>'
+    if px.size:
+        # one % over the interleaved coordinates, not one f-string per point
+        circle = (
+            f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="{_POINT_COLOR}" fill-opacity="0.55"/>'
         )
+        coords = np.column_stack([px, py]).ravel().tolist()
+        parts.append("\n".join([circle] * px.size) % tuple(coords))
 
 
 def pair_scatter_svg(data, path=None, log_scale: bool = False, pairs=None) -> str:

@@ -83,14 +83,18 @@ class SampleBatch:
 
     ``data`` is an (n, d) read-only array of strictly positive values;
     ``spec_fingerprint`` ties the batch to the generating spec so later
-    comparisons can refuse foreign data.  A read-only float64 array that
-    owns its memory is taken as it is; anything else is copied, so a
-    caller handing over an array it no longer writes saves the copy.
+    comparisons can refuse foreign data, and ``spec_digest``, when known,
+    is :meth:`ModelSpec.digest` of that fingerprint, which lets them
+    confirm the generating spec without recomputing its fingerprint.  A
+    read-only float64 array that owns its memory is taken as it is;
+    anything else is copied, so a caller handing over an array it no
+    longer writes saves the copy.
     """
 
     data: np.ndarray
     seed: int
     spec_fingerprint: str
+    spec_digest: str | None = None
 
     def __post_init__(self):
         arr = self.data
@@ -300,4 +304,10 @@ def sample_batch(
         start += block.shape[0]
         del block  # freed before the next chunk is drawn
     data.flags.writeable = False
-    return SampleBatch(data=data, seed=int(seed), spec_fingerprint=spec.fingerprint())
+    fingerprint = spec.fingerprint()
+    return SampleBatch(
+        data=data,
+        seed=int(seed),
+        spec_fingerprint=fingerprint,
+        spec_digest=spec.digest(fingerprint),
+    )

@@ -141,6 +141,7 @@ class TestSample:
         spec = mg.ModelSpec.from_json_dict(json.loads(result_file.read_text())["spec"])
         assert meta["seed"] == 7
         assert meta["spec_fingerprint"] == spec.fingerprint()
+        assert meta["spec_digest"] == spec.digest(spec.fingerprint())
 
     def test_plain_spec_file_accepted(self, tmp_path, ex3_spec):
         spec_path = tmp_path / "spec.json"
@@ -214,7 +215,10 @@ class TestSampleStream:
         batch = mg.sample_batch(spec, 40, seed=11)
         assert out.read_bytes() == savetxt_bytes(batch.data)
         assert fileio.load_sidecar(out) == {
-            "n": 40, "seed": 11, "spec_fingerprint": spec.fingerprint()
+            "n": 40,
+            "seed": 11,
+            "spec_fingerprint": spec.fingerprint(),
+            "spec_digest": spec.digest(spec.fingerprint()),
         }
 
     def test_memory_is_bounded_and_flat_in_n(self, tmp_path, capsys):
@@ -481,6 +485,73 @@ class TestCheck:
         fileio.dump_json({"d": 2, "D": 1, "C": 5e-324, "alpha": [[5e-324], [5e-324]]}, bad)
         assert main(["check", "--spec", str(bad)]) == 3
         assert "smallest normal float64" in capsys.readouterr().err
+
+
+class TestSpecDigest:
+    """``estimate --spec`` skips the fingerprint only when the sidecar digest matches."""
+
+    @staticmethod
+    def _estimate(samples_file, result_file, monkeypatch, capsys) -> tuple[int, int, str]:
+        calls = []
+        fingerprint = mg.ModelSpec.fingerprint
+        monkeypatch.setattr(
+            mg.ModelSpec, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+        )
+        capsys.readouterr()
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        rc = main(argv)
+        monkeypatch.undo()
+        return rc, len(calls), capsys.readouterr().out
+
+    @staticmethod
+    def _edit_sidecar(samples_file, edit) -> None:
+        path = fileio.sidecar_path(samples_file)
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize(
+        "sidecar, fingerprints", [("with-digest", 0), ("without-digest", 1), ("absent", 1)]
+    )
+    def test_fingerprint_calls(
+        self, sidecar, fingerprints, samples_file, result_file, monkeypatch, capsys
+    ):
+        _, _, expected = self._estimate(samples_file, result_file, monkeypatch, capsys)
+        if sidecar == "without-digest":  # as written before the digest existed
+            self._edit_sidecar(samples_file, lambda meta: meta.pop("spec_digest"))
+        elif sidecar == "absent":
+            fileio.sidecar_path(samples_file).unlink()
+        rc, calls, out = self._estimate(samples_file, result_file, monkeypatch, capsys)
+        assert (rc, calls) == (0, fingerprints)
+        assert out == expected
+
+    def test_edited_spec_exits_4(self, samples_file, result_file, monkeypatch, capsys):
+        obj = json.loads(result_file.read_text())
+        obj["spec"]["C"] = 1.5  # still valid, but not the sampled spec
+        result_file.write_text(json.dumps(obj))
+        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
+        assert (rc, calls) == (4, 1)
+
+    def test_edited_fingerprint_with_digest_intact_exits_4(
+        self, samples_file, result_file, monkeypatch, capsys
+    ):
+        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint="0" * 64))
+        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
+        assert (rc, calls) == (4, 1)
+
+    @pytest.mark.parametrize(
+        "digest",
+        ["A" * 64, "a" * 63, "a" * 65, "g" * 64, None, 7, ["a" * 64]],
+        ids=["uppercase", "short", "long", "non-hex", "null", "int", "list"],
+    )
+    def test_malformed_digest_exits_3(self, digest, samples_file, result_file, capsys):
+        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_digest=digest))
+        capsys.readouterr()
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "'spec_digest'" in err and "64 hex digits" in err
+        assert "Traceback" not in err
 
 
 class TestHeaderFields:

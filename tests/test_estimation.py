@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen.errors import DomainError, ProvenanceError
-from mevgen.estimation import _rank_uniforms
+from mevgen.estimation import _rank_exceedances
 
 from conftest import EX3_LAMBDA
 
@@ -22,14 +22,51 @@ def _batch(data, fingerprint="", seed=0) -> mg.SampleBatch:
     return mg.SampleBatch(data=np.asarray(data, float), seed=seed, spec_fingerprint=fingerprint)
 
 
+def _rank_uniforms(data: np.ndarray) -> np.ndarray:
+    """Oracle: per-column empirical transform rank / (n + 1), ranks ordinal from 1."""
+    n = data.shape[0]
+    order = np.argsort(data, axis=0, kind="stable")
+    ranks = np.empty_like(data)
+    np.put_along_axis(
+        ranks, order, np.broadcast_to(np.arange(1.0, n + 1.0)[:, None], data.shape), axis=0
+    )
+    return ranks / (n + 1.0)
+
+
+#: Values with many ties, -0.0 beside 0.0, and both infinities.
+_TIE_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 2.0**-1074, np.inf, -np.inf])
+
+
+@st.composite
+def _data_and_threshold(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    elements = st.one_of(_TIE_VALUES, st.floats(-1e300, 1e300, allow_nan=False))
+    data = draw(arrays(np.float64, (n, d), elements=elements))
+    # thresholds on the grid r / (n + 1) and one float either side of it
+    # reach K = 0 and K = n and every boundary in between
+    r = draw(st.integers(0, n + 1))
+    grid = r / (n + 1.0)
+    near = [grid, float(np.nextafter(grid, 0.0)), float(np.nextafter(grid, 1.0))]
+    u = draw(st.one_of(st.sampled_from(near), st.floats(0.0, 1.0)))
+    return data, min(max(u, 5e-324), 1.0 - 2.0**-53)  # u inside (0, 1)
+
+
 class TestRankTransform:
     def test_small_column(self):
-        unif = _rank_uniforms(np.array([[3.0], [1.0], [2.0]]))
-        assert unif[:, 0].tolist() == [0.75, 0.25, 0.5]
+        # ranks 3, 1, 2 of n = 3 give uniforms 0.75, 0.25, 0.5
+        data = np.array([[3.0], [1.0], [2.0]])
+        for u, passed in ((0.2, [1, 1, 1]), (0.25, [1, 0, 1]), (0.6, [1, 0, 0]), (0.75, [0, 0, 0])):
+            assert _rank_exceedances(data, u)[:, 0].tolist() == [bool(p) for p in passed]
 
     def test_columns_independent(self):
-        unif = _rank_uniforms(np.array([[3.0, 10.0], [1.0, 30.0], [2.0, 20.0]]))
-        assert unif[:, 1].tolist() == [0.25, 0.75, 0.5]
+        data = np.array([[3.0, 10.0], [1.0, 30.0], [2.0, 20.0]])
+        assert _rank_exceedances(data, 0.6).tolist() == [[True, False], [False, True], [False, False]]
+
+    def test_ties_go_to_the_highest_row_indices(self):
+        data = np.array([[1.0], [5.0], [5.0], [5.0], [0.0]])
+        # K = 2 of n = 5: the two 5.0 with the highest stable ranks, rows 2 and 3
+        assert _rank_exceedances(data, 0.6)[:, 0].tolist() == [False, False, True, True, False]
 
     @given(
         data=arrays(
@@ -37,13 +74,34 @@ class TestRankTransform:
             (25, 3),
             elements=st.floats(0.01, 100.0, allow_nan=False),
             unique=True,
-        )
+        ),
+        u=st.floats(0.01, 0.99),
     )
-    def test_ranks_are_a_permutation_of_the_grid(self, data):
-        unif = _rank_uniforms(data)
-        grid = np.arange(1.0, 26.0) / 26.0
+    def test_each_column_passes_its_k_largest(self, data, u):
+        k = sum(r / 26.0 > u for r in range(1, 26))
+        exceed = _rank_exceedances(data, u)
         for j in range(3):
-            assert np.allclose(np.sort(unif[:, j]), grid)
+            assert sorted(data[exceed[:, j], j]) == sorted(data[:, j])[25 - k :]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_data_and_threshold())
+    def test_selection_equals_sorted_ranks(self, case):
+        data, u = case
+        expected = _rank_uniforms(data) > u
+        assert np.array_equal(_rank_exceedances(data, u), expected)
+
+    def test_rank_estimate_does_not_sort(self, ex3_spec, monkeypatch):
+        batch = mg.sample_batch(ex3_spec, 2000, seed=3)
+        expected = _rank_uniforms(batch.data) > 0.9
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank step sorted")
+
+        for name in ("sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        report = mg.estimate_tail_dep(batch, 0.9, margins="rank")
+        exceed = expected.astype(np.int64)
+        assert np.array_equal(report.counts, exceed.T @ exceed)
 
 
 class TestEstimateTailDep:

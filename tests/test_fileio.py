@@ -163,6 +163,7 @@ class TestCsv:
             "n": 5,
             "seed": 77,
             "spec_fingerprint": ex3_spec.fingerprint(),
+            "spec_digest": ex3_spec.digest(ex3_spec.fingerprint()),
         }
 
     def test_sidecar_optional(self, tmp_path, ex3_spec):

@@ -122,6 +122,30 @@ class TestModelSpec:
             "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
         )
 
+    def test_digest_is_pinned(self, ex3_spec):
+        # sidecars store this hex too; a change only costs estimate the
+        # fingerprint it would have skipped
+        assert ex3_spec.digest(ex3_spec.fingerprint()) == (
+            "b71eb4487e2d9f6bf3e98cf816d950ea3d1e2179e6552d45c76da8fad8daf481"
+        )
+
+    @given(spec=edge_specs(), data=st.data())
+    @settings(max_examples=200)
+    def test_digest_changes_with_every_input(self, spec, data):
+        fp = spec.fingerprint()
+        base = spec.digest(fp)
+        assert spec.digest(fp[:-1]) != base
+        bumped_c = np.nextafter(spec.C, np.inf)
+        assert mg.ModelSpec(alpha=spec.alpha, C=bumped_c).digest(fp) != base
+        if spec.D:
+            alpha = spec.alpha.copy()
+            i, j = data.draw(st.integers(0, spec.d - 1)), data.draw(st.integers(0, spec.D - 1))
+            alpha.view(np.uint64)[i, j] ^= np.uint64(data.draw(st.sampled_from([1, 2**63])))
+            assert mg.ModelSpec(alpha=alpha, C=spec.C).digest(fp) != base
+        if spec.d != spec.D:  # same stored entries under another shape
+            reshaped = mg.ModelSpec(alpha=spec.alpha.reshape(spec.D, spec.d), C=spec.C)
+            assert reshaped.digest(fp) != base
+
 
 class TestSpecJson:
     @given(spec=edge_specs())
@@ -141,6 +165,7 @@ class TestSpecJson:
         assert np.array_equal(again.alpha.view(np.uint64), spec.alpha.view(np.uint64))
         assert again.C == spec.C
         assert again.fingerprint() == spec.fingerprint()
+        assert again.digest(again.fingerprint()) == spec.digest(spec.fingerprint())
 
     def test_layout_threshold(self):
         # EX3 stores 6 of 9 entries, dense; 2 of 8 is exactly a quarter, sparse

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -23,6 +24,21 @@ def _panel_titles(svg: str) -> list[str]:
 
 
 class TestPairScatter:
+    @pytest.mark.parametrize(
+        "rows, log_scale, digest",
+        [
+            (12, False, "fdbd9a5535a6480f707d442f8732c6dac07819c7a8766d9b93a6ddad38b0dfa2"),
+            (12, True, "3b72a5e39aa04e7a897cda1353808e04562207b93771eff76b976e52cf31137a"),
+            (0, False, "2c8114c1ea5dad8b92254bff883cfb5dec3869ba222ccb8b701a9042415b73b6"),
+        ],
+        ids=["linear", "log", "empty"],
+    )
+    def test_bytes_are_pinned(self, rows, log_scale, digest):
+        data = (np.arange(1.0, 37.0).reshape(12, 3) ** 1.5) % 7.0 + 0.25
+        data[5, 1] = 1e9  # clipped from every panel it is in
+        svg = pair_scatter_svg(data[:rows], log_scale=log_scale)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, ex3_spec):
         data = mg.sample_batch(ex3_spec, 300, seed=4).data
         assert pair_scatter_svg(data) == pair_scatter_svg(data)
