@@ -30,7 +30,6 @@ from .model import (
     FEASIBILITY_TOL,
     ModelSpec,
     TailDepMatrix,
-    ValidationReport,
     copula,
     extremal_matrix,
     joint_cdf,
@@ -41,8 +40,6 @@ from .model import (
     require_valid_spec,
     require_valid_tail_dep_matrix,
     tail_dep_matrix,
-    validate_spec,
-    validate_tail_dep_matrix,
 )
 from .plotting import pair_scatter_svg
 from .sampling import SampleBatch, sample_batch, sample_chunks
@@ -69,7 +66,6 @@ __all__ = [
     "FEASIBILITY_TOL",
     "ModelSpec",
     "TailDepMatrix",
-    "ValidationReport",
     "copula",
     "extremal_matrix",
     "joint_cdf",
@@ -80,8 +76,6 @@ __all__ = [
     "require_valid_spec",
     "require_valid_tail_dep_matrix",
     "tail_dep_matrix",
-    "validate_spec",
-    "validate_tail_dep_matrix",
     "pair_scatter_svg",
     "SampleBatch",
     "sample_batch",

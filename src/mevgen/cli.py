@@ -40,9 +40,7 @@ from .model import (
     log_copula,
     log_joint_cdf,
     require_valid_spec,
-    require_valid_tail_dep_matrix,
     tail_dep_matrix,
-    validate_spec,
 )
 from .plotting import pair_scatter_svg
 from .sampling import SampleBatch, sample_chunks
@@ -74,11 +72,11 @@ def _emit_json(obj: dict, out_path) -> None:
 
 def cmd_synth(args) -> int:
     target = fileio.load_tail_dep(args.target)
-    canonical = require_valid_tail_dep_matrix(target)
+    result = synthesize(target, c=args.c)
+    canonical = target.canonical()
     off = canonical.values[~np.eye(canonical.d, dtype=bool)]
     if np.all(off == 0.0):
         _warn("no extremal dependence requested; all margins will be independent")
-    result = synthesize(canonical, c=args.c)
     exact_feasible = result.c_min <= 1.0 + FEASIBILITY_TOL
     entrywise_bound = bool(np.all(off <= 1.0 / (canonical.d - 1)))
     fileio.dump_synthesis(result, args.out)
@@ -177,15 +175,10 @@ def cmd_estimate(args) -> int:
 
     spec = None
     if args.spec is not None:
-        spec = require_valid_spec(fileio.load_spec(args.spec))
+        spec = fileio.load_spec(args.spec)
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
-            fingerprint = spec.fingerprint()
-            digest = spec.digest(fingerprint)
-        if data.shape[1] != spec.d:
-            raise ShapeError(
-                f"data has {data.shape[1]} columns but spec has dimension {spec.d}"
-            )
+            digest = spec.digest(fingerprint)  # binds the empty fingerprint to this spec
     batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint, spec_digest=digest)
 
     rank_report = estimate_tail_dep(batch, args.u, margins="rank")
@@ -233,15 +226,9 @@ def cmd_plot(args) -> int:
 
 def cmd_check(args) -> int:
     spec = fileio.load_spec(args.spec)
-    report = validate_spec(spec)
-    if not report.ok:
-        print(f"spec invalid ({len(report.violations)} violations):", file=sys.stderr)
-        for v in report.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return EXIT_INVALID
+    lam = tail_dep_matrix(spec).values  # validates the spec
     print(f"spec valid: d={spec.d}, shared factors={spec.D}, C={spec.C:.17g}")
 
-    lam = tail_dep_matrix(spec).values
     eps = 2.0 - lam  # extremal coefficients; the unit diagonal of lambda gives 1
     checks: list[tuple[str, bool, str]] = []
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ProvenanceError
+from .errors import DomainError, ProvenanceError, ShapeError
 from .model import ModelSpec, tail_dep_matrix
 from .sampling import SampleBatch
 
@@ -136,7 +136,8 @@ def estimate_tail_dep(
     Parameters
     ----------
     batch : SampleBatch
-        Nonempty observations.
+        Nonempty observations, none NaN; with ``margins="known"`` all
+        positive, the domain of the Fréchet CDF.
     u : float
         Threshold in (0, 1); useful estimates need n * (1 - u) well above 1
         (20 or more exceedances recommended).
@@ -150,12 +151,19 @@ def estimate_tail_dep(
         raise DomainError("cannot estimate from an empty batch")
     if not 0.0 < u < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {u!r}")
+    data = batch.data
+    if np.isnan(data).any():
+        raise DomainError("observations must not be NaN")
     if margins == "rank":
-        exceed = _rank_exceedances(batch.data, u)
+        exceed = _rank_exceedances(data, u)
     elif margins == "known":
         if scale is None or not scale > 0:
             raise DomainError("margins='known' requires a positive scale constant")
-        exceed = np.exp(-scale / batch.data) > u
+        if not (data > 0).all():
+            raise DomainError(
+                f"margins='known' requires positive observations, found {float(data.min())!r}"
+            )
+        exceed = np.exp(-scale / data) > u
     else:
         raise DomainError(f"margins must be 'rank' or 'known', got {margins!r}")
 
@@ -216,17 +224,20 @@ def theoretical_vs_empirical(
 ) -> list[ThresholdComparison]:
     """Compare empirical estimates against the model's exact values.
 
-    The batch must carry the fingerprint of ``spec`` (see
-    :func:`_drawn_from`); estimates use known margins with the spec's scale
-    constant.  Each threshold yields one comparison; a pair is flagged when
-    its estimate misses the exact finite-u value by more than three
-    half-widths.
+    The spec is validated first (SpecValidationError), then the batch must
+    have one column per margin (ShapeError) and carry the fingerprint of
+    ``spec`` (ProvenanceError, see :func:`_drawn_from`).  Estimates use
+    known margins with the spec's scale constant.  Each threshold yields
+    one comparison; a pair is flagged when its estimate misses the exact
+    finite-u value by more than three half-widths.
     """
+    lam_limit = tail_dep_matrix(spec).values
+    if batch.d != spec.d:
+        raise ShapeError(f"data has {batch.d} columns but spec has dimension {spec.d}")
     if not _drawn_from(spec, batch):
         raise ProvenanceError(
             "batch fingerprint does not match the spec it is compared against"
         )
-    lam_limit = tail_dep_matrix(spec).values
     comparisons = []
     for u in u_grid:
         report = estimate_tail_dep(batch, u, margins="known", scale=spec.C)

@@ -210,7 +210,7 @@ def load_sidecar(csv_path) -> dict | None:
     """Return the sidecar dict for a CSV path, or None when absent.
 
     ``n``, ``seed`` and ``spec_fingerprint`` are required; ``spec_digest`` is
-    optional, but when present must be 64 lowercase hex digits.
+    optional.  Both hashes, when present, must be 64 lowercase hex digits.
     """
     meta = sidecar_path(csv_path)
     if not meta.exists():
@@ -222,9 +222,10 @@ def load_sidecar(csv_path) -> dict | None:
     for key in ("n", "seed"):
         if type(obj[key]) is not int:
             raise ShapeError(f"{meta}: sidecar field {key!r}={obj[key]!r} must be an integer")
-    digest = obj.get("spec_digest")
-    if "spec_digest" in obj and not (
-        type(digest) is str and len(digest) == 64 and set(digest) <= _HEX_DIGITS
-    ):
-        raise ShapeError(f"{meta}: sidecar field 'spec_digest'={digest!r} must be 64 hex digits")
+    for key in ("spec_fingerprint", "spec_digest"):
+        value = obj.get(key)
+        if key in obj and not (
+            type(value) is str and len(value) == 64 and set(value) <= _HEX_DIGITS
+        ):
+            raise ShapeError(f"{meta}: sidecar field {key!r}={value!r} must be 64 hex digits")
     return obj

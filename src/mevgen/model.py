@@ -12,10 +12,11 @@ are available in closed form:
 
     lambda[s, k] = (1 / C) * sum_j min(alpha[s, j], alpha[k, j]).
 
-This module holds the spec container, its validation, and the closed-form
-evaluations (joint CDF, copula, marginal CDF, tail-dependence and extremal
-coefficients).  All functions are pure; specs are immutable and safe to
-share across threads.
+This module holds the spec and target containers, one raising validator
+for each (:func:`require_valid_spec`, :func:`require_valid_tail_dep_matrix`),
+and the closed-form evaluations (joint CDF, copula, marginal CDF,
+tail-dependence and extremal coefficients).  All functions are pure; specs
+are immutable and safe to share across threads.
 
 Indexing convention: margins are 0-based throughout the Python API.  The
 CLI and file formats label coordinates 1-based (``x1``..``xd``).
@@ -84,8 +85,8 @@ class ModelSpec:
         Global Fréchet scale constant.  Feasibility requires
         ``C >= alpha.sum(axis=1).max()`` (up to ``FEASIBILITY_TOL``).
 
-    Construction only normalizes shapes; use :func:`validate_spec` to check
-    the numeric invariants.
+    Construction only normalizes shapes; use :func:`require_valid_spec` to
+    check the numeric invariants.
     """
 
     alpha: np.ndarray
@@ -310,22 +311,11 @@ class TailDepMatrix:
         return mat
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of an invariant check: empty ``violations`` means valid."""
+def require_valid_spec(spec: ModelSpec) -> ModelSpec:
+    """Return ``spec`` unchanged; raise SpecValidationError if it is invalid.
 
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_spec(spec: ModelSpec) -> ValidationReport:
-    """Check all ModelSpec invariants on an arbitrary candidate.
-
-    Violations are reported as data, one message per offending entry or row;
-    nothing is raised.
+    Every ModelSpec invariant is checked, and ``violations`` on the error
+    holds one message per offending entry or row (at most ten of each kind).
     """
     violations: list[str] = []
     if spec.d < 2:
@@ -354,19 +344,17 @@ def validate_spec(spec: ModelSpec) -> ValidationReport:
                 violations.append(
                     f"row {i} sum {float(row_sums[i])!r} exceeds scale constant C={spec.C!r}"
                 )
-    return ValidationReport(tuple(violations))
-
-
-def require_valid_spec(spec: ModelSpec) -> ModelSpec:
-    """Return ``spec`` unchanged; raise SpecValidationError if it is invalid."""
-    report = validate_spec(spec)
-    if not report.ok:
-        raise SpecValidationError(report.violations)
+    if violations:
+        raise SpecValidationError(violations)
     return spec
 
 
-def validate_tail_dep_matrix(target: TailDepMatrix) -> ValidationReport:
-    """Check symmetry (within tolerance), unit diagonal, and [0, 1] entries."""
+def require_valid_tail_dep_matrix(target: TailDepMatrix) -> TailDepMatrix:
+    """Return the canonical (mirrored, unit-diagonal) matrix of a valid target.
+
+    Raises SpecValidationError unless ``target`` is symmetric (within
+    tolerance) with a unit diagonal and entries in [0, 1].
+    """
     violations: list[str] = []
     lam = target.values
     d = target.d
@@ -374,7 +362,7 @@ def validate_tail_dep_matrix(target: TailDepMatrix) -> ValidationReport:
         violations.append(f"dimension d={d} must be at least 2")
     if not np.all(np.isfinite(lam)):
         violations.append("matrix contains non-finite entries")
-        return ValidationReport(tuple(violations))
+        raise SpecValidationError(violations)
     diag_off = np.abs(np.diagonal(lam) - 1.0)
     for i in np.flatnonzero(diag_off > _SYMMETRY_TOL)[:10]:
         violations.append(f"diagonal entry [{i}][{i}] = {float(lam[i, i])!r} must be 1")
@@ -387,14 +375,8 @@ def validate_tail_dep_matrix(target: TailDepMatrix) -> ValidationReport:
     bad = np.argwhere(off_mask & ((lam < 0.0) | (lam > 1.0)))
     for i, j in bad[:10]:
         violations.append(f"entry [{i}][{j}] = {float(lam[i, j])!r} outside [0, 1]")
-    return ValidationReport(tuple(violations))
-
-
-def require_valid_tail_dep_matrix(target: TailDepMatrix) -> TailDepMatrix:
-    """Validate and return the canonical (mirrored, unit-diagonal) matrix."""
-    report = validate_tail_dep_matrix(target)
-    if not report.ok:
-        raise SpecValidationError(report.violations)
+    if violations:
+        raise SpecValidationError(violations)
     return target.canonical()
 
 

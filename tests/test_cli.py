@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -415,6 +416,30 @@ class TestEstimate:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows", [["-1.0,-2.0,-3.0"] * 200, ["1.0,2.0,3.0", "2.0,0,1.0"]], ids=["negative", "zero"]
+    )
+    def test_nonpositive_data_with_spec_exits_3(self, rows, result_file, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,x3\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        argv = ["estimate", "--data", str(data), "--u", "0.9"]
+        assert main([*argv, "--spec", str(result_file)]) == 3
+        err = capsys.readouterr().err
+        assert "requires positive observations" in err
+        assert "Warning:" not in err and "Traceback" not in err
+        assert main(argv) == 0  # rank margins take any finite values
+
+    def test_invalid_spec_exits_3_before_width_and_provenance(self, samples_file, tmp_path, capsys):
+        # a 2-margin spec against 3-column data whose sidecar names another spec
+        bad = tmp_path / "spec.json"
+        fileio.dump_json({"d": 2, "D": 1, "C": 1.0, "alpha": [[2.0], [0.1]]}, bad)
+        capsys.readouterr()
+        rc = main(["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(bad)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "error: validation failed:\n  - row 0 sum 2.0 exceeds scale constant C=1.0\n"
+
     def test_report_written_to_file(self, samples_file, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["estimate", "--data", str(samples_file), "--u", "0.9", "--out", str(out)])
@@ -478,7 +503,8 @@ class TestCheck:
         fileio.dump_json({"d": 2, "D": 1, "C": -1.0, "alpha": [[0.1], [0.1]]}, bad)
         rc = main(["check", "--spec", str(bad)])
         assert rc == 3
-        assert "must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation failed:\n  - scale constant C=-1.0 must be")
 
     def test_subnormal_scale_is_rejected(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
@@ -511,7 +537,7 @@ class TestSpecDigest:
         path.write_text(json.dumps(meta))
 
     @pytest.mark.parametrize(
-        "sidecar, fingerprints", [("with-digest", 0), ("without-digest", 1), ("absent", 1)]
+        "sidecar, fingerprints", [("with-digest", 0), ("without-digest", 1), ("absent", 0)]
     )
     def test_fingerprint_calls(
         self, sidecar, fingerprints, samples_file, result_file, monkeypatch, capsys
@@ -552,6 +578,75 @@ class TestSpecDigest:
         err = capsys.readouterr().err
         assert "'spec_digest'" in err and "64 hex digits" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("with_spec", [False, True], ids=["rank-only", "with-spec"])
+    @pytest.mark.parametrize(
+        "fingerprint",
+        [None, 5, ["x"], "A" * 64, "a" * 63],
+        ids=["null", "int", "list", "uppercase", "short"],
+    )
+    def test_malformed_fingerprint_exits_3(
+        self, fingerprint, with_spec, samples_file, result_file, capsys
+    ):
+        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint=fingerprint))
+        capsys.readouterr()
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
+        assert main(argv + ["--spec", str(result_file)] * with_spec) == 3
+        err = capsys.readouterr().err
+        assert "'spec_fingerprint'" in err and "64 hex digits" in err
+        assert "Traceback" not in err
+
+
+class TestValidatedOnce:
+    """Each input is validated once per subcommand, by the library entry point."""
+
+    VALIDATORS = ("require_valid_spec", "require_valid_tail_dep_matrix")
+
+    @pytest.mark.parametrize(
+        "command, spec_checks, target_checks",
+        [
+            ("synth", 1, 1),  # the target, then the built spec
+            ("coeffs", 1, 0),
+            ("cdf", 1, 0),
+            ("sample", 1, 0),
+            ("estimate", 0, 0),
+            ("estimate --spec", 1, 0),
+            ("plot", 0, 0),
+            ("check", 1, 0),
+        ],
+    )
+    def test_validator_calls(
+        self, command, spec_checks, target_checks, tmp_path, target_file, result_file,
+        samples_file, monkeypatch, capsys,
+    ):
+        spec, data = ["--spec", str(result_file)], ["--data", str(samples_file)]
+        argv = {
+            "synth": ["synth", "--target", str(target_file), "--out", str(tmp_path / "r.json")],
+            "coeffs": ["coeffs", *spec],
+            "cdf": ["cdf", *spec, "--at", "0.5,0.5,0.5"],
+            "sample": ["sample", *spec, "--n", "10", "--out", str(tmp_path / "s.csv")],
+            "estimate": ["estimate", *data, "--u", "0.9"],
+            "estimate --spec": ["estimate", *data, "--u", "0.9", *spec],
+            "plot": ["plot", *data, "--out", str(tmp_path / "f.svg")],
+            "check": ["check", *spec],
+        }[command]
+        calls = dict.fromkeys(self.VALIDATORS, 0)
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mevgen"]
+        for name in self.VALIDATORS:
+            orig = getattr(mg.model, name)
+
+            def counted(*args, _name=name, _orig=orig):
+                calls[_name] += 1
+                return _orig(*args)
+
+            # every module that imported the validator holds its own binding
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, counted)
+        assert main(argv) == 0
+        assert calls == dict(zip(self.VALIDATORS, (spec_checks, target_checks)))
 
 
 class TestHeaderFields:

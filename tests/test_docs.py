@@ -32,7 +32,6 @@ def test_public_names_are_pinned():
         "SynthesisResult",
         "TailDepMatrix",
         "ThresholdComparison",
-        "ValidationReport",
         "Z_95",
         "__version__",
         "copula",
@@ -53,8 +52,6 @@ def test_public_names_are_pinned():
         "synthesize",
         "tail_dep_matrix",
         "theoretical_vs_empirical",
-        "validate_spec",
-        "validate_tail_dep_matrix",
     ]
 
 

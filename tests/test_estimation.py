@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
-from mevgen.errors import DomainError, ProvenanceError
+from mevgen.errors import DomainError, ProvenanceError, ShapeError
 from mevgen.estimation import _rank_exceedances
 
 from conftest import EX3_LAMBDA
@@ -214,6 +214,20 @@ class TestEstimateTailDep:
         with pytest.raises(DomainError):
             mg.estimate_tail_dep(_batch(np.empty((0, 2))), 0.9)
 
+    @pytest.mark.parametrize("margins", ["rank", "known"])
+    def test_nan_observation_rejected(self, margins):
+        batch = _batch([[1.0, 2.0], [np.nan, 3.0], [2.0, 1.0], [3.0, 4.0]])
+        with pytest.raises(DomainError, match="NaN"):
+            mg.estimate_tail_dep(batch, 0.5, margins=margins, scale=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_known_margins_need_positive_observations(self, value):
+        # exp(-C / x) is 1 for x < 0 and divides by zero at x = 0
+        batch = _batch([[1.0, 2.0], [value, 3.0]])
+        with pytest.raises(DomainError, match="positive observations"):
+            mg.estimate_tail_dep(batch, 0.5, margins="known", scale=1.0)
+        assert mg.estimate_tail_dep(batch, 0.5, margins="rank").counts.tolist() == [[1, 0], [0, 1]]
+
 
 class TestFiniteThresholdCurve:
     def test_independence_value(self):
@@ -275,6 +289,11 @@ class TestTheoreticalVsEmpirical:
     def test_provenance_mismatch_rejected(self, ex3_spec, ex1_spec):
         batch = mg.sample_batch(ex1_spec, 100, seed=1)
         with pytest.raises(ProvenanceError):
+            mg.theoretical_vs_empirical(ex3_spec, batch)
+
+    def test_column_count_checked_before_provenance(self, ex3_spec):
+        batch = _batch(np.ones((5, 2)))  # and a fingerprint of no spec
+        with pytest.raises(ShapeError, match="data has 2 columns but spec has dimension 3"):
             mg.theoretical_vs_empirical(ex3_spec, batch)
 
     def test_json_serialization_shape(self, ex3_spec):

@@ -88,7 +88,7 @@ class TestModelSpec:
     def test_slack_clamped_at_zero_within_tolerance(self):
         # row sum exceeds C by less than the feasibility tolerance
         spec = mg.ModelSpec(alpha=[[1.0 + 5e-10], [0.5]], C=1.0)
-        assert mg.validate_spec(spec).ok
+        mg.require_valid_spec(spec)
         assert spec.slacks()[0] == 0.0
 
     def test_json_round_trip(self, ex1_spec):
@@ -244,41 +244,56 @@ class TestSpecJson:
         assert spec.C == 2.0 and type(spec.C) is float
 
 
+def _spec_violations(spec) -> tuple[str, ...]:
+    with pytest.raises(SpecValidationError) as err:
+        mg.require_valid_spec(spec)
+    return err.value.violations
+
+
+def _target_violations(target) -> tuple[str, ...]:
+    with pytest.raises(SpecValidationError) as err:
+        mg.require_valid_tail_dep_matrix(target)
+    return err.value.violations
+
+
 class TestValidation:
     def test_valid_spec_passes(self, ex1_spec):
-        report = mg.validate_spec(ex1_spec)
-        assert report.ok
-        assert report.violations == ()
+        assert mg.require_valid_spec(ex1_spec) is ex1_spec
 
     def test_negative_weight_reported(self):
         spec = mg.ModelSpec(alpha=[[-0.1, 0.2], [0.1, 0.2]], C=1.0)
-        report = mg.validate_spec(spec)
-        assert not report.ok
-        assert any("negative" in v for v in report.violations)
+        assert _spec_violations(spec) == ("alpha[0][0] = -0.1 is negative",)
 
     def test_row_sum_above_scale_reported(self):
         spec = mg.ModelSpec(alpha=[[0.9, 0.9], [0.1, 0.1]], C=1.0)
-        report = mg.validate_spec(spec)
-        assert any("exceeds scale constant" in v for v in report.violations)
+        assert any("exceeds scale constant" in v for v in _spec_violations(spec))
 
     def test_nonfinite_weight_reported(self):
         spec = mg.ModelSpec(alpha=[[np.nan, 0.2], [0.1, np.inf]], C=1.0)
-        report = mg.validate_spec(spec)
-        assert sum("not finite" in v for v in report.violations) == 2
+        assert sum("not finite" in v for v in _spec_violations(spec)) == 2
 
     def test_dimension_floor(self):
-        report = mg.validate_spec(mg.ModelSpec(alpha=[[0.5]], C=1.0))
-        assert any("at least 2" in v for v in report.violations)
+        violations = _spec_violations(mg.ModelSpec(alpha=[[0.5]], C=1.0))
+        assert any("at least 2" in v for v in violations)
 
     def test_bad_scale_constant(self):
         for c in (0.0, -1.0, np.inf, np.nan):
-            report = mg.validate_spec(mg.ModelSpec(alpha=[[0.1], [0.1]], C=c))
-            assert not report.ok
+            assert _spec_violations(mg.ModelSpec(alpha=[[0.1], [0.1]], C=c))
 
     def test_subnormal_scale_constant_rejected(self):
         # alpha * v underflows for such a scale, breaking the copula
         spec = mg.ModelSpec(alpha=[[5e-324], [5e-324]], C=5e-324)
-        assert mg.validate_spec(spec).ok is False
+        assert any("smallest normal float64" in v for v in _spec_violations(spec))
+
+    def test_violations_keep_their_order(self):
+        spec = mg.ModelSpec(alpha=[[2.0, -0.5]], C=-1.0)
+        assert _spec_violations(spec) == (
+            "dimension d=1 must be at least 2",
+            "scale constant C=-1.0 must be positive, finite and at least "
+            "2.2250738585072014e-308, the smallest normal float64",
+            "alpha[0][1] = -0.5 is negative",
+            "row 0 sum 1.5 exceeds scale constant C=-1.0",
+        )
 
     def test_require_valid_raises_with_violations(self):
         spec = mg.ModelSpec(alpha=[[2.0], [0.1]], C=1.0)
@@ -296,18 +311,27 @@ class TestTailDepMatrixType:
 
     def test_validation_flags_asymmetry_beyond_tolerance(self):
         target = mg.TailDepMatrix([[1.0, 0.4], [0.5, 1.0]])
-        report = mg.validate_tail_dep_matrix(target)
-        assert any("asymmetric" in v for v in report.violations)
+        assert any("asymmetric" in v for v in _target_violations(target))
 
     def test_validation_accepts_tolerable_asymmetry(self):
         target = mg.TailDepMatrix([[1.0, 0.4], [0.4 + 1e-10, 1.0]])
-        assert mg.validate_tail_dep_matrix(target).ok
+        canonical = mg.require_valid_tail_dep_matrix(target)
+        assert np.array_equal(canonical.values, [[1.0, 0.4], [0.4, 1.0]])
 
     def test_validation_flags_bad_diagonal_and_range(self):
         target = mg.TailDepMatrix([[0.9, 1.2], [1.2, 1.0]])
-        report = mg.validate_tail_dep_matrix(target)
-        assert any("diagonal" in v for v in report.violations)
-        assert any("outside [0, 1]" in v for v in report.violations)
+        assert _target_violations(target) == (
+            "diagonal entry [0][0] = 0.9 must be 1",
+            "entry [0][1] = 1.2 outside [0, 1]",
+            "entry [1][0] = 1.2 outside [0, 1]",
+        )
+
+    def test_nonfinite_entries_stop_validation(self):
+        target = mg.TailDepMatrix([[np.nan]])
+        assert _target_violations(target) == (
+            "dimension d=1 must be at least 2",
+            "matrix contains non-finite entries",
+        )
 
     def test_json_round_trip(self, ex2_target):
         again = mg.TailDepMatrix.from_json_dict(ex2_target.to_json_dict())

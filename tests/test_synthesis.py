@@ -123,7 +123,7 @@ class TestSynthesize:
 
     def test_scale_at_minimum_is_accepted_and_valid(self, ex2_target):
         result = mg.synthesize(ex2_target, c=mg.synthesize(ex2_target).c_min)
-        assert mg.validate_spec(result.spec).ok
+        mg.require_valid_spec(result.spec)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(DomainError):
@@ -147,7 +147,7 @@ class TestSynthesize:
         result = mg.synthesize(target)
         lam = target.canonical().values
         assert result.c_used == (1.0 if result.c_min <= 1.0 + mg.FEASIBILITY_TOL else result.c_min)
-        assert mg.validate_spec(result.spec).ok
+        mg.require_valid_spec(result.spec)
         off = ~np.eye(target.d, dtype=bool)
         assert np.allclose(
             result.achieved.values[off],
