@@ -43,7 +43,7 @@ from .model import (
     tail_dep_matrix,
 )
 from .plotting import pair_scatter_svg
-from .sampling import SampleBatch, sample_chunks
+from .sampling import SampleBatch, _chunk_plan
 from .synthesis import synthesize
 
 EXIT_OK = 0
@@ -52,6 +52,9 @@ EXIT_INVALID = 3
 EXIT_PROVENANCE = 4
 
 MAX_STABILITY_SMOKE_TOL = 1e-12
+
+#: Flagged pairs named in ``estimate``'s warning; the report lists them all.
+_LISTED_PAIRS = 10
 
 
 class _UsageError(Exception):
@@ -105,18 +108,19 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
     spec = fileio.load_spec(args.spec)
-    chunks = sample_chunks(spec, args.n, args.seed, chunk_size=args.chunk_size)
-    meta = None
-    if not args.no_sidecar:
-        fingerprint = spec.fingerprint()
-        meta = {
-            "n": args.n,
-            "seed": args.seed,
-            "spec_fingerprint": fingerprint,
-            "spec_digest": spec.digest(fingerprint),
-        }
-    rows = fileio.write_csv_blocks(chunks, spec.d, args.out, meta)
-    print(f"wrote {rows} observations of dimension {spec.d} to {args.out}")
+    chunk, starts = _chunk_plan(spec, args.n, args.seed, args.chunk_size)
+    with fileio._chunk_texts(chunk, starts, spec.d) as texts:
+        meta = None
+        if not args.no_sidecar:
+            fingerprint = spec.fingerprint()  # while the workers draw the first chunks
+            meta = {
+                "n": args.n,
+                "seed": args.seed,
+                "spec_fingerprint": fingerprint,
+                "spec_digest": spec.digest(fingerprint),
+            }
+        fileio._write_csv_text(texts, spec.d, args.out, meta)
+    print(f"wrote {args.n} observations of dimension {spec.d} to {args.out}")
     if meta is not None:
         print(f"wrote {fileio.sidecar_path(args.out)}")
     return EXIT_OK
@@ -189,9 +193,14 @@ def cmd_estimate(args) -> int:
         out["exact_finite_u"] = known.pop("exact_finite_u")
         out["lambda_limit"] = known.pop("lambda_limit")
         out["known"] = known
-        if comparison.flagged:
-            pairs = ", ".join(f"({s + 1},{k + 1})" for s, k in comparison.flagged)
-            _warn(f"estimate deviates by more than 3 half-widths for pairs: {pairs}")
+        flagged = comparison.flagged
+        if flagged:
+            pairs = ", ".join(f"({s + 1},{k + 1})" for s, k in flagged[:_LISTED_PAIRS])
+            more = len(flagged) - _LISTED_PAIRS
+            _warn(
+                f"estimate deviates by more than 3 half-widths for {len(flagged)} pairs: "
+                f"{pairs}{f' and {more} more' if more > 0 else ''}"
+            )
     _emit_json(out, args.out)
     return EXIT_OK
 

@@ -11,13 +11,23 @@ still read.
 :func:`write_csv_blocks` streams: it takes an iterable of (m, d) blocks,
 such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
 and writes each block before it asks for the next, so memory is O(block).
-Rows are formatted by one ``%`` over a row format repeated once per row,
-at most ``_FORMAT_VALUES`` values per call, which gives the bytes of
-``np.savetxt(fmt="%.17g", delimiter=",")``.  A target that is absent or a
-regular file is written as a temporary file next to it and moved into
-place only when complete; a symlink, pipe or device is written through
-directly.  The old sidecar is removed first and the new one written last,
-so a sidecar never describes other data than the CSV beside it.
+Rows are formatted by one function, :func:`_csv_pieces`: one ``%`` over a
+row format repeated once per row, at most ``_FORMAT_VALUES`` values per
+call, which gives the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
+A target that is absent or a regular file is written as a temporary file
+next to it and moved into place only when complete; a symlink, pipe or
+device is written through directly.  The old sidecar is removed first and
+the new one written last, so a sidecar never describes other data than the
+CSV beside it.
+
+The ``sample`` subcommand draws and formats its chunks in parallel with
+:func:`_chunk_texts`: one forked worker per CPU in the affinity mask (at
+most one per chunk), each mapping the same per-chunk function and the same
+:func:`_csv_pieces` as the serial path.  Chunk i goes to worker i mod w and
+the parent reads the texts back in chunk order, so the bytes never depend
+on the number of workers.  At most two chunks per worker are sent ahead of
+the writer, so memory stays O(workers x chunk) however slow the target is.
+With one CPU, one chunk or no ``fork``, the chunks are mapped in process.
 
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
@@ -39,8 +49,9 @@ import os
 import stat
 import warnings
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -125,6 +136,31 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
     Any other ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``)
     is opened and written directly, as ``np.savetxt`` did.
     """
+    rows = 0
+
+    def texts():
+        nonlocal rows
+        for block in blocks:
+            yield from _csv_pieces(block, d)
+            rows += block.shape[0]
+
+    _write_csv_text(texts(), d, path, meta)
+    return rows
+
+
+def _csv_pieces(block: np.ndarray, d: int) -> Iterator[str]:
+    """The CSV rows of an (m, d) block, at most ``_FORMAT_VALUES`` values a piece."""
+    if block.ndim != 2 or block.shape[1] != d:
+        raise ShapeError(f"CSV block of shape {block.shape} does not have {d} columns")
+    row_fmt = ",".join(["%.17g"] * d) + "\n"
+    step = max(1, _FORMAT_VALUES // max(d, 1))
+    for lo in range(0, block.shape[0], step):
+        part = block[lo : lo + step]
+        yield (row_fmt * part.shape[0]) % tuple(part.ravel().tolist())
+
+
+def _write_csv_text(texts: Iterable[str], d: int, path, meta: dict | None) -> None:
+    """Write the header and then ``texts`` as the CSV at ``path``, as :func:`write_csv_blocks`."""
     path = Path(path)
     sidecar_path(path).unlink(missing_ok=True)
     try:
@@ -132,19 +168,11 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
     except FileNotFoundError:
         atomic = True
     target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if atomic else path
-    row_fmt = ",".join(["%.17g"] * d) + "\n"
-    step = max(1, _FORMAT_VALUES // max(d, 1))
-    rows = 0
     try:
         with open(target, "w", encoding="ascii", newline="\n") as fh:
             fh.write(csv_header(d) + "\n")
-            for block in blocks:
-                if block.ndim != 2 or block.shape[1] != d:
-                    raise ShapeError(f"CSV block of shape {block.shape} does not have {d} columns")
-                for lo in range(0, block.shape[0], step):
-                    part = block[lo : lo + step]
-                    fh.write((row_fmt * part.shape[0]) % tuple(part.ravel().tolist()))
-                rows += block.shape[0]
+            for text in texts:
+                fh.write(text)
         if atomic:
             os.replace(target, path)
     except BaseException:
@@ -153,7 +181,117 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
         raise
     if meta is not None:
         dump_json(meta, sidecar_path(path))
-    return rows
+
+
+@contextmanager
+def _chunk_texts(chunk: Callable[[int], np.ndarray], starts: range, d: int):
+    """Yield an iterator of the CSV text of ``chunk(start)`` for each start, in order.
+
+    The texts are made by ``min(CPUs, len(starts))`` forked workers, each
+    running ``chunk`` and :func:`_csv_pieces`, while the body of the ``with``
+    block runs; with one worker or without ``fork`` they are made in this
+    process as the iterator is read.  An error in a worker is raised again
+    here, and on leaving the block every worker has been stopped and reaped.
+
+    ``chunk`` and what it reads are inherited by the fork, not pickled; only
+    starts and texts cross the pipes.  Python 3.12 and later issue a
+    ``DeprecationWarning`` when a process with more than one thread forks,
+    and numpy's OpenBLAS thread pool gives this process two.  The workers
+    call no BLAS routine and start no thread, so no lock a missing thread
+    held is ever waited on.
+    """
+
+    def job(start: int) -> str:
+        return "".join(_csv_pieces(chunk(start), d))
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield map(job, starts)
+        return
+    import multiprocessing  # here only: importing it costs every other run ~20 ms
+
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            conn, child_end = ctx.Pipe()
+            conns.append(conn)
+            # the worker closes its copies of the parent's ends, so that it
+            # sees EOF if the parent dies
+            proc = ctx.Process(target=_serve, args=(child_end, job, conns), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child_end.close()
+        # the workers start on the first chunks while the with block runs
+        tasks = enumerate(starts)
+        for i, start in islice(tasks, 2 * workers):
+            _send(conns[i % workers], start)
+        yield _in_order(conns, procs, tasks, len(starts))
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _serve(conn, job: Callable[[int], str], parent_ends: list) -> None:
+    """A worker's loop: answer each start read from ``conn`` with ``job(start)``."""
+    import signal  # multiprocessing has loaded it; the CLI's start-up does not
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops us
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            start = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, job(start))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except ConnectionError:
+            return  # the parent has died
+
+
+def _in_order(conns: list, procs: list, tasks: Iterator, count: int) -> Iterator[str]:
+    """The texts of ``count`` chunks from the workers, in chunk order.
+
+    Chunk i goes to worker i mod w.  The first ``2 * w`` chunks have been
+    sent; each further chunk of ``tasks``, an iterator of (i, start), is sent
+    once the caller is done with a text, so at most ``2 * w`` chunks are sent
+    and not yet written.
+    """
+    w = len(conns)
+    for i in range(count):
+        try:
+            ok, value = conns[i % w].recv()
+        except (EOFError, ConnectionError):  # reset when it died with starts unread
+            proc = procs[i % w]
+            proc.join()
+            raise ChildProcessError(
+                f"sampling worker {proc.pid} exited with code {proc.exitcode}"
+            ) from None
+        if not ok:
+            raise value
+        yield value
+        for j, start in islice(tasks, 1):
+            _send(conns[j % w], start)
+
+
+def _send(conn, start: int) -> None:
+    try:
+        conn.send(start)
+    except ConnectionError:
+        pass  # the worker has died: reading its next text reports how
 
 
 def read_csv(path) -> np.ndarray:

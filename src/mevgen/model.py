@@ -60,15 +60,24 @@ _MIN_SCALE = float(np.finfo(np.float64).tiny)
 
 
 def _as_readonly_matrix(values, name: str) -> np.ndarray:
-    try:
-        arr = np.array(values, dtype=np.float64, copy=True)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name} must be a rectangular numeric matrix: {exc}") from exc
-    except OverflowError:
-        raise ShapeError(f"{name} holds a value outside the float64 range") from None
+    """``values`` as a read-only float64 matrix.
+
+    A read-only float64 array that owns its memory is taken as it is, so a
+    caller handing over an array it no longer writes saves the copy; anything
+    else is copied.
+    """
+    arr = values
+    owned = type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
+    if not (owned and arr.dtype == np.float64):
+        try:
+            arr = np.array(values, dtype=np.float64, copy=True)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"{name} must be a rectangular numeric matrix: {exc}") from exc
+        except OverflowError:
+            raise ShapeError(f"{name} holds a value outside the float64 range") from None
+        arr.flags.writeable = False
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -86,7 +95,8 @@ class ModelSpec:
         ``C >= alpha.sum(axis=1).max()`` (up to ``FEASIBILITY_TOL``).
 
     Construction only normalizes shapes; use :func:`require_valid_spec` to
-    check the numeric invariants.
+    check the numeric invariants.  A read-only float64 ``alpha`` that owns
+    its memory is held as it is; any other is copied.
     """
 
     alpha: np.ndarray
@@ -260,6 +270,7 @@ def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
     if np.any(flat[1:] == flat[:-1]):
         raise ShapeError("sparse alpha lists an entry more than once")
     alpha[i, j] = v
+    alpha.flags.writeable = False  # ModelSpec takes it without a copy
     return alpha
 
 

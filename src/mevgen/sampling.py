@@ -4,14 +4,23 @@ Each observation t consumes D + d uniforms from a counter-based Philox
 stream keyed by the seed: first the shared factors Z_1..Z_D, then the
 idiosyncratic factors Y_1..Y_d.  Observation t owns words
 ``[t * (D + d), (t + 1) * (D + d))`` of the stream, so batches are bitwise
-reproducible from ``(spec, n, seed)`` no matter how generation is chunked,
-and chunks could be produced concurrently without changing the output.
+reproducible from ``(spec, n, seed)`` no matter how generation is chunked.
 
-:func:`sample_chunks` is the one generation loop.  It keeps one Philox
-generator and draws each chunk's words from it in order, about
-``CHUNK_WORDS`` words at a time, so memory is O(chunk) whatever n is: a
-caller that writes each chunk out before asking for the next (as the
-``sample`` subcommand does) never holds the whole batch.  :func:`sample_batch`
+Philox is counter-based (Salmon et al. 2011, "Parallel random numbers: as
+easy as 1, 2, 3"): a chunk starting at observation ``start`` begins at word
+``w = start * (D + d)``, and a fresh generator reaches it by advancing its
+counter ``w // 4`` steps (one step gives four words) and discarding
+``w % 4`` words, without drawing the words before it.  So any chunk can be
+drawn on its own, in any process, and the output never depends on which
+process drew it or in which order.  The ``sample`` subcommand uses this to
+draw and format chunks in forked workers, one per CPU, with at most two
+chunks per worker in flight, so its memory is O(workers x chunk) (see
+:mod:`mevgen.fileio`).
+
+:func:`sample_chunks` is the one generation loop: it maps that per-chunk
+function over the chunk starts, about ``CHUNK_WORDS`` words per chunk, so
+memory is O(chunk) whatever n is: a caller that writes each chunk out before
+asking for the next never holds the whole batch.  :func:`sample_batch`
 collects the chunks into one (n, d) array.
 
 Uniforms are mapped to the open interval (0, 1) by taking the top 53 bits
@@ -47,7 +56,7 @@ order, so the output is bitwise the same whichever branch a row takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import Philox
@@ -243,6 +252,20 @@ def sample_chunks(
         observation), else ``DomainError``.  Defaults to
         ``CHUNK_WORDS // (D + d)``.
     """
+    chunk, starts = _chunk_plan(spec, n, seed, chunk_size)
+    return map(chunk, starts)
+
+
+def _chunk_plan(
+    spec: ModelSpec, n: int, seed: int, chunk_size: int | None
+) -> tuple[Callable[[int], np.ndarray], range]:
+    """Check the arguments of :func:`sample_chunks`; return ``(chunk, starts)``.
+
+    ``chunk(start)`` draws observations ``start .. min(start + chunk_size,
+    n) - 1`` and ``starts`` is the range of chunk starts.  The kernel and
+    slacks that ``chunk`` reads are built here, once, so that processes
+    forked afterwards share them.
+    """
     require_valid_spec(spec)
     n = int(n)
     if n < 0:
@@ -260,18 +283,29 @@ def sample_chunks(
             f"chunk size {chunk_size} takes {min(chunk_size, n) * words_per_obs} stream "
             f"words per chunk, more than the limit of {MAX_CHUNK_WORDS}"
         )
-    return _chunks(spec, n, seed, int(chunk_size))
+    chunk_size = int(chunk_size)
+    draw = _chunker(spec, seed)
+    return (lambda start: draw(start, min(chunk_size, n - start))), range(0, n, chunk_size)
 
 
-def _chunks(spec: ModelSpec, n: int, seed: int, chunk_size: int) -> Iterator[np.ndarray]:
+def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
+    """The per-chunk function ``chunk(start, m)`` of the ``(spec, seed)`` stream.
+
+    ``chunk(start, m)`` returns observations ``start .. start + m - 1`` as a
+    new (m, d) array.  It positions a fresh Philox generator at word
+    ``w = start * (D + d)``, so it depends on no chunk drawn before it.
+    """
     d, big_d = spec.d, spec.D
     slack = spec.slacks()
     own_margins = np.flatnonzero(slack > 0)
     factor_max = _factor_max(spec.alpha)
-    bit_gen = Philox(key=seed)
-    for start in range(0, n, chunk_size):
-        m = min(chunk_size, n - start)
-        raw = bit_gen.random_raw(m * (big_d + d))  # the next words of the stream
+
+    def chunk(start: int, m: int) -> np.ndarray:
+        w = start * (big_d + d)
+        bit_gen = Philox(key=seed)
+        bit_gen.advance(w // 4)  # each counter step gives four words
+        bit_gen.random_raw(w % 4)
+        raw = bit_gen.random_raw(m * (big_d + d))
         raw >>= np.uint64(11)
         u = raw.astype(np.float64).reshape(m, big_d + d)
         del raw
@@ -283,9 +317,9 @@ def _chunks(spec: ModelSpec, n: int, seed: int, chunk_size: int) -> Iterator[np.
         factor_max(u[:, :big_d], out)
         for i in own_margins:
             np.maximum(out[:, i], slack[i] * u[:, big_d + i], out=out[:, i])
-        del u  # no array of this chunk stays alive while the next one is drawn
-        yield out
-        del out
+        return out
+
+    return chunk
 
 
 def sample_batch(

@@ -5,8 +5,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 import mevgen as mg
 from mevgen import fileio
 from mevgen.cli import main
+from mevgen.errors import DomainError
 
 from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA, savetxt_bytes
 
@@ -195,18 +200,26 @@ def _all_positive_spec(d: int, big_d: int, seed: int) -> mg.ModelSpec:
     return mg.ModelSpec(alpha=alpha, C=1.0)
 
 
+STREAM_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        _all_positive_spec(4, 9, seed=1),
+        mg.ModelSpec(alpha=EX2_ALPHA, C=2.0),
+        mg.ModelSpec(
+            alpha=[[0, 0, 0, 0], [0.3, 0, 0, 0], [0.2, 0.1, 0.4, 0.2], [0.5, 0.5, 0, 0]], C=1.0
+        ),
+    ],
+    ids=["dense-rows", "sparse-rows", "zero-row-and-slack"],
+)
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``sample`` see ``count`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestSampleStream:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            _all_positive_spec(4, 9, seed=1),
-            mg.ModelSpec(alpha=EX2_ALPHA, C=2.0),
-            mg.ModelSpec(
-                alpha=[[0, 0, 0, 0], [0.3, 0, 0, 0], [0.2, 0.1, 0.4, 0.2], [0.5, 0.5, 0, 0]], C=1.0
-            ),
-        ],
-        ids=["dense-rows", "sparse-rows", "zero-row-and-slack"],
-    )
+    @STREAM_SPECS
     @pytest.mark.parametrize("chunk", ["1", "7", None])
     def test_csv_bytes_equal_savetxt_of_the_batch(self, spec, chunk, tmp_path, capsys):
         spec_path, out = tmp_path / "spec.json", tmp_path / "s.csv"
@@ -268,16 +281,130 @@ class TestSampleStream:
         assert main(["estimate", "--data", str(link), "--u", "0.9", "--spec", str(result_file)]) == 0
 
     def test_interrupted_sample_leaves_no_output(self, tmp_path, result_file, monkeypatch, capsys):
-        def failing_chunks(*args, **kwargs):
-            yield np.ones((2, 3))
-            raise OSError("disk full")
-
-        monkeypatch.setattr("mevgen.cli.sample_chunks", failing_chunks)
+        _failing_chunks(monkeypatch, OSError("disk full"))
+        _cpus(monkeypatch, 2)
         out = tmp_path / "out" / "s.csv"
         out.parent.mkdir()
-        assert main(["sample", "--spec", str(result_file), "--n", "9", "--out", str(out)]) == 2
+        argv = ["sample", "--spec", str(result_file), "--n", "9", "--chunk-size", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
         assert "disk full" in capsys.readouterr().err
         assert list(out.parent.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+def _failing_chunks(monkeypatch, exc: BaseException) -> None:
+    """Make every chunk after the first raise ``exc``, in whichever process draws it."""
+    chunker = mg.sampling._chunker
+
+    def failing_chunker(spec, seed):
+        chunk = chunker(spec, seed)
+
+        def failing(start, m):
+            if start:
+                raise exc
+            return chunk(start, m)
+
+        return failing
+
+    monkeypatch.setattr(mg.sampling, "_chunker", failing_chunker)
+
+
+class TestSampleWorkers:
+    """``sample`` draws chunks in forked workers; the bytes never depend on how many."""
+
+    @STREAM_SPECS
+    @pytest.mark.parametrize("chunk", ["1", "7", None])
+    def test_bytes_equal_serial_for_every_worker_count(
+        self, spec, chunk, tmp_path, monkeypatch, capsys
+    ):
+        # a default chunk of 39 to 64 observations, so n=200 is at least 3 chunks
+        monkeypatch.setattr(mg.sampling, "CHUNK_WORDS", 512)
+        spec_path = tmp_path / "spec.json"
+        fileio.dump_json(spec.to_json_dict(), spec_path)
+        argv = ["sample", "--spec", str(spec_path), "--n", "200", "--seed", "5"]
+        argv += ["--chunk-size", chunk] if chunk else []
+        outputs = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"s{cpus}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), fileio.sidecar_path(out).read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [(DomainError("out of range"), 3, "out of range"), (SystemExit(9), 2, "exited with code 9")],
+        ids=["domain-error", "worker-died"],
+    )
+    def test_worker_error_exits_with_its_code_and_leaves_nothing(
+        self, exc, code, message, tmp_path, result_file, monkeypatch, capsys
+    ):
+        _failing_chunks(monkeypatch, exc)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        out.write_text("old\n")
+        argv = ["sample", "--spec", str(result_file), "--n", "50", "--chunk-size", "3"]
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert sorted(p.name for p in out.parent.iterdir()) == ["s.csv"]
+        assert out.read_text() == "old\n"
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_every_worker(self, tmp_path, result_file, monkeypatch, capsys):
+        # Ctrl-C reaches the parent while the workers draw: they are stopped,
+        # the temporary file is removed, and the interrupt propagates
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(mg.ModelSpec, "fingerprint", interrupted)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        argv = ["sample", "--spec", str(result_file), "--n", "50", "--chunk-size", "3"]
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--out", str(out)])
+        assert list(out.parent.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_two_chunks_per_worker_are_outstanding(self, monkeypatch):
+        from multiprocessing.connection import Connection
+
+        sent = []
+        send = Connection.send
+        # only this process's sends land in this list: a worker appends to its own copy
+        monkeypatch.setattr(Connection, "send", lambda conn, obj: sent.append(obj) or send(conn, obj))
+        _cpus(monkeypatch, 3)
+        spec = mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
+        chunk, starts = mg.sampling._chunk_plan(spec, 100, 8, 4)
+        texts = []
+        with fileio._chunk_texts(chunk, starts, spec.d) as it:
+            time.sleep(0.2)  # a slow sink: the workers may not run further ahead
+            assert sent == [0, 4, 8, 12, 16, 20]
+            for i, text in enumerate(it):
+                assert len(sent) - i <= 6  # sent but not yet written, this text included
+                texts.append(text)
+        assert sent == list(starts)
+        assert "".join(texts) == "".join(fileio._csv_pieces(mg.sample_batch(spec, 100, 8).data, 3))
+        assert multiprocessing.active_children() == []
+
+    def test_multiprocessing_is_imported_only_to_fork(self, tmp_path, result_file):
+        # importing it costs every start-up about 20 ms, so the CLI's import
+        # and a serial sample leave it out
+        code = (
+            "import os, sys; from mevgen.cli import main\n"
+            "imported = 'multiprocessing' in sys.modules\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            f"assert main(['sample', '--spec', {str(result_file)!r}, '--n', '50',"
+            f" '--chunk-size', '3', '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "print(imported, 'multiprocessing' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["False", "False"]
 
 
 class TestCoeffs:
@@ -895,6 +1022,23 @@ class TestRoundTrip:
         expect = np.array(EX2_LAMBDA) / c_used
         off = ~np.eye(4, dtype=bool)
         assert np.allclose(lam[off], expect[off], rtol=0.0, atol=1e-12)
+
+    def test_flag_warning_names_ten_pairs_and_counts_the_rest(self, tmp_path, capsys):
+        # comonotone unit Frechet data against an independence spec: every
+        # pair estimates 1 with zero width, where the exact value is small
+        indep = mg.ModelSpec(alpha=np.zeros((6, 1)), C=1.0)
+        x = mg.sample_batch(indep, 2000, seed=4).data[:, :1]
+        data, spec_path = tmp_path / "s.csv", tmp_path / "indep.json"
+        fileio.write_csv_blocks([np.repeat(x, 6, axis=1)], 6, data, None)
+        fileio.dump_json(indep.to_json_dict(), spec_path)
+        rc = main(["estimate", "--data", str(data), "--u", "0.9", "--spec", str(spec_path)])
+        assert rc == 0
+        out = capsys.readouterr()
+        flagged = json.loads(out.out)["known"]["flagged_pairs"]
+        assert len(flagged) == 30
+        line = next(s for s in out.err.splitlines() if "half-widths" in s)
+        listed = ", ".join(f"({s},{k})" for s, k in flagged[:10])
+        assert line.endswith(f"for 30 pairs: {listed} and 20 more")
 
     def test_sample_then_estimate_passes_flag_check(self, tmp_path, target_file, capsys):
         result = tmp_path / "r.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,29 @@ class TestModelSpec:
         again = mg.ModelSpec.from_json_dict(ex1_spec.to_json_dict())
         assert np.array_equal(again.alpha, ex1_spec.alpha)
         assert again.C == ex1_spec.C
+
+    def test_sparse_file_holds_dense_alpha_once(self):
+        # filling a dense alpha and copying it in the constructor held it twice
+        rng = np.random.default_rng(160)
+        lam = np.triu(rng.uniform(0.0, 1.0 / 159, size=(160, 160)), 1)
+        spec = mg.synthesize(mg.TailDepMatrix(lam + lam.T + np.eye(160))).spec
+        obj = spec.to_json_dict()
+        assert isinstance(obj["alpha"], dict)
+        tracemalloc.start()
+        try:
+            again = mg.ModelSpec.from_json_dict(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.alpha, spec.alpha) and not again.alpha.flags.writeable
+        assert peak < 1.25 * again.alpha.nbytes, (peak, again.alpha.nbytes)
+
+    def test_owned_read_only_alpha_is_held_as_it_is(self):
+        alpha = np.array([[0.5, 0.25], [0.0, 1.0]])
+        alpha.flags.writeable = False
+        assert mg.ModelSpec(alpha=alpha, C=1.0).alpha is alpha
+        view = alpha[:, :1]
+        assert not np.shares_memory(mg.ModelSpec(alpha=view, C=1.0).alpha, alpha)
 
     def test_from_json_rejects_missing_fields(self):
         with pytest.raises(ShapeError):

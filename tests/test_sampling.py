@@ -443,6 +443,14 @@ class TestSampleChunks:
         with pytest.raises(DomainError):
             mg.sample_chunks(ex3_spec, 3, seed=1, chunk_size=2)
 
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 37, 398])
+    def test_chunk_at_any_start_matches_the_stream_oracle(self, start):
+        # 25 words per observation: the starts cover word offsets 0, 1, 2, 3 mod 4
+        spec = all_positive_spec()
+        assert start * (spec.D + spec.d) % 4 == start % 4
+        chunk = mg.sampling._chunker(spec, 21)(start, 3)
+        assert np.array_equal(chunk, one_shot_batch(spec, start + 3, seed=21)[start:])
+
     def test_zero_observations_yield_no_chunks(self, ex3_spec):
         assert list(mg.sample_chunks(ex3_spec, 0, seed=1)) == []
 
