@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .estimation import estimate_tail_dep, theoretical_vs_empirical
 from .model import (
     FEASIBILITY_TOL,
     _log_copula,
+    _pair_log_copulas,
     log_copula,
     log_joint_cdf,
     require_valid_spec,
@@ -100,6 +102,28 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _sigterm_exits():
+    """Make SIGTERM raise ``SystemExit(128 + SIGTERM)`` inside the block.
+
+    Unwinding then removes the temporary output and stops the workers, as
+    Ctrl-C does, where the default action would kill the process on the spot.
+    """
+    import signal  # here only: no other subcommand sets a handler
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = stop
+    with suppress(ValueError):  # handlers can be set from the main thread only
+        previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        if previous is not stop:
+            signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_sample(args) -> int:
     if args.n < 0:
         raise _UsageError(f"--n must be nonnegative, got {args.n}")
@@ -109,7 +133,11 @@ def cmd_sample(args) -> int:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
     spec = fileio.load_spec(args.spec)
     chunk, starts = _chunk_plan(spec, args.n, args.seed, args.chunk_size)
-    with fileio._chunk_texts(chunk, starts, spec.d) as texts:
+
+    def text(start: int) -> str:
+        return "".join(fileio._csv_pieces(chunk(start), spec.d))
+
+    with _sigterm_exits(), fileio._forked_map(text, starts) as texts:
         meta = None
         if not args.no_sidecar:
             fingerprint = spec.fingerprint()  # while the workers draw the first chunks
@@ -163,7 +191,14 @@ def cmd_cdf(args) -> int:
 def cmd_estimate(args) -> int:
     if not 0.0 < args.u < 1.0:
         raise _UsageError(f"--u must lie strictly between 0 and 1, got {args.u}")
-    data = fileio.read_csv(args.data)
+    spec = spec_error = None
+    with fileio._parsing_csv(args.data) as read:
+        if args.spec is not None:  # while the workers parse; its errors come after the CSV's
+            try:
+                spec = fileio.load_spec(args.spec)
+            except Exception as exc:
+                spec_error = exc
+        data = read()
     data.flags.writeable = False  # the batch below takes it without a copy
     meta = fileio.load_sidecar(args.data)
     if meta is not None and meta["n"] != data.shape[0]:
@@ -177,9 +212,9 @@ def cmd_estimate(args) -> int:
     fingerprint = meta["spec_fingerprint"] if meta else ""
     digest = meta.get("spec_digest") if meta else None
 
-    spec = None
-    if args.spec is not None:
-        spec = fileio.load_spec(args.spec)
+    if spec_error is not None:
+        raise spec_error
+    if spec is not None:
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
             digest = spec.digest(fingerprint)  # binds the empty fingerprint to this spec
@@ -282,10 +317,8 @@ def cmd_check(args) -> int:
 
     worst_diag = 0.0
     for s in range(spec.d - 1):
-        for k in range(s + 1, spec.d):
-            u = np.ones(spec.d)
-            u[[s, k]] = np.exp(-1.0)
-            worst_diag = max(worst_diag, abs(2.0 + _log_copula(spec, u, slack) - lam[s, k]))
+        deviation = np.abs(2.0 + _pair_log_copulas(spec, slack, s) - lam[s, s + 1 :])
+        worst_diag = max(worst_diag, float(deviation.max()))
     checks.append(
         (
             "pairwise coefficients match the bivariate copula diagonal",

@@ -15,19 +15,21 @@ Rows are formatted by one function, :func:`_csv_pieces`: one ``%`` over a
 row format repeated once per row, at most ``_FORMAT_VALUES`` values per
 call, which gives the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
 A target that is absent or a regular file is written as a temporary file
-next to it and moved into place only when complete; a symlink, pipe or
-device is written through directly.  The old sidecar is removed first and
-the new one written last, so a sidecar never describes other data than the
-CSV beside it.
+``.<name>.<pid>.tmp`` next to it and moved into place only when complete; a
+symlink, pipe or device is written through directly.  A temporary file whose
+pid no longer runs, left by a writer that was killed, is removed by the next
+write to the same target.  The old sidecar is removed first and the new one
+written last, so a sidecar never describes other data than the CSV beside it.
 
-The ``sample`` subcommand draws and formats its chunks in parallel with
-:func:`_chunk_texts`: one forked worker per CPU in the affinity mask (at
-most one per chunk), each mapping the same per-chunk function and the same
-:func:`_csv_pieces` as the serial path.  Chunk i goes to worker i mod w and
-the parent reads the texts back in chunk order, so the bytes never depend
-on the number of workers.  At most two chunks per worker are sent ahead of
-the writer, so memory stays O(workers x chunk) however slow the target is.
-With one CPU, one chunk or no ``fork``, the chunks are mapped in process.
+Work that splits into independent items runs on every CPU through one fork
+map, :func:`_forked_map`: one forked worker per CPU in the affinity mask (at
+most one per item), each running the same function as the serial path.  Item
+i goes to worker i mod w and the parent reads the results back in item
+order, so the output never depends on the number of workers.  At most two
+items per worker are sent ahead of the reader, so memory stays O(workers x
+item) however slow the reader is.  With one CPU, one item or no ``fork``, the
+items are mapped in process.  ``sample`` maps it over its chunks (drawing
+and formatting each); the CSV reader maps it over byte ranges.
 
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
@@ -36,22 +38,34 @@ Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
 chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
 CSV reading has a fast path and a fallback.  After the header check,
-``np.loadtxt`` parses the whole body; its result is kept when it has d
-columns and every value is finite.  Otherwise, or when it raises, the file
-is read again line by line, which accepts exactly the same files and is the
-one source of the ``CsvFormatError`` line messages.
+``np.loadtxt`` parses the body; its result is kept when it has d columns and
+every value is finite.  Otherwise, or when it raises, the file is read again
+line by line, which accepts exactly the same files and is the one source of
+the ``CsvFormatError`` line messages.  A body of at least two
+``_RANGE_BYTES`` (2 MiB) is split just after newlines into ``min(CPUs, bytes
+// 2 MiB)`` byte ranges, and the fork map parses each range on the fast path
+in a worker that reads only its range from the file.  ``loadtxt`` parses
+each line on its own, so the ranges' rows, concatenated in order, are the
+rows of the whole body.  If any range fails the fast path, the whole file
+goes through the serial path above, so the accepted files, the values and
+the errors are those of a one-CPU read.  :func:`_parsing_csv` starts the
+workers and returns while they parse, so ``estimate`` loads its spec
+meanwhile.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import stat
 import warnings
 from contextlib import contextmanager
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +77,12 @@ from .synthesis import SynthesisResult
 #: Values formatted per ``%`` call when writing CSV; a large block is split
 #: so that its text and Python floats stay a few MB.
 _FORMAT_VALUES = 2**16
+
+#: Least body bytes per range when a CSV body is parsed on several CPUs:
+#: a body is split into ``min(CPUs, bytes // _RANGE_BYTES)`` ranges, and
+#: with fewer than two it is parsed in process, where a fork would cost
+#: more than it saves.
+_RANGE_BYTES = 2**21
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -167,6 +187,8 @@ def _write_csv_text(texts: Iterable[str], d: int, path, meta: dict | None) -> No
         atomic = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         atomic = True
+    if atomic:
+        _remove_dead_temps(path)
     target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if atomic else path
     try:
         with open(target, "w", encoding="ascii", newline="\n") as fh:
@@ -183,54 +205,86 @@ def _write_csv_text(texts: Iterable[str], d: int, path, meta: dict | None) -> No
         dump_json(meta, sidecar_path(path))
 
 
+def _remove_dead_temps(path: Path) -> None:
+    """Delete the ``.<name>.<pid>.tmp`` files next to ``path`` whose pid no longer runs.
+
+    A writer killed outright (SIGKILL) leaves its temporary file behind; the
+    next write to the same path removes it.  A pid that still runs, ours or
+    another user's, keeps its file.
+    """
+    temp = re.compile(re.escape(f".{path.name}.") + r"([0-9]{1,9})\.tmp")
+    try:
+        names = os.listdir(path.parent)
+    except OSError:
+        return  # an unlistable directory: nothing to tidy, and the write decides
+    for name in names:
+        if (match := temp.fullmatch(name)) is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            (path.parent / name).unlink(missing_ok=True)
+        except OSError:
+            pass  # alive under another user
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 @contextmanager
-def _chunk_texts(chunk: Callable[[int], np.ndarray], starts: range, d: int):
-    """Yield an iterator of the CSV text of ``chunk(start)`` for each start, in order.
+def _forked_map(job: Callable, items: Sequence):
+    """Yield an iterator of ``job(item)`` for each of ``items``, in order.
 
-    The texts are made by ``min(CPUs, len(starts))`` forked workers, each
-    running ``chunk`` and :func:`_csv_pieces`, while the body of the ``with``
-    block runs; with one worker or without ``fork`` they are made in this
-    process as the iterator is read.  An error in a worker is raised again
-    here, and on leaving the block every worker has been stopped and reaped.
+    The results are made by ``min(CPUs, len(items))`` forked workers while
+    the body of the ``with`` block runs; with one worker or without ``fork``
+    they are made in this process as the iterator is read.  An error in a
+    worker is raised again here, and on leaving the block every worker has
+    been stopped and reaped.
 
-    ``chunk`` and what it reads are inherited by the fork, not pickled; only
-    starts and texts cross the pipes.  Python 3.12 and later issue a
+    ``job`` and what it reads are inherited by the fork, not pickled; only
+    items and results cross the pipes.  Python 3.12 and later issue a
     ``DeprecationWarning`` when a process with more than one thread forks,
     and numpy's OpenBLAS thread pool gives this process two.  The workers
     call no BLAS routine and start no thread, so no lock a missing thread
     held is ever waited on.
     """
-
-    def job(start: int) -> str:
-        return "".join(_csv_pieces(chunk(start), d))
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(starts))
+    workers = min(_cpu_count(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
-        yield map(job, starts)
+        yield map(job, items)
         return
     import multiprocessing  # here only: importing it costs every other run ~20 ms
+    import signal
 
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
     try:
-        for _ in range(workers):
-            conn, child_end = ctx.Pipe()
-            conns.append(conn)
-            # the worker closes its copies of the parent's ends, so that it
-            # sees EOF if the parent dies
-            proc = ctx.Process(target=_serve, args=(child_end, job, conns), daemon=True)
-            proc.start()
-            procs.append(proc)
-            child_end.close()
-        # the workers start on the first chunks while the with block runs
-        tasks = enumerate(starts)
-        for i, start in islice(tasks, 2 * workers):
-            _send(conns[i % workers], start)
-        yield _in_order(conns, procs, tasks, len(starts))
+        # A worker inherits this process's handlers, which may raise, until
+        # _serve resets them; with both signals blocked across the forks, one
+        # that comes early waits for the reset instead of unwinding the fork
+        # or being dropped by it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            for _ in range(workers):
+                conn, child_end = ctx.Pipe()
+                conns.append(conn)
+                # the worker closes its copies of the parent's ends, so that
+                # it sees EOF if the parent dies
+                proc = ctx.Process(target=_serve, args=(child_end, job, conns), daemon=True)
+                proc.start()
+                procs.append(proc)
+                child_end.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # the workers start on the first items while the with block runs
+        tasks = enumerate(items)
+        for i, item in islice(tasks, 2 * workers):
+            _send(conns[i % workers], item)
+        yield _in_order(conns, procs, tasks, len(items))
     finally:
         for proc in procs:
             proc.terminate()
@@ -240,20 +294,22 @@ def _chunk_texts(chunk: Callable[[int], np.ndarray], starts: range, d: int):
             conn.close()
 
 
-def _serve(conn, job: Callable[[int], str], parent_ends: list) -> None:
-    """A worker's loop: answer each start read from ``conn`` with ``job(start)``."""
-    import signal  # multiprocessing has loaded it; the CLI's start-up does not
+def _serve(conn, job: Callable, parent_ends: list) -> None:
+    """A worker's loop: answer each item read from ``conn`` with ``job(item)``."""
+    import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops us
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent's handler may raise
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})  # see _forked_map
     for end in parent_ends:
         end.close()
     while True:
         try:
-            start = conn.recv()
+            item = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, job(start))
+            reply = (True, job(item))
         except Exception as exc:
             reply = (False, exc)
         try:
@@ -262,36 +318,34 @@ def _serve(conn, job: Callable[[int], str], parent_ends: list) -> None:
             return  # the parent has died
 
 
-def _in_order(conns: list, procs: list, tasks: Iterator, count: int) -> Iterator[str]:
-    """The texts of ``count`` chunks from the workers, in chunk order.
+def _in_order(conns: list, procs: list, tasks: Iterator, count: int) -> Iterator:
+    """The results of ``count`` items from the workers, in item order.
 
-    Chunk i goes to worker i mod w.  The first ``2 * w`` chunks have been
-    sent; each further chunk of ``tasks``, an iterator of (i, start), is sent
-    once the caller is done with a text, so at most ``2 * w`` chunks are sent
-    and not yet written.
+    Item i goes to worker i mod w.  The first ``2 * w`` items have been
+    sent; each further item of ``tasks``, an iterator of (i, item), is sent
+    once the caller is done with a result, so at most ``2 * w`` items are
+    sent and not yet consumed.
     """
     w = len(conns)
     for i in range(count):
         try:
             ok, value = conns[i % w].recv()
-        except (EOFError, ConnectionError):  # reset when it died with starts unread
+        except (EOFError, ConnectionError):  # reset when it died with items unread
             proc = procs[i % w]
             proc.join()
-            raise ChildProcessError(
-                f"sampling worker {proc.pid} exited with code {proc.exitcode}"
-            ) from None
+            raise ChildProcessError(f"worker {proc.pid} exited with code {proc.exitcode}") from None
         if not ok:
             raise value
         yield value
-        for j, start in islice(tasks, 1):
-            _send(conns[j % w], start)
+        for j, item in islice(tasks, 1):
+            _send(conns[j % w], item)
 
 
-def _send(conn, start: int) -> None:
+def _send(conn, item) -> None:
     try:
-        conn.send(start)
+        conn.send(item)
     except ConnectionError:
-        pass  # the worker has died: reading its next text reports how
+        pass  # the worker has died: reading its next result reports how
 
 
 def read_csv(path) -> np.ndarray:
@@ -300,26 +354,119 @@ def read_csv(path) -> np.ndarray:
     The header fixes d.  Raises CsvFormatError naming the first bad line
     (1-based, header included) on width or parse problems.
     """
+    with _parsing_csv(path) as read:
+        return read()
+
+
+@contextmanager
+def _parsing_csv(path):
+    """Start parsing the CSV at ``path``; yield ``read()``, which returns :func:`read_csv`'s result.
+
+    A large body is parsed by forked workers, one range each, while the body
+    of the ``with`` block runs; otherwise ``read()`` parses it in process.
+    Either way ``read()`` returns the same array and raises the same errors,
+    and on leaving the block every worker has been stopped and reaped.
+    """
+    plan = _body_ranges(path)
+    if plan is None:
+        yield lambda: _read_serial(path)
+        return
+    d, ranges = plan
+    with _forked_map(partial(_parse_range, path, d), ranges) as parts:
+
+        def read() -> np.ndarray:
+            blocks = list(parts)
+            if any(block is None for block in blocks):
+                return _read_serial(path)
+            return np.concatenate(blocks)
+
+        yield read
+
+
+def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
+    """The header's width and the line-aligned byte ranges of the body, or None.
+
+    None means parse in process: fewer than two ranges of ``_RANGE_BYTES``
+    for the CPUs, no regular file at ``path``, or a header that is not
+    plainly valid UTF-8 ``x1,...,xd`` (the serial path then says what is
+    wrong).  Each range but the last ends just after a newline; the last ends
+    at the end of the file.
+    """
+    try:
+        info = os.stat(path)  # not open: a pipe is opened once, by the reader that reads it
+    except OSError:
+        return None
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        lo, size = len(header), info.st_size
+        count = min(_cpu_count(), (size - lo) // _RANGE_BYTES)
+        if count < 2:
+            return None
+        try:
+            text = header.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        # text mode would also end the header at a lone "\r"
+        d = None if "\r" in text.rstrip("\r\n") else _header_width(text)
+        if d is None:
+            return None
+        bounds = [lo]
+        for i in range(1, count):
+            fh.seek(lo + i * (size - lo) // count - 1)
+            fh.readline()  # to just after the next "\n"
+            bounds.append(max(fh.tell(), bounds[-1]))
+        bounds.append(size)
+    return d, list(zip(bounds[:-1], bounds[1:]))
+
+
+def _parse_range(path, d: int, span: tuple[int, int]) -> np.ndarray | None:
+    """The rows of bytes ``span`` of the CSV at ``path`` by the fast path, or None.
+
+    A range without rows gives ``loadtxt``'s (0, 1): None for d > 1, and no
+    rows to add for d = 1.
+    """
+    lo, hi = span
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        raw = fh.read(hi - lo)
+    return _fast_parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), d)
+
+
+def _read_serial(path) -> np.ndarray:
+    """:func:`read_csv` in this process: the fast path, else the line parser."""
     with _utf8_text(path) as fh:
         header = fh.readline()
         if not header:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
-        names = header.strip().split(",")
-        if names != [f"x{i + 1}" for i in range(len(names))]:
+        d = _header_width(header)
+        if d is None:
             raise CsvFormatError(f"{path}: line 1: malformed header {header.strip()!r}")
-        d = len(names)
-        try:
-            # comments=None: with numpy's default "#", "1,2#x" would parse as 1,2
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[1] == d and np.isfinite(data).all():
+        data = _fast_parse(fh, d)
+        if data is not None:
             return data
         fh.seek(0)
         fh.readline()
         return _parse_lines(fh, path, d)
+
+
+def _header_width(header: str) -> int | None:
+    """d for a header line ``x1,...,xd``, else None."""
+    names = header.strip().split(",")
+    return len(names) if names == [f"x{i + 1}" for i in range(len(names))] else None
+
+
+def _fast_parse(fh, d: int) -> np.ndarray | None:
+    """``np.loadtxt`` of the rest of ``fh`` if it gives d columns of finite values, else None."""
+    try:
+        # comments=None: with numpy's default "#", "1,2#x" would parse as 1,2
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == d and np.isfinite(data).all() else None
 
 
 def _parse_lines(fh, path, d: int) -> np.ndarray:

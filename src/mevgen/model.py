@@ -251,7 +251,7 @@ def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
             f"v {len(vals)}"
         )
     for name, idx, bound in (("i", rows, d), ("j", cols, big_d)):
-        if not all(type(x) is int for x in idx):
+        if not set(map(type, idx)) <= {int}:
             raise ShapeError(f"sparse alpha indices {name} must be integers")
         if idx and (min(idx) < 0 or max(idx) >= bound):
             raise ShapeError(f"sparse alpha index {name} outside [0, {bound})")
@@ -460,6 +460,21 @@ def _log_copula(spec: ModelSpec, u, slack: np.ndarray) -> float:
     below = np.flatnonzero(uv < 1)
     shared = (spec.alpha[below] * v[below, None]).max(axis=0, initial=0.0).sum()
     own = (slack * v).sum()
+    return -(shared + own) / spec.C
+
+
+def _pair_log_copulas(spec: ModelSpec, slack: np.ndarray, s: int) -> np.ndarray:
+    """:func:`_log_copula` at the points ``u_s = u_k = 1/e``, every other u 1, for each k > s.
+
+    The same floats as one call per point: ``-log(1/e)`` is ``v0``, the
+    shared term takes the same products, the same maxima from 0 in the same
+    order and the same pairwise sum along D, and in the own term every other
+    margin contributes -0.0, so its sum is ``slack[s] * v0 + slack[k] * v0``.
+    """
+    v0 = -np.log(np.exp(-1.0))
+    alpha = spec.alpha
+    shared = np.maximum(np.maximum(0.0, alpha[s] * v0), alpha[s + 1 :] * v0).sum(axis=1)
+    own = slack[s] * v0 + slack[s + 1 :] * v0
     return -(shared + own) / spec.C
 
 

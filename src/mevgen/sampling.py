@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.random import Philox
 
 from .errors import DomainError, ShapeError
 from .model import ModelSpec, require_valid_spec
@@ -295,6 +294,8 @@ def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
     new (m, d) array.  It positions a fresh Philox generator at word
     ``w = start * (D + d)``, so it depends on no chunk drawn before it.
     """
+    from numpy.random import Philox  # here only: importing numpy.random costs every run ~13 ms
+
     d, big_d = spec.d, spec.D
     slack = spec.slacks()
     own_margins = np.flatnonzero(slack > 0)

@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -369,6 +370,30 @@ class TestSampleWorkers:
         assert list(out.parent.iterdir()) == []
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_stopped_before_it_serves_dies_by_the_signal(self):
+        # A worker inherits sample's SIGTERM handler, which raises; run in a
+        # worker that has not reset it yet, it would unwind the fork itself,
+        # and the parent could wait for that worker forever.
+        code = (
+            "import multiprocessing, os, signal, time\n"
+            "from mevgen import fileio\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "serve = fileio._serve\n"
+            "fileio._serve = lambda *args: time.sleep(0.3) or serve(*args)\n"
+            "def stop(signum, frame):\n"
+            "    raise SystemExit(143)\n"
+            "signal.signal(signal.SIGTERM, stop)\n"
+            "with fileio._forked_map(str, range(4)):\n"
+            "    workers = multiprocessing.active_children()\n"
+            "print(sorted(w.exitcode for w in workers))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"[{-signal.SIGTERM}, {-signal.SIGTERM}]"
+
     def test_at_most_two_chunks_per_worker_are_outstanding(self, monkeypatch):
         from multiprocessing.connection import Connection
 
@@ -380,7 +405,11 @@ class TestSampleWorkers:
         spec = mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
         chunk, starts = mg.sampling._chunk_plan(spec, 100, 8, 4)
         texts = []
-        with fileio._chunk_texts(chunk, starts, spec.d) as it:
+
+        def job(start):
+            return "".join(fileio._csv_pieces(chunk(start), spec.d))
+
+        with fileio._forked_map(job, starts) as it:
             time.sleep(0.2)  # a slow sink: the workers may not run further ahead
             assert sent == [0, 4, 8, 12, 16, 20]
             for i, text in enumerate(it):
@@ -405,6 +434,209 @@ class TestSampleWorkers:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["False", "False"]
+
+
+_SLOW_SAMPLE = """
+import multiprocessing, os, sys, time
+import mevgen.sampling as sampling
+from mevgen.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+chunker = sampling._chunker
+
+
+def slow_chunker(spec, seed):
+    chunk = chunker(spec, seed)
+
+    def slow(start, m):
+        time.sleep(0.01)
+        return chunk(start, m)
+
+    return slow
+
+
+sampling._chunker = slow_chunker
+try:
+    main(["sample", "--spec", sys.argv[1], "--n", "100000", "--chunk-size", "10",
+          "--out", sys.argv[2]])
+finally:
+    print("children", multiprocessing.active_children(), flush=True)
+"""
+
+
+def _start_slow_sample(spec, out: Path) -> tuple[subprocess.Popen, Path]:
+    """Start a ``sample`` that takes about a minute; return it once its temp file has data."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_SAMPLE, str(spec), str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    temp = out.with_name(f".{out.name}.{proc.pid}.tmp")
+    deadline = time.monotonic() + 60
+    while not (temp.exists() and temp.stat().st_size > 100):
+        assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+        time.sleep(0.02)
+    return proc, temp
+
+
+class TestKilledSample:
+    """A ``sample`` ended by a signal leaves no temporary file behind for long."""
+
+    def test_sigterm_removes_the_temp_file_and_stops_the_workers(self, tmp_path, result_file):
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        proc, _ = _start_slow_sample(result_file, out)
+        proc.terminate()
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 143, stderr
+        assert "Traceback" not in stderr
+        assert stdout.split("\n")[-2] == "children []"
+        assert list(out.parent.iterdir()) == []
+
+    def test_the_next_write_removes_a_killed_writers_temp_file(self, tmp_path, result_file):
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        proc, temp = _start_slow_sample(result_file, out)
+        proc.kill()
+        proc.communicate(timeout=60)
+        assert temp.exists()
+        # the file of a live pid (1, the init process) and names that are no
+        # writer's temp file for this path stay
+        kept = [".s.csv.1.tmp", ".s.csv.x.tmp", ".s.csv..tmp", ".t.csv.999999999.tmp"]
+        for name in kept:
+            (out.parent / name).write_text("")
+        argv = ["sample", "--spec", str(result_file), "--n", "10", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        names = sorted(p.name for p in out.parent.iterdir())
+        assert names == sorted(kept + ["s.csv", "s.csv.meta.json"])
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_numpy_random_and_multiprocessing(self):
+        code = (
+            "import sys, mevgen.cli\n"
+            "print([m for m in ('numpy.random', 'multiprocessing') if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def _split_reads(monkeypatch, cpus: int, range_bytes: int = 2**16) -> None:
+    """Make the CSV reader see ``cpus`` CPUs and split bodies every ``range_bytes`` bytes."""
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(fileio, "_RANGE_BYTES", range_bytes)
+
+
+class TestParallelEstimate:
+    """``estimate`` and ``plot`` parse on every CPU with the output and errors of one."""
+
+    def _run(self, argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_report_and_svg_do_not_depend_on_the_cpu_count(
+        self, samples_file, result_file, tmp_path, monkeypatch, capsys
+    ):
+        outputs = []
+        for cpus in (1, 2, 3):
+            _split_reads(monkeypatch, cpus)
+            est, svg = tmp_path / f"e{cpus}.json", tmp_path / f"p{cpus}.svg"
+            argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
+            assert main([*argv, "--spec", str(result_file), "--out", str(est)]) == 0
+            assert main(["plot", "--data", str(samples_file), "--out", str(svg)]) == 0
+            outputs.append((est.read_bytes(), svg.read_bytes()))
+        assert len(fileio._body_ranges(samples_file)[1]) == 3
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_the_spec_loads_while_the_workers_parse(
+        self, samples_file, result_file, monkeypatch, capsys
+    ):
+        _split_reads(monkeypatch, 2)
+        running = []
+        load_spec = fileio.load_spec
+        monkeypatch.setattr(
+            fileio,
+            "load_spec",
+            lambda path: running.append(len(multiprocessing.active_children())) or load_spec(path),
+        )
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        assert self._run(argv, capsys)[0] == 0
+        assert running == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"7,x,1", b"7,8", b"inf,8,9", b"7,8,\xff"],
+        ids=["bad-value", "field-count", "inf", "non-utf8"],
+    )
+    def test_bad_line_in_the_second_range_exits_as_in_process(
+        self, bad, samples_file, result_file, monkeypatch, capsys
+    ):
+        lines = samples_file.read_bytes().split(b"\n")
+        lines.insert(3 * len(lines) // 4, bad)
+        samples_file.write_bytes(b"\n".join(lines))
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        results = []
+        for cpus in (1, 2):
+            _split_reads(monkeypatch, cpus)
+            results.append(self._run(argv, capsys))
+        assert results[0][0] == 2 and "Traceback" not in results[0][2]
+        assert results[1] == results[0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "csv_fault, spec_fault, code, message",
+        [
+            ("row", "shape", 2, "line 3"),
+            ("row", "json", 2, "line 3"),
+            ("count", "shape", 4, "sidecar records n="),
+            ("empty", "json", 2, "holds no observations"),
+            (None, "shape", 3, "alpha"),
+            (None, "json", 2, "JSON parse failure"),
+        ],
+    )
+    def test_errors_keep_their_order_csv_then_sidecar_then_spec(
+        self, csv_fault, spec_fault, code, message, samples_file, tmp_path, monkeypatch, capsys
+    ):
+        lines = samples_file.read_bytes().split(b"\n")
+        if csv_fault == "row":
+            lines[2] = b"1,2"
+        elif csv_fault == "count":
+            del lines[5]
+        elif csv_fault == "empty":
+            lines = [lines[0], b""]
+            fileio.sidecar_path(samples_file).unlink()
+        samples_file.write_bytes(b"\n".join(lines))
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text('{"d": 3, "D": 1, "C": 1.0}' if spec_fault == "shape" else "{")
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(spec)]
+        results = []
+        for cpus in (1, 2):
+            _split_reads(monkeypatch, cpus)
+            results.append(self._run(argv, capsys))
+        assert results[0][0] == code and message in results[0][2], results[0]
+        assert results[1] == results[0]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_during_the_spec_load_stops_every_worker(
+        self, samples_file, result_file, monkeypatch
+    ):
+        _split_reads(monkeypatch, 2)
+
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fileio, "load_spec", interrupted)
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert multiprocessing.active_children() == []
 
 
 class TestCoeffs:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import stat
+import threading
 import warnings
 
 import numpy as np
@@ -293,6 +295,162 @@ class TestCsv:
             again = fileio.read_csv(path)
             assert again.shape == expected.shape
             assert again.tobytes() == expected.tobytes()
+
+
+def _split_reads(monkeypatch, cpus: int, range_bytes: int) -> None:
+    """Make the CSV reader see ``cpus`` CPUs and split bodies every ``range_bytes`` bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(fileio, "_RANGE_BYTES", range_bytes)
+
+
+def _outcome(path):
+    """``read_csv``'s array, or the type and text of its error."""
+    try:
+        return fileio.read_csv(path)
+    except (CsvFormatError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _second_range_body(bad: bytes, rows: int = 40) -> bytes:
+    """A two-column body of ``rows`` good lines with ``bad`` in the middle of the second half."""
+    good = [b"%d.25,%d" % (i, i + 1) for i in range(rows)]
+    return b"\n".join(good[: 3 * rows // 4] + [bad] + good[3 * rows // 4 :]) + b"\n"
+
+
+class TestParallelRead:
+    """A large body is parsed in line-aligned ranges on every CPU, with today's results."""
+
+    def test_ranges_end_at_line_ends(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + _second_range_body(b"7,8", rows=200))
+        _split_reads(monkeypatch, 3, 64)
+        d, ranges = fileio._body_ranges(path)
+        raw = path.read_bytes()
+        assert d == 2 and len(ranges) == 3
+        assert ranges[0][0] == len(b"x1,x2\n") and ranges[-1][1] == len(raw)
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert hi == lo and raw[hi - 1 : hi] == b"\n"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_arrays_equal_the_in_process_read_bitwise(self, tmp_path, monkeypatch, cpus):
+        data = np.random.default_rng(3).standard_normal((500, 4)) * 1e5
+        path = tmp_path / "s.csv"
+        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        _split_reads(monkeypatch, cpus, 4096)
+        assert len(fileio._body_ranges(path)[1]) == cpus
+        again = fileio.read_csv(path)
+        assert again.dtype == np.float64 and again.flags.c_contiguous
+        assert again.tobytes() == data.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"1,2\n\n" * 300 + b"\n \n3,4\n",
+            b"1,2\r\n" * 300 + b"3,4\r\n",
+            b"1,2\n" * 300 + b"3,4",
+            b"1,2\n" + b"\n" * 600 + b"3,4\n",  # a range of blank lines only
+            b"1,2\r" * 300 + b"3,4\n",
+            b"1\n" + b"\n" * 600 + b"3\n",  # one column: the blank range adds no rows
+        ],
+        ids=["blank-lines", "crlf", "no-final-newline", "blank-range", "lone-cr", "one-column"],
+    )
+    def test_edge_layouts_read_as_in_process(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes((b"x1\n" if body.startswith(b"1\n") else b"x1,x2\n") + body)
+        _split_reads(monkeypatch, 1, 128)
+        expected = fileio.read_csv(path)
+        _split_reads(monkeypatch, 3, 128)
+        assert len(fileio._body_ranges(path)[1]) == 3
+        again = fileio.read_csv(path)
+        assert again.shape == expected.shape and again.tobytes() == expected.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"7,x", b"7,8,9", b"7", b"inf,8", b"7,nan", b"7,\xff"],
+        ids=["bad-value", "extra-field", "missing-field", "inf", "nan", "non-utf8"],
+    )
+    def test_bad_line_in_the_second_range_gives_the_same_error(self, tmp_path, monkeypatch, bad):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + _second_range_body(bad, rows=400))
+        _split_reads(monkeypatch, 1, 1024)
+        expected = _outcome(path)
+        assert isinstance(expected, tuple)
+        _split_reads(monkeypatch, 2, 1024)
+        (lo, _), (mid, _) = fileio._body_ranges(path)[1]
+        assert path.read_bytes().index(b"\n" + bad + b"\n") >= mid > lo
+        assert _outcome(path) == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"x1,x3\n", b"\rx1,x2\n", b"x1\r,x2\n", b"\xffx1,x2\n", b"x1,x2"],
+        ids=["bad-name", "leading-cr", "inner-cr", "non-utf8", "header-only"],
+    )
+    def test_odd_headers_read_in_process(self, tmp_path, monkeypatch, header):
+        path = tmp_path / "s.csv"
+        path.write_bytes(header + b"1,2\n" * 2000 if header.endswith(b"\n") else header)
+        _split_reads(monkeypatch, 1, 1024)
+        expected = _outcome(path)
+        _split_reads(monkeypatch, 2, 1024)
+        assert fileio._body_ranges(path) is None
+        outcome = _outcome(path)
+        if isinstance(expected, tuple):
+            assert outcome == expected
+        else:
+            assert outcome.tobytes() == expected.tobytes()
+
+    def test_a_named_pipe_is_opened_once_and_read_in_process(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        _split_reads(monkeypatch, 2, 1000)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(b"x1,x2\n" + b"1.5,2\n" * 2000)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        data = fileio.read_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert data.shape == (2000, 2) and np.all(data == [1.5, 2])
+
+    def test_small_bodies_and_one_cpu_stay_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)  # 4000 body bytes
+        _split_reads(monkeypatch, 2, 2001)
+        assert fileio._body_ranges(path) is None
+        _split_reads(monkeypatch, 1, 1000)
+        assert fileio._body_ranges(path) is None
+        _split_reads(monkeypatch, 2, 2000)
+        assert len(fileio._body_ranges(path)[1]) == 2
+
+    def test_a_worker_error_is_raised_and_every_worker_reaped(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)
+        _split_reads(monkeypatch, 2, 1000)
+        parse = fileio._parse_range
+
+        def failing(path, d, span):
+            if span[0] > len(b"x1,x2\n"):
+                raise OSError("read failed")
+            return parse(path, d, span)
+
+        monkeypatch.setattr(fileio, "_parse_range", failing)
+        with pytest.raises(OSError, match="read failed"):
+            fileio.read_csv(path)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_while_parsing_reaps_every_worker(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)
+        _split_reads(monkeypatch, 2, 1000)
+        with pytest.raises(KeyboardInterrupt):
+            with fileio._parsing_csv(path):
+                raise KeyboardInterrupt
+        assert multiprocessing.active_children() == []
 
 
 class TestCsvWriter:

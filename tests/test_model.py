@@ -563,3 +563,39 @@ class TestCopulaProperties:
             val = mg.copula(spec, u)
             assert val <= np.min(u) + 1e-12
             assert val >= np.prod(u) - 1e-12
+
+
+class TestPairLogCopulas:
+    """``check``'s batched pair points give ``_log_copula``'s floats bitwise."""
+
+    @staticmethod
+    def _specs():
+        rng = np.random.default_rng(11)
+        dense = rng.uniform(0.2, 1.0, size=(9, 40))
+        dense *= (rng.uniform(0.5, 0.9, size=9) / dense.sum(axis=1))[:, None]
+        target = np.eye(7)
+        iu = np.triu_indices(7, k=1)
+        target[iu] = rng.uniform(0.01, 1.0 / 6, size=iu[0].size)
+        target[iu[::-1]] = target[iu]
+        synthesized = mg.synthesize(mg.TailDepMatrix(target)).spec
+        # rows of eighths summing to 1 exactly: every slack is 0
+        eighths = rng.integers(0, 3, size=(6, 8)).astype(float)
+        eighths[:, 0] += 8 - eighths.sum(axis=1)
+        zero_slack = mg.ModelSpec(alpha=eighths / 8, C=1.0)
+        return {"dense-rows": mg.ModelSpec(alpha=dense, C=1.0), "sparse-rows": synthesized,
+                "zero-slacks": zero_slack}
+
+    @pytest.mark.parametrize("name", ["dense-rows", "sparse-rows", "zero-slacks"])
+    def test_equals_one_call_per_point_bitwise(self, name):
+        spec = self._specs()[name]
+        slack = spec.slacks()
+        if name == "zero-slacks":
+            assert not slack.any()
+        for s in range(spec.d - 1):
+            expected = []
+            for k in range(s + 1, spec.d):
+                u = np.ones(spec.d)
+                u[[s, k]] = np.exp(-1.0)
+                expected.append(mg.model._log_copula(spec, u, slack))
+            batched = mg.model._pair_log_copulas(spec, slack, s)
+            assert batched.tobytes() == np.array(expected).tobytes()
