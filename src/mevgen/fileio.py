@@ -11,9 +11,17 @@ still read.
 :func:`write_csv_blocks` streams: it takes an iterable of (m, d) blocks,
 such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
 and writes each block before it asks for the next, so memory is O(block).
-Rows are formatted by one function, :func:`_csv_pieces`: one ``%`` over a
-row format repeated once per row, at most ``_FORMAT_VALUES`` values per
-call, which gives the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
+Rows are formatted by one function, :func:`_csv_pieces`, as ASCII bytes in
+pieces of at most ``_FORMAT_VALUES`` values; they are the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")``.  A piece whose values all lie in
+[1e-4, 1e16) goes through the vectorized formatter
+:func:`mevgen._csvfmt.format_rows`: there ``%.17g`` writes fixed notation,
+and its 17 digits are x * 10**(16 - k) rounded half-even, computed exactly
+with Dekker's two-product (that module gives the argument), so the bytes are
+the same.  A piece holding any other value (0, a negative, a subnormal, a
+huge value, NaN or inf) is formatted by one ``%`` over a row format repeated
+once per row, which stays the reference.  The formatter is imported on first
+use, so stages that write no CSV never load it.
 A target that is absent or a regular file is written as a temporary file
 ``.<name>.<pid>.tmp`` next to it and moved into place only when complete; a
 symlink, pipe or device is written through directly.  A temporary file whose
@@ -74,9 +82,11 @@ from .model import ModelSpec, TailDepMatrix
 from .sampling import SampleBatch
 from .synthesis import SynthesisResult
 
-#: Values formatted per ``%`` call when writing CSV; a large block is split
-#: so that its text and Python floats stay a few MB.
-_FORMAT_VALUES = 2**16
+#: Values formatted per piece when writing CSV.  About 16k values keep the
+#: vectorized formatter's temporaries small (at 64k they pass the C library's
+#: mmap threshold and page faults rise) and its ~100 numpy calls cheap next
+#: to the work they do.
+_FORMAT_VALUES = 2**14
 
 #: Least body bytes per range when a CSV body is parsed on several CPUs:
 #: a body is split into ``min(CPUs, bytes // _RANGE_BYTES)`` ranges, and
@@ -168,18 +178,23 @@ def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | No
     return rows
 
 
-def _csv_pieces(block: np.ndarray, d: int) -> Iterator[str]:
-    """The CSV rows of an (m, d) block, at most ``_FORMAT_VALUES`` values a piece."""
+def _csv_pieces(block: np.ndarray, d: int) -> Iterator[bytes]:
+    """The CSV rows of an (m, d) block as ASCII, at most ``_FORMAT_VALUES`` values a piece."""
     if block.ndim != 2 or block.shape[1] != d:
         raise ShapeError(f"CSV block of shape {block.shape} does not have {d} columns")
+    from ._csvfmt import format_rows  # here only: the stages that write no CSV never load it
+
     row_fmt = ",".join(["%.17g"] * d) + "\n"
     step = max(1, _FORMAT_VALUES // max(d, 1))
     for lo in range(0, block.shape[0], step):
         part = block[lo : lo + step]
-        yield (row_fmt * part.shape[0]) % tuple(part.ravel().tolist())
+        text = format_rows(part)
+        if text is None:  # a value outside the kernel's range: % is the reference
+            text = ((row_fmt * part.shape[0]) % tuple(part.ravel().tolist())).encode("ascii")
+        yield text
 
 
-def _write_csv_text(texts: Iterable[str], d: int, path, meta: dict | None) -> None:
+def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> None:
     """Write the header and then ``texts`` as the CSV at ``path``, as :func:`write_csv_blocks`."""
     path = Path(path)
     sidecar_path(path).unlink(missing_ok=True)
@@ -191,8 +206,8 @@ def _write_csv_text(texts: Iterable[str], d: int, path, meta: dict | None) -> No
         _remove_dead_temps(path)
     target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if atomic else path
     try:
-        with open(target, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(csv_header(d) + "\n")
+        with open(target, "wb") as fh:
+            fh.write(csv_header(d).encode("ascii") + b"\n")
             for text in texts:
                 fh.write(text)
         if atomic:

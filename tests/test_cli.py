@@ -407,7 +407,7 @@ class TestSampleWorkers:
         texts = []
 
         def job(start):
-            return "".join(fileio._csv_pieces(chunk(start), spec.d))
+            return b"".join(fileio._csv_pieces(chunk(start), spec.d))
 
         with fileio._forked_map(job, starts) as it:
             time.sleep(0.2)  # a slow sink: the workers may not run further ahead
@@ -416,7 +416,7 @@ class TestSampleWorkers:
                 assert len(sent) - i <= 6  # sent but not yet written, this text included
                 texts.append(text)
         assert sent == list(starts)
-        assert "".join(texts) == "".join(fileio._csv_pieces(mg.sample_batch(spec, 100, 8).data, 3))
+        assert b"".join(texts) == b"".join(fileio._csv_pieces(mg.sample_batch(spec, 100, 8).data, 3))
         assert multiprocessing.active_children() == []
 
     def test_multiprocessing_is_imported_only_to_fork(self, tmp_path, result_file):
@@ -516,12 +516,25 @@ class TestStartup:
     def test_cli_import_leaves_out_numpy_random_and_multiprocessing(self):
         code = (
             "import sys, mevgen.cli\n"
-            "print([m for m in ('numpy.random', 'multiprocessing') if m in sys.modules])"
+            "print([m for m in ('numpy.random', 'multiprocessing', 'mevgen._csvfmt')"
+            " if m in sys.modules])"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_check_does_not_import_numpy_random(self, result_file):
+        code = (
+            "import contextlib, io, sys; from mevgen.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['check', '--spec', {str(result_file)!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _split_reads(monkeypatch, cpus: int, range_bytes: int = 2**16) -> None:

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen import fileio
+from mevgen._csvfmt import format_rows
 from mevgen.errors import CsvFormatError, ShapeError
 
 from conftest import EX3_ALPHA, savetxt_bytes
@@ -34,6 +35,16 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+def _percent_rows(block: np.ndarray) -> bytes:
+    """The reference CSV rows of a block: one ``%`` over the row format repeated per row."""
+    m, d = block.shape
+    return ((",".join(["%.17g"] * d) + "\n") * m % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _in_fast_range(x: np.ndarray) -> np.ndarray:
+    return x[(x >= 1e-4) & (x < 1e16)]
 
 
 def _read_reference(path):
@@ -451,6 +462,75 @@ class TestParallelRead:
             with fileio._parsing_csv(path):
                 raise KeyboardInterrupt
         assert multiprocessing.active_children() == []
+
+
+class TestRowFormatter:
+    """``format_rows`` gives the bytes of ``%`` on the values where a digit kernel can slip."""
+
+    @staticmethod
+    def _assert_percent_bytes(values, d: int = 1) -> None:
+        x = np.asarray(values, dtype=np.float64)
+        block = x[: x.size // d * d].reshape(-1, d)
+        assert format_rows(block) == _percent_rows(block)
+
+    def test_log_uniform_values(self):
+        rng = np.random.default_rng(11)
+        x = _in_fast_range(np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 120_000)))
+        for d in (1, 7, 20):
+            self._assert_percent_bytes(x, d)
+
+    def test_full_mantissas_at_every_binary_exponent(self):
+        rng = np.random.default_rng(12)
+        exponents = np.arange(-14, 54)  # 2**-14 < 1e-4 and 1e16 < 2**54
+        mantissas = rng.integers(2**52, 2**53, size=(exponents.size, 300)).astype(np.float64)
+        self._assert_percent_bytes(_in_fast_range(np.ldexp(mantissas, exponents[:, None] - 52)))
+
+    def test_exact_half_ties_round_to_even(self):
+        # x = m / 2**(p + 1) with m odd makes x * 10**p = m * 5**p / 2 a tie, p = 16 - k
+        rng = np.random.default_rng(13)
+        ties = []
+        for k in range(-4, 16):
+            scale = 2.0 ** (17 - k)
+            m = np.floor(rng.uniform(10.0**k, 10.0 ** (k + 1), 300) * scale / 2) * 2 + 1
+            ties.append(m[m < 2**53] / scale)
+        few_bits = np.ldexp(np.arange(1, 2**12, 2, dtype=np.float64)[:, None], np.arange(-26, 42))
+        self._assert_percent_bytes(_in_fast_range(np.concatenate(ties + [few_bits.ravel()])))
+
+    def test_powers_of_ten_their_neighbours_and_the_carry(self):
+        values = []
+        for k in range(-4, 16):
+            p = float(f"1e{k}")
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+            values += [float(f"9.9999999999999999e{k}"), float(f"9.99999999999999995e{k}")]
+        self._assert_percent_bytes(_in_fast_range(np.array(values)))
+
+    def test_integers_from_two_to_the_53(self):
+        rng = np.random.default_rng(14)
+        x = np.concatenate([2.0**53 + 2.0 * np.arange(1000), rng.integers(2**53, 10**16, 5000)])
+        self._assert_percent_bytes(x.astype(np.float64))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, 5e-324, 1e-5, 1e16, -1.0, np.nan, np.inf])
+    def test_a_value_outside_the_range_sends_the_piece_to_percent(self, tmp_path, bad):
+        block = np.full((4, 3), 2.5)
+        block[2, 1] = bad
+        assert format_rows(block) is None
+        assert b"".join(fileio._csv_pieces(block, 3)) == _percent_rows(block)
+        path = tmp_path / "s.csv"
+        fileio.write_csv_blocks([block], 3, path, None)
+        assert path.read_bytes() == b"x1,x2,x3\n" + _percent_rows(block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.integers(1, 6).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 30), st.just(d)),
+                elements=st.floats(1e-4, 1e16, exclude_max=True),
+            )
+        )
+    )
+    def test_any_block_in_range_matches_percent(self, data):
+        assert format_rows(data) == _percent_rows(data)
 
 
 class TestCsvWriter:
