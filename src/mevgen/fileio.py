@@ -45,18 +45,27 @@ and any ``indent`` run the pure-Python one.  Readers take any layout.
 Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
 chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
-CSV reading has a fast path and a fallback.  After the header check,
-``np.loadtxt`` parses the body; its result is kept when it has d columns and
-every value is finite.  Otherwise, or when it raises, the file is read again
-line by line, which accepts exactly the same files and is the one source of
-the ``CsvFormatError`` line messages.  A body of at least two
-``_RANGE_BYTES`` (2 MiB) is split just after newlines into ``min(CPUs, bytes
-// 2 MiB)`` byte ranges, and the fork map parses each range on the fast path
-in a worker that reads only its range from the file.  ``loadtxt`` parses
-each line on its own, so the ranges' rows, concatenated in order, are the
-rows of the whole body.  If any range fails the fast path, the whole file
-goes through the serial path above, so the accepted files, the values and
-the errors are those of a one-CPU read.  :func:`_parsing_csv` starts the
+CSV reading takes three steps.  The file is opened once and read as bytes,
+and after the header check the body goes to the vectorized parser
+:func:`mevgen._csvfmt.parse_rows`, 4 MiB at a time.  It accepts the rows that ``sample``
+writes: only ``[0-9.,\\n]``, d fields per line, each with at most 17
+significant digits and a value in [1e-4, 1e16).  It keeps a value only when
+the value's own 17 digits equal the field's, which makes it the correctly
+rounded value of the field (that module gives the argument), so its arrays
+are bitwise those of ``np.loadtxt``.  A body it declines goes to
+``np.loadtxt``, whose result is kept when it has d columns and every value
+is finite.  Otherwise, or when it raises, the body is read line by line,
+which accepts exactly the same files and is the one source of the
+``CsvFormatError`` line messages.  A body of at least two ``_RANGE_BYTES``
+(2 MiB) is split just after newlines into ``min(CPUs, bytes // 2 MiB)``
+byte ranges, and the fork map parses each range by the parser, else
+``loadtxt``, in a worker that reads only its range from the file and writes
+its rows into its slot of one shared anonymous mapping, made before the
+fork, rather than send them back through a pipe.  Both parse each line on
+its own, so the ranges' rows, concatenated in order, are the rows of the
+whole body.  If any range fails both, the whole file goes
+through the serial path above, so the accepted files, the values and the
+errors are those of a one-CPU read.  :func:`_parsing_csv` starts the
 workers and returns while they parse, so ``estimate`` loads its spec
 meanwhile.
 """
@@ -94,14 +103,23 @@ _FORMAT_VALUES = 2**14
 #: more than it saves.
 _RANGE_BYTES = 2**21
 
+#: Body bytes read per step when a CSV is parsed in process, so that only
+#: the rows, not the text, of a large file are held at once.
+_READ_BYTES = 2**22
+
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 @contextmanager
-def _utf8_text(path):
-    """Open ``path`` as UTF-8 text; a decode error names the file at its end."""
+def _utf8_text(path, binary=None):
+    """Open ``path``, or read ``binary`` (a binary stream of its bytes), as UTF-8 text; a
+    decode error names the file at its end."""
+    if binary is None:
+        text = open(path, "r", encoding="utf-8")
+    else:
+        text = io.TextIOWrapper(binary, encoding="utf-8")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with text as fh:
             yield fh
     except UnicodeDecodeError as exc:
         reason = f"{exc.reason} in {path}"
@@ -382,20 +400,49 @@ def _parsing_csv(path):
     Either way ``read()`` returns the same array and raises the same errors,
     and on leaving the block every worker has been stopped and reaped.
     """
+    import mmap
+
+    from ._csvfmt import parse_rows  # noqa: F401 (imported before any fork: workers inherit it)
+
     plan = _body_ranges(path)
+    if plan is not None:
+        d, ranges = plan
+        # a value takes at least two bytes of text, its field and a separator (one for the
+        # last, when the file does not end in a newline), so these slots hold every range
+        slots = [(hi - lo + 1) // 2 for lo, hi in ranges]
+        starts = np.cumsum([0] + slots[:-1]).tolist()
+        try:
+            shared = mmap.mmap(-1, 8 * sum(slots))
+        except OSError:  # more than the system will map: parse in process
+            plan = None
     if plan is None:
         yield lambda: _read_serial(path)
         return
-    d, ranges = plan
-    with _forked_map(partial(_parse_range, path, d), ranges) as parts:
+    with _forked_map(partial(_share_range, path, d, shared), list(zip(ranges, starts))) as counts:
 
         def read() -> np.ndarray:
-            blocks = list(parts)
-            if any(block is None for block in blocks):
+            rows = list(counts)
+            if any(n is None for n in rows):
                 return _read_serial(path)
-            return np.concatenate(blocks)
+            blocks = [np.frombuffer(shared, np.float64, n * d, 8 * s) for n, s in zip(rows, starts)]
+            return np.concatenate([block.reshape(-1, d) for block in blocks])
 
         yield read
+
+
+def _share_range(path, d: int, shared, item: tuple[tuple[int, int], int]) -> int | None:
+    """Parse one range into its slot of ``shared``; return its row count, or None.
+
+    ``item`` is the range and the index of the slot's first value.  Sending
+    the rows back through a pipe instead made a two-range read of a 17 MB
+    body about 30 ms (a sixth) slower.
+    """
+    span, start = item
+    data = _parse_range(path, d, span)
+    if data is None:
+        return None
+    np.frombuffer(shared, np.float64, data.size, 8 * start)[:] = data.ravel()
+    return data.shape[0]
 
 
 def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
@@ -419,12 +466,7 @@ def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
         count = min(_cpu_count(), (size - lo) // _RANGE_BYTES)
         if count < 2:
             return None
-        try:
-            text = header.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        # text mode would also end the header at a lone "\r"
-        d = None if "\r" in text.rstrip("\r\n") else _header_width(text)
+        d = _plain_header_width(header)
         if d is None:
             return None
         bounds = [lo]
@@ -437,21 +479,58 @@ def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
 
 
 def _parse_range(path, d: int, span: tuple[int, int]) -> np.ndarray | None:
-    """The rows of bytes ``span`` of the CSV at ``path`` by the fast path, or None.
+    """The rows of bytes ``span`` of the CSV at ``path`` by the kernel, else ``loadtxt``, or None.
 
     A range without rows gives ``loadtxt``'s (0, 1): None for d > 1, and no
     rows to add for d = 1.
     """
+    from ._csvfmt import parse_rows  # loaded by _parsing_csv before the fork
+
     lo, hi = span
     with open(path, "rb") as fh:
         fh.seek(lo)
         raw = fh.read(hi - lo)
-    return _fast_parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), d)
+    data = parse_rows(raw, d)
+    if data is None:
+        data = _fast_parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), d)
+    return data
 
 
 def _read_serial(path) -> np.ndarray:
-    """:func:`read_csv` in this process: the fast path, else the line parser."""
-    with _utf8_text(path) as fh:
+    """:func:`read_csv` in this process: the kernel, else ``loadtxt``, else the line parser.
+
+    The file is opened once, as a pipe cannot be opened again.  The kernel reads the body in
+    line-aligned steps of ``_READ_BYTES``; if it declines one, the file is read again from its
+    start as text: by seeking back, or, when it cannot seek, from the bytes kept so far.
+    """
+    from ._csvfmt import parse_rows
+
+    with open(path, "rb") as raw:
+        kept = [raw.readline()]
+        d = _plain_header_width(kept[0])
+        blocks, rest = [], b""
+        while d is not None and (step := raw.read(_READ_BYTES)):
+            if not raw.seekable():
+                kept.append(step)
+            rest += step
+            end = rest.rfind(b"\n") + 1
+            if end:
+                blocks.append(parse_rows(memoryview(rest)[:end], d))
+                rest = rest[end:]
+                if blocks[-1] is None:
+                    break
+        if blocks and blocks[-1] is not None and not rest:
+            return np.concatenate(blocks)
+        if raw.seekable():
+            raw.seek(0)
+        else:
+            raw = io.BytesIO(b"".join(kept) + raw.read())
+        return _read_text(path, raw)
+
+
+def _read_text(path, raw) -> np.ndarray:
+    """The rows of the CSV in binary stream ``raw`` by ``loadtxt``, else the line parser."""
+    with _utf8_text(path, raw) as fh:
         header = fh.readline()
         if not header:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
@@ -464,6 +543,18 @@ def _read_serial(path) -> np.ndarray:
         fh.seek(0)
         fh.readline()
         return _parse_lines(fh, path, d)
+
+
+def _plain_header_width(header: bytes) -> int | None:
+    """d for a first line that is plainly valid UTF-8 ``x1,...,xd`` ending in a newline."""
+    try:
+        text = header.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # text mode would also end the header at a lone "\r"
+    if "\r" in text.rstrip("\r\n") or not text.endswith("\n"):
+        return None
+    return _header_width(text)
 
 
 def _header_width(header: str) -> int | None:

@@ -26,8 +26,11 @@ collects the chunks into one (n, d) array.
 Uniforms are mapped to the open interval (0, 1) by taking the top 53 bits
 of each 64-bit word and centering on the lattice midpoint,
 ``(k + 0.5) * 2**-53``, so log(0) and division by zero are impossible in
-the Fréchet inversion.  Every step after the one float conversion runs in
-place on the chunk's array of uniforms.
+the Fréchet inversion.  ``Generator.random`` gives ``k * 2**-53`` from one
+word per value, and adding ``2**-54`` to it rounds the same real number,
+``(k + 0.5) * 2**-53``, to the same double (scaling by a power of two does
+not change how a value rounds, and no value is subnormal).  Every step
+after the draw runs in place on the chunk's array of uniforms.
 
 The factor max ``max_j alpha[i, j] * Z_j`` follows the structure of alpha,
 read once per :func:`sample_chunks` call.  A row with at most half of its D
@@ -64,7 +67,7 @@ from .errors import DomainError, ShapeError
 from .model import ModelSpec, require_valid_spec
 
 _U64_FULL = 2**64
-_LATTICE_SCALE = 2.0**-53
+_HALF_STEP = 2.0**-54  # half the lattice step 2**-53 of the uniforms
 
 #: Stream words per default chunk, 2**19: its uniforms take 4 MiB, small
 #: enough to stay mostly in cache between the in-place steps, and enough
@@ -294,7 +297,8 @@ def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
     new (m, d) array.  It positions a fresh Philox generator at word
     ``w = start * (D + d)``, so it depends on no chunk drawn before it.
     """
-    from numpy.random import Philox  # here only: importing numpy.random costs every run ~13 ms
+    # here only: importing numpy.random costs every run ~13 ms
+    from numpy.random import Generator, Philox
 
     d, big_d = spec.d, spec.D
     slack = spec.slacks()
@@ -306,12 +310,8 @@ def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
         bit_gen = Philox(key=seed)
         bit_gen.advance(w // 4)  # each counter step gives four words
         bit_gen.random_raw(w % 4)
-        raw = bit_gen.random_raw(m * (big_d + d))
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64).reshape(m, big_d + d)
-        del raw
-        u += 0.5
-        u *= _LATTICE_SCALE
+        u = Generator(bit_gen).random(m * (big_d + d)).reshape(m, big_d + d)
+        u += _HALF_STEP
         np.log(u, out=u)
         np.divide(-1.0, u, out=u)  # unit Frechet: Z in the first D columns, then Y
         out = np.empty((m, d))

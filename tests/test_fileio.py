@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import mmap
 import multiprocessing
 import os
 import stat
@@ -18,7 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen import fileio
-from mevgen._csvfmt import format_rows
+from mevgen import _csvfmt
+from mevgen._csvfmt import format_rows, parse_rows
 from mevgen.errors import CsvFormatError, ShapeError
 
 from conftest import EX3_ALPHA, savetxt_bytes
@@ -226,6 +229,22 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             fileio.read_csv(path)
 
+    @pytest.mark.parametrize("step", [1, 7, 64, 2**22])
+    @pytest.mark.parametrize("bad", [None, b"7,x", b"7", b"7.5,8\r"], ids=["good", "x", "short", "cr"])
+    def test_in_process_read_in_steps_reads_as_the_line_parser(
+        self, tmp_path, monkeypatch, step, bad
+    ):
+        monkeypatch.setattr(fileio, "_READ_BYTES", step)
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + _second_range_body(bad or b"7.5,8"))
+        expected = _read_reference(path)
+        if isinstance(expected, str):
+            with pytest.raises(CsvFormatError) as err:
+                fileio.read_csv(path)
+            assert str(err.value) == expected
+        else:
+            assert fileio.read_csv(path).tobytes() == expected.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.integers(1, 5).flatmap(
@@ -428,6 +447,41 @@ class TestParallelRead:
         assert not writer.is_alive()
         assert data.shape == (2000, 2) and np.all(data == [1.5, 2])
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"1,2\n3\n", "line 3: expected 2 fields, found 1"), (b"1,2\r\n\n3,4\r\n", None)],
+        ids=["bad-line", "crlf-and-blank-line"],
+    )
+    def test_a_named_pipe_reads_as_a_file_when_the_kernel_declines(
+        self, tmp_path, monkeypatch, body, message
+    ):
+        # the kernel declines after taking a first step; the text path reads the bytes kept
+        monkeypatch.setattr(fileio, "_READ_BYTES", 5)
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(b"x1,x2\n" + body), daemon=True)
+        writer.start()
+        if message is None:
+            assert fileio.read_csv(fifo).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        else:
+            with pytest.raises(CsvFormatError, match=message):
+                fileio.read_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_a_refused_shared_mapping_reads_in_process(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(4).uniform(1.0, 9.0, (300, 3))
+        path = tmp_path / "s.csv"
+        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        _split_reads(monkeypatch, 2, 1024)
+
+        def refuse(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        assert fileio.read_csv(path).tobytes() == data.tobytes()
+        assert multiprocessing.active_children() == []
+
     def test_small_bodies_and_one_cpu_stay_in_process(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)  # 4000 body bytes
@@ -464,6 +518,48 @@ class TestParallelRead:
         assert multiprocessing.active_children() == []
 
 
+def _log_uniform() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    return _in_fast_range(np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 120_000)))
+
+
+def _full_mantissas() -> np.ndarray:
+    """Random 53-bit mantissas at every binary exponent of the fast range."""
+    rng = np.random.default_rng(12)
+    exponents = np.arange(-14, 54)  # 2**-14 < 1e-4 and 1e16 < 2**54
+    mantissas = rng.integers(2**52, 2**53, size=(exponents.size, 300)).astype(np.float64)
+    return _in_fast_range(np.ldexp(mantissas, exponents[:, None] - 52))
+
+
+def _half_ties() -> np.ndarray:
+    """Values whose 17th digit is an exact half, so ``%.17g`` rounds a tie to even."""
+    # x = m / 2**(p + 1) with m odd makes x * 10**p = m * 5**p / 2 a tie, p = 16 - k
+    rng = np.random.default_rng(13)
+    ties = []
+    for k in range(-4, 16):
+        scale = 2.0 ** (17 - k)
+        m = np.floor(rng.uniform(10.0**k, 10.0 ** (k + 1), 300) * scale / 2) * 2 + 1
+        ties.append(m[m < 2**53] / scale)
+    few_bits = np.ldexp(np.arange(1, 2**12, 2, dtype=np.float64)[:, None], np.arange(-26, 42))
+    return _in_fast_range(np.concatenate(ties + [few_bits.ravel()]))
+
+
+def _powers_of_ten() -> np.ndarray:
+    """10**k for every k of the fast range, its neighbours, and values that carry into it."""
+    values = []
+    for k in range(-4, 16):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        values += [float(f"9.9999999999999999e{k}"), float(f"9.99999999999999995e{k}")]
+    return _in_fast_range(np.array(values))
+
+
+def _large_integers() -> np.ndarray:
+    rng = np.random.default_rng(14)
+    x = np.concatenate([2.0**53 + 2.0 * np.arange(1000), rng.integers(2**53, 10**16, 5000)])
+    return x.astype(np.float64)
+
+
 class TestRowFormatter:
     """``format_rows`` gives the bytes of ``%`` on the values where a digit kernel can slip."""
 
@@ -474,40 +570,20 @@ class TestRowFormatter:
         assert format_rows(block) == _percent_rows(block)
 
     def test_log_uniform_values(self):
-        rng = np.random.default_rng(11)
-        x = _in_fast_range(np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 120_000)))
         for d in (1, 7, 20):
-            self._assert_percent_bytes(x, d)
+            self._assert_percent_bytes(_log_uniform(), d)
 
     def test_full_mantissas_at_every_binary_exponent(self):
-        rng = np.random.default_rng(12)
-        exponents = np.arange(-14, 54)  # 2**-14 < 1e-4 and 1e16 < 2**54
-        mantissas = rng.integers(2**52, 2**53, size=(exponents.size, 300)).astype(np.float64)
-        self._assert_percent_bytes(_in_fast_range(np.ldexp(mantissas, exponents[:, None] - 52)))
+        self._assert_percent_bytes(_full_mantissas())
 
     def test_exact_half_ties_round_to_even(self):
-        # x = m / 2**(p + 1) with m odd makes x * 10**p = m * 5**p / 2 a tie, p = 16 - k
-        rng = np.random.default_rng(13)
-        ties = []
-        for k in range(-4, 16):
-            scale = 2.0 ** (17 - k)
-            m = np.floor(rng.uniform(10.0**k, 10.0 ** (k + 1), 300) * scale / 2) * 2 + 1
-            ties.append(m[m < 2**53] / scale)
-        few_bits = np.ldexp(np.arange(1, 2**12, 2, dtype=np.float64)[:, None], np.arange(-26, 42))
-        self._assert_percent_bytes(_in_fast_range(np.concatenate(ties + [few_bits.ravel()])))
+        self._assert_percent_bytes(_half_ties())
 
     def test_powers_of_ten_their_neighbours_and_the_carry(self):
-        values = []
-        for k in range(-4, 16):
-            p = float(f"1e{k}")
-            values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
-            values += [float(f"9.9999999999999999e{k}"), float(f"9.99999999999999995e{k}")]
-        self._assert_percent_bytes(_in_fast_range(np.array(values)))
+        self._assert_percent_bytes(_powers_of_ten())
 
     def test_integers_from_two_to_the_53(self):
-        rng = np.random.default_rng(14)
-        x = np.concatenate([2.0**53 + 2.0 * np.arange(1000), rng.integers(2**53, 10**16, 5000)])
-        self._assert_percent_bytes(x.astype(np.float64))
+        self._assert_percent_bytes(_large_integers())
 
     @pytest.mark.parametrize("bad", [0.0, -0.0, 5e-324, 1e-5, 1e16, -1.0, np.nan, np.inf])
     def test_a_value_outside_the_range_sends_the_piece_to_percent(self, tmp_path, bad):
@@ -531,6 +607,161 @@ class TestRowFormatter:
     )
     def test_any_block_in_range_matches_percent(self, data):
         assert format_rows(data) == _percent_rows(data)
+
+
+def _loadtxt_and_line_parser(body: bytes, d: int) -> tuple:
+    """What ``np.loadtxt`` and the line parser make of a CSV body: an array, or the error text."""
+
+    def text():  # as read_csv reads a file: universal newlines
+        return io.TextIOWrapper(io.BytesIO(body), encoding="utf-8")
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            loaded = np.loadtxt(text(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        loaded = None
+    try:
+        lines = fileio._parse_lines(text(), "s.csv", d)
+    except CsvFormatError as exc:
+        lines = str(exc)
+    return loaded, lines
+
+
+class TestRowParser:
+    """``parse_rows`` reads ``format_rows``'s fields bitwise as ``loadtxt`` and the line parser
+    do, and declines every body outside its form, which then reads as before."""
+
+    @staticmethod
+    def _assert_read_exactly(values, d: int = 1) -> None:
+        x = np.asarray(values, dtype=np.float64)
+        block = x[: x.size // d * d].reshape(-1, d)
+        body = format_rows(block)
+        got = parse_rows(body, d)
+        assert got is not None
+        loaded, lines = _loadtxt_and_line_parser(body, d)
+        assert got.shape == block.shape and got.flags.c_contiguous
+        assert got.tobytes() == loaded.tobytes() == lines.tobytes() == block.tobytes()
+
+    @staticmethod
+    def _assert_declined(tmp_path, body: bytes, d: int) -> None:
+        assert parse_rows(body, d) is None
+        path = tmp_path / "s.csv"
+        path.write_bytes((fileio.csv_header(d) + "\n").encode() + body)
+        lines = _loadtxt_and_line_parser(body, d)[1]
+        if isinstance(lines, str):
+            with pytest.raises(CsvFormatError) as err:
+                fileio.read_csv(path)
+            assert str(err.value) == f"{path}: {lines.split(': ', 1)[1]}"
+        else:
+            assert fileio.read_csv(path).tobytes() == lines.tobytes()
+
+    def test_log_uniform_values(self):
+        for d in (1, 7, 20):
+            self._assert_read_exactly(_log_uniform()[:60_000], d)
+
+    def test_full_mantissas_at_every_binary_exponent(self):
+        self._assert_read_exactly(_full_mantissas())
+
+    def test_half_ties(self):
+        self._assert_read_exactly(_half_ties())
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        self._assert_read_exactly(_powers_of_ten())
+
+    def test_integers_have_no_dot(self):
+        rng = np.random.default_rng(15)
+        small, large = rng.integers(1, 10**16, 5000), _large_integers()
+        x = np.concatenate([np.arange(1.0, 1000.0), small, large])
+        assert b"." not in format_rows(x.reshape(-1, 1))
+        self._assert_read_exactly(x)
+
+    def test_the_ends_of_the_range(self):
+        ends = [1e-4, np.nextafter(1e-4, np.inf), np.nextafter(1e16, 0.0)]
+        self._assert_read_exactly(ends * 2, 2)
+
+    @pytest.mark.parametrize("piece", [1, 37, 64, 100])
+    def test_rows_split_across_pieces(self, monkeypatch, piece):
+        monkeypatch.setattr(_csvfmt, "_PIECE_BYTES", piece)
+        self._assert_read_exactly(_log_uniform()[:3000], 3)
+        self._assert_read_exactly(_log_uniform()[:200], 1)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"1.5,2\n\n3,4\n",
+            b"1.5,2\r\n3,4\r\n",
+            b"1.5,2\r3,4\n",
+            b"1e5,2\n",
+            b"+1,2\n",
+            b" 1,2\n",
+            b"1,2 \n",
+            b"1_0,2\n",
+            b".,2\n",
+            b",2\n",
+            b"1.5,2\n3,4",
+            b"1.2.3,4\n",
+            b"1/2,3\n",
+            b"1,2,3\n",
+            b"1\n2,3\n",
+            b"1.00000000000000001,2\n",
+            b"123456789012345678,2\n",
+            b"18446744073709551621,2\n",  # 2**64 + 5: the digits must not wrap to 5
+            b"0.1844674407370955162100,2\n",
+            b"0.1,2\n",
+            b"9007199254740993,2\n",  # a tie between two doubles: no 17-digit match
+            b"0,2\n",
+            b"0.0,2\n",
+            b"0.00001,2\n",
+            b"10000000000000000,2\n",
+            b"0.00000000000000000000001,2\n",
+            b"1,x\n",
+            b"1,-2\n",
+            b"",
+        ],
+    )
+    def test_bodies_outside_the_form_are_declined_and_read_as_before(self, tmp_path, body):
+        self._assert_declined(tmp_path, body, 2)
+
+    @staticmethod
+    def _assert_as_loadtxt_or_declined(tmp_path_factory, raw: bytes, d: int) -> None:
+        got = parse_rows(raw, d)
+        if got is None:
+            TestRowParser._assert_declined(tmp_path_factory.mktemp("csv"), raw, d)
+        else:
+            loaded, lines = _loadtxt_and_line_parser(raw, d)
+            assert got.tobytes() == loaded.tobytes() == lines.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.text(alphabet="0123456789..,,\n\n", max_size=60), d=st.integers(1, 3))
+    def test_any_body_of_its_bytes_reads_as_loadtxt_or_is_declined(self, tmp_path_factory, body, d):
+        self._assert_as_loadtxt_or_declined(tmp_path_factory, body.encode(), d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        fields=st.lists(
+            st.from_regex(r"0{0,4}[0-9]{0,17}(\.[0-9]{0,19})?", fullmatch=True), max_size=24
+        ),
+    )
+    def test_any_digit_fields_read_as_loadtxt_or_are_declined(self, tmp_path_factory, d, fields):
+        fields = fields[: len(fields) // d * d]
+        rows = [",".join(fields[i : i + d]) + "\n" for i in range(0, len(fields), d)]
+        self._assert_as_loadtxt_or_declined(tmp_path_factory, "".join(rows).encode(), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        values=st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=24),
+        fmt=st.sampled_from(["%.17g", "%.17g", "%r", "%.16g", "%.6f"]),
+    )
+    def test_any_formatted_floats_read_as_loadtxt_or_are_declined(
+        self, tmp_path_factory, d, values, fmt
+    ):
+        values = values[: len(values) // d * d] or values[:1] * d
+        rows = [",".join(fmt % x for x in values[i : i + d]) for i in range(0, len(values), d)]
+        rows = [row + "\n" for row in rows]
+        self._assert_as_loadtxt_or_declined(tmp_path_factory, "".join(rows).encode(), d)
 
 
 class TestCsvWriter:

@@ -110,6 +110,22 @@ class TestUnitFrechet:
         assert np.all(np.diff(z) > 0)
 
 
+class TestLatticeUniforms:
+    """Uniforms are ``Generator.random`` plus half a lattice step: the midpoint of the oracle."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1])
+    def test_half_step_rounds_as_the_midpoint(self, k):
+        drawn = np.array([k * 2.0**-53])  # exact: k < 2**53
+        drawn += mg.sampling._HALF_STEP
+        midpoint = (np.array([float(k)]) + 0.5) * 2.0**-53
+        assert drawn.tobytes() == midpoint.tobytes()
+
+    def test_random_takes_the_top_53_bits_of_each_word(self):
+        words = np.random.Philox(key=9).random_raw(1000)
+        drawn = np.random.Generator(np.random.Philox(key=9)).random(1000)
+        assert drawn.tobytes() == ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tobytes()
+
+
 class TestSampleVector:
     """Hand values that anchor the stream oracle's factor max."""
 
