@@ -125,8 +125,8 @@ def _sigterm_exits():
 
 
 def cmd_sample(args) -> int:
-    if args.n < 0:
-        raise _UsageError(f"--n must be nonnegative, got {args.n}")
+    if not 0 <= args.n < 2**63:
+        raise _UsageError(f"--n must be nonnegative and below 2**63, got {args.n}")
     if args.chunk_size is not None and args.chunk_size < 1:
         raise _UsageError(f"--chunk-size must be positive, got {args.chunk_size}")
     if not 0 <= args.seed < 2**64:

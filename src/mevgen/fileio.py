@@ -8,9 +8,8 @@ the seed, the fingerprint of the generating spec and its digest
 comparisons.  Sidecars written before the digest existed lack it and are
 still read.
 
-:func:`write_csv_blocks` streams: it takes an iterable of (m, d) blocks,
-such as the chunks of :func:`mevgen.sampling.sample_chunks`, and formats
-and writes each block before it asks for the next, so memory is O(block).
+:func:`write_csv` writes a batch, and ``sample`` hands :func:`_write_csv_text`
+the texts of its chunks as the workers format them, so memory is O(chunk).
 Rows are formatted by one function, :func:`_csv_pieces`, as ASCII bytes in
 pieces of at most ``_FORMAT_VALUES`` values; they are the bytes of
 ``np.savetxt(fmt="%.17g", delimiter=",")``.  A piece whose values all lie in
@@ -30,12 +29,13 @@ write to the same target.  The old sidecar is removed first and the new one
 written last, so a sidecar never describes other data than the CSV beside it.
 
 Work that splits into independent items runs on every CPU through one fork
-map, :func:`_forked_map`: one forked worker per CPU in the affinity mask (at
-most one per item), each running the same function as the serial path.  Item
-i goes to worker i mod w and the parent reads the results back in item
-order, so the output never depends on the number of workers.  At most two
-items per worker are sent ahead of the reader, so memory stays O(workers x
-item) however slow the reader is.  With one CPU, one item or no ``fork``, the
+map, :func:`_forked_map`: one worker per CPU in the affinity mask (at most
+one per item), made by ``os.fork``, running the same function as the serial
+path and trading pickles with the parent through two pipes.  Item i goes to
+worker i mod w and the parent reads the results back in item order, so the
+output never depends on the number of workers.  At most two items per
+worker are sent ahead of the reader, so memory stays O(workers x item)
+however slow the reader is.  With one CPU, one item or no ``fork``, the
 items are mapped in process.  ``sample`` maps it over its chunks (drawing
 and formatting each); the CSV reader maps it over byte ranges.
 
@@ -45,29 +45,27 @@ and any ``indent`` run the pure-Python one.  Readers take any layout.
 Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
 chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
-CSV reading takes three steps.  The file is opened once and read as bytes,
-and after the header check the body goes to the vectorized parser
-:func:`mevgen._csvfmt.parse_rows`, 4 MiB at a time.  It accepts the rows that ``sample``
-writes: only ``[0-9.,\\n]``, d fields per line, each with at most 17
-significant digits and a value in [1e-4, 1e16).  It keeps a value only when
-the value's own 17 digits equal the field's, which makes it the correctly
-rounded value of the field (that module gives the argument), so its arrays
-are bitwise those of ``np.loadtxt``.  A body it declines goes to
-``np.loadtxt``, whose result is kept when it has d columns and every value
-is finite.  Otherwise, or when it raises, the body is read line by line,
-which accepts exactly the same files and is the one source of the
-``CsvFormatError`` line messages.  A body of at least two ``_RANGE_BYTES``
-(2 MiB) is split just after newlines into ``min(CPUs, bytes // 2 MiB)``
-byte ranges, and the fork map parses each range by the parser, else
-``loadtxt``, in a worker that reads only its range from the file and writes
-its rows into its slot of one shared anonymous mapping, made before the
-fork, rather than send them back through a pipe.  Both parse each line on
-its own, so the ranges' rows, concatenated in order, are the rows of the
-whole body.  If any range fails both, the whole file goes
-through the serial path above, so the accepted files, the values and the
-errors are those of a one-CPU read.  :func:`_parsing_csv` starts the
-workers and returns while they parse, so ``estimate`` loads its spec
-meanwhile.
+CSV reading takes three steps.  After the header check, one loop,
+:func:`_parse_steps`, reads the body in line-aligned 4 MiB steps and parses
+each by the vectorized :func:`mevgen._csvfmt.parse_rows`.  It accepts the
+rows that ``sample`` writes: only ``[0-9.,\\n]``, d fields per line, each
+with at most 17 significant digits and a value in [1e-4, 1e16).  It keeps a
+value only when the value's own 17 digits equal the field's, which makes it
+the correctly rounded value of the field (that module gives the argument),
+so its arrays are bitwise those of ``np.loadtxt``.  If it declines a step,
+the file is read again by ``np.loadtxt``, whose result is kept when it has d
+columns and every value is finite; otherwise, or when it raises, line by
+line, which accepts exactly the same files and is the one source of the
+``CsvFormatError`` line messages.  A pipe is read whole first, as it cannot
+be read twice.  A body of at least two ``_RANGE_BYTES`` (2 MiB) is split
+just after newlines into ``min(CPUs, bytes // 2 MiB)`` byte ranges, and the
+fork map runs the same loop on each, in a worker that writes the rows into
+its slot of one shared anonymous mapping made before the fork.  If the
+kernel declines any range, the whole file goes through the serial path, so
+the accepted files, values and errors are those of a one-CPU read, and a
+CSV the kernel declines, such as another tool's, is read by ``np.loadtxt``
+on one CPU.  :func:`_parsing_csv` starts the workers and returns while they
+parse, so ``estimate`` loads its spec meanwhile.
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import re
 import stat
 import warnings
@@ -170,30 +169,7 @@ def write_csv(batch: SampleBatch, path, sidecar: bool = True) -> None:
     meta = {"n": batch.n, "seed": batch.seed, "spec_fingerprint": batch.spec_fingerprint}
     if batch.spec_digest is not None:
         meta["spec_digest"] = batch.spec_digest
-    write_csv_blocks([batch.data], batch.d, path, meta if sidecar else None)
-
-
-def write_csv_blocks(blocks: Iterable[np.ndarray], d: int, path, meta: dict | None) -> int:
-    """Write (m, d) blocks as one CSV at ``path``; returns the rows written.
-
-    Any sidecar already at ``path`` is removed before the first block is
-    asked for, and ``meta``, when given, is written as the new sidecar after
-    the CSV is in place.  When ``path`` is absent or a regular file, the CSV
-    goes to a temporary file that replaces it when complete, and if a block
-    raises, the temporary file is deleted and ``path`` is left as it was.
-    Any other ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``)
-    is opened and written directly, as ``np.savetxt`` did.
-    """
-    rows = 0
-
-    def texts():
-        nonlocal rows
-        for block in blocks:
-            yield from _csv_pieces(block, d)
-            rows += block.shape[0]
-
-    _write_csv_text(texts(), d, path, meta)
-    return rows
+    _write_csv_text(_csv_pieces(batch.data, batch.d), batch.d, path, meta if sidecar else None)
 
 
 def _csv_pieces(block: np.ndarray, d: int) -> Iterator[bytes]:
@@ -213,7 +189,16 @@ def _csv_pieces(block: np.ndarray, d: int) -> Iterator[bytes]:
 
 
 def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> None:
-    """Write the header and then ``texts`` as the CSV at ``path``, as :func:`write_csv_blocks`."""
+    """Write the header ``x1,...,xd`` and then ``texts`` as one CSV at ``path``.
+
+    Any sidecar already at ``path`` is removed before the first text is
+    asked for, and ``meta``, when given, is written as the new sidecar after
+    the CSV is in place.  When ``path`` is absent or a regular file, the CSV
+    goes to a temporary file that replaces it when complete, and if ``texts``
+    raises, the temporary file is deleted and ``path`` is left as it was.
+    Any other ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``)
+    is opened and written directly, as ``np.savetxt`` did.
+    """
     path = Path(path)
     sidecar_path(path).unlink(missing_ok=True)
     try:
@@ -276,8 +261,9 @@ def _forked_map(job: Callable, items: Sequence):
     The results are made by ``min(CPUs, len(items))`` forked workers while
     the body of the ``with`` block runs; with one worker or without ``fork``
     they are made in this process as the iterator is read.  An error in a
-    worker is raised again here, and on leaving the block every worker has
-    been stopped and reaped.
+    worker is raised again here, a worker that dies raises
+    ``ChildProcessError``, and on leaving the block every worker has been
+    killed and reaped.
 
     ``job`` and what it reads are inherited by the fork, not pickled; only
     items and results cross the pipes.  Python 3.12 and later issue a
@@ -290,11 +276,9 @@ def _forked_map(job: Callable, items: Sequence):
     if workers < 2 or not hasattr(os, "fork"):
         yield map(job, items)
         return
-    import multiprocessing  # here only: importing it costs every other run ~20 ms
-    import signal
+    import signal  # here only: no serial run needs it
 
-    ctx = multiprocessing.get_context("fork")
-    conns, procs = [], []
+    senders, readers, pids = [], [], []  # per worker: the parent's ends of its pipes, its pid
     try:
         # A worker inherits this process's handlers, which may raise, until
         # _serve resets them; with both signals blocked across the forks, one
@@ -303,82 +287,93 @@ def _forked_map(job: Callable, items: Sequence):
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
             for _ in range(workers):
-                conn, child_end = ctx.Pipe()
-                conns.append(conn)
-                # the worker closes its copies of the parent's ends, so that
-                # it sees EOF if the parent dies
-                proc = ctx.Process(target=_serve, args=(child_end, job, conns), daemon=True)
-                proc.start()
-                procs.append(proc)
-                child_end.close()
+                item_r, item_w = os.pipe()
+                result_r, result_w = os.pipe()
+                senders.append(open(item_w, "wb", buffering=0))
+                readers.append(open(result_r, "rb"))
+                pid = os.fork()
+                if pid == 0:  # the worker: it exits here, never returning into our caller
+                    code = 1
+                    try:
+                        _serve(item_r, result_w, job, senders + readers)
+                        code = 0
+                    except SystemExit as exc:
+                        code = exc.code if isinstance(exc.code, int) else 1
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+                os.close(item_r)
+                os.close(result_w)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # the workers start on the first items while the with block runs
         tasks = enumerate(items)
         for i, item in islice(tasks, 2 * workers):
-            _send(conns[i % workers], item)
-        yield _in_order(conns, procs, tasks, len(items))
+            _send(senders[i % workers], item)
+        yield _in_order(readers, senders, pids, tasks, len(items))
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for end in senders + readers:
+            end.close()
 
 
-def _serve(conn, job: Callable, parent_ends: list) -> None:
-    """A worker's loop: answer each item read from ``conn`` with ``job(item)``."""
+def _serve(items: int, results: int, job: Callable, parent_ends: list) -> None:
+    """A worker's loop: answer each item read from pipe ``items`` with ``job(item)``."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops us
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent's handler may raise
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})  # see _forked_map
-    for end in parent_ends:
+    for end in parent_ends:  # so that the pipes end if the parent dies
         end.close()
-    while True:
-        try:
-            item = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, job(item))
-        except Exception as exc:
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except ConnectionError:
-            return  # the parent has died
+    with open(items, "rb") as source, open(results, "wb", buffering=0) as sink:
+        while True:
+            try:
+                item = pickle.load(source)
+            except EOFError:
+                return
+            try:
+                reply = (True, job(item))
+            except Exception as exc:
+                reply = (False, exc)
+            _send(sink, reply)
 
 
-def _in_order(conns: list, procs: list, tasks: Iterator, count: int) -> Iterator:
+def _in_order(readers: list, senders: list, pids: list, tasks: Iterator, count: int) -> Iterator:
     """The results of ``count`` items from the workers, in item order.
 
     Item i goes to worker i mod w.  The first ``2 * w`` items have been
     sent; each further item of ``tasks``, an iterator of (i, item), is sent
     once the caller is done with a result, so at most ``2 * w`` items are
-    sent and not yet consumed.
+    sent and not yet consumed.  A worker that died is reaped here and
+    dropped from ``pids``.
     """
-    w = len(conns)
+    w = len(readers)
     for i in range(count):
         try:
-            ok, value = conns[i % w].recv()
-        except (EOFError, ConnectionError):  # reset when it died with items unread
-            proc = procs[i % w]
-            proc.join()
-            raise ChildProcessError(f"worker {proc.pid} exited with code {proc.exitcode}") from None
+            ok, value = pickle.load(readers[i % w])
+        except (EOFError, pickle.UnpicklingError):  # it died with items unread
+            pid = pids.pop(i % w)  # so that it is not signalled after it is reaped
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise ChildProcessError(f"worker {pid} exited with code {code}") from None
         if not ok:
             raise value
         yield value
         for j, item in islice(tasks, 1):
-            _send(conns[j % w], item)
+            _send(senders[j % w], item)
 
 
-def _send(conn, item) -> None:
+def _send(pipe, obj) -> None:
+    """Write the pickle of ``obj`` to ``pipe``, an unbuffered file, unless its reader has died."""
+    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
     try:
-        conn.send(item)
-    except ConnectionError:
-        pass  # the worker has died: reading its next result reports how
+        while view:
+            view = view[pipe.write(view) :]
+    except BrokenPipeError:
+        pass  # the parent learns how from that worker's next result; a worker, from EOF
 
 
 def read_csv(path) -> np.ndarray:
@@ -407,9 +402,9 @@ def _parsing_csv(path):
     plan = _body_ranges(path)
     if plan is not None:
         d, ranges = plan
-        # a value takes at least two bytes of text, its field and a separator (one for the
-        # last, when the file does not end in a newline), so these slots hold every range
-        slots = [(hi - lo + 1) // 2 for lo, hi in ranges]
+        # a value takes at least two bytes of text, its field and a separator, so these
+        # slots hold the rows of every range that the kernel accepts
+        slots = [(hi - lo) // 2 for lo, hi in ranges]
         starts = np.cumsum([0] + slots[:-1]).tolist()
         try:
             shared = mmap.mmap(-1, 8 * sum(slots))
@@ -479,53 +474,49 @@ def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
 
 
 def _parse_range(path, d: int, span: tuple[int, int]) -> np.ndarray | None:
-    """The rows of bytes ``span`` of the CSV at ``path`` by the kernel, else ``loadtxt``, or None.
-
-    A range without rows gives ``loadtxt``'s (0, 1): None for d > 1, and no
-    rows to add for d = 1.
-    """
-    from ._csvfmt import parse_rows  # loaded by _parsing_csv before the fork
-
+    """The rows of bytes ``span`` of the CSV at ``path`` by :func:`_parse_steps`, or None."""
     lo, hi = span
     with open(path, "rb") as fh:
         fh.seek(lo)
-        raw = fh.read(hi - lo)
-    data = parse_rows(raw, d)
-    if data is None:
-        data = _fast_parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), d)
-    return data
+        return _parse_steps(fh, d, hi - lo)
 
 
 def _read_serial(path) -> np.ndarray:
-    """:func:`read_csv` in this process: the kernel, else ``loadtxt``, else the line parser.
+    """:func:`read_csv` in process: :func:`_parse_steps`, else ``loadtxt``, else the line parser.
 
-    The file is opened once, as a pipe cannot be opened again.  The kernel reads the body in
-    line-aligned steps of ``_READ_BYTES``; if it declines one, the file is read again from its
-    start as text: by seeking back, or, when it cannot seek, from the bytes kept so far.
+    The file is opened once, as a pipe cannot be opened again.  If the kernel declines a step,
+    the file is read again from its start as text, so a pipe is read whole first.
+    """
+    with open(path, "rb") as raw:
+        if not raw.seekable():
+            raw = io.BytesIO(raw.read())
+        d = _plain_header_width(raw.readline())
+        data = None if d is None else _parse_steps(raw, d)
+        if data is not None:
+            return data
+        raw.seek(0)
+        return _read_text(path, raw)
+
+
+def _parse_steps(fh, d: int, size: float = np.inf) -> np.ndarray | None:
+    """The rows of the next ``size`` bytes of binary stream ``fh`` by the kernel, or None.
+
+    Line-aligned steps of ``_READ_BYTES`` hold only the rows, not the text, of a large body at
+    once.  None when the kernel declines a step, or the bytes are empty or end mid-line.
     """
     from ._csvfmt import parse_rows
 
-    with open(path, "rb") as raw:
-        kept = [raw.readline()]
-        d = _plain_header_width(kept[0])
-        blocks, rest = [], b""
-        while d is not None and (step := raw.read(_READ_BYTES)):
-            if not raw.seekable():
-                kept.append(step)
-            rest += step
-            end = rest.rfind(b"\n") + 1
-            if end:
-                blocks.append(parse_rows(memoryview(rest)[:end], d))
-                rest = rest[end:]
-                if blocks[-1] is None:
-                    break
-        if blocks and blocks[-1] is not None and not rest:
-            return np.concatenate(blocks)
-        if raw.seekable():
-            raw.seek(0)
-        else:
-            raw = io.BytesIO(b"".join(kept) + raw.read())
-        return _read_text(path, raw)
+    blocks, rest = [], b""
+    while step := fh.read(min(_READ_BYTES, size)):
+        size -= len(step)
+        rest += step
+        end = rest.rfind(b"\n") + 1
+        if end:
+            blocks.append(parse_rows(memoryview(rest)[:end], d))
+            if blocks[-1] is None:
+                return None
+            rest = rest[end:]
+    return np.concatenate(blocks) if blocks and not rest else None
 
 
 def _read_text(path, raw) -> np.ndarray:

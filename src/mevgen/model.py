@@ -430,7 +430,10 @@ def log_joint_cdf(spec: ModelSpec, x) -> float:
     xv = _check_point(x, spec.d, "x")
     if not np.all(xv > 0):
         raise DomainError("joint CDF requires every coordinate to be positive")
-    inv_x = 1.0 / xv
+    with np.errstate(over="ignore"):
+        inv_x = 1.0 / xv
+    if np.isinf(inv_x).any():  # F(x) = 0, as each margin's weights and slack sum to C > 0;
+        return -np.inf  # below, a zero weight or slack would add 0 * inf = NaN
     shared = (spec.alpha * inv_x[:, None]).max(axis=0).sum()
     own = (spec.slacks() * inv_x).sum()
     return -(shared + own)

@@ -8,6 +8,7 @@ frozen values, never against the code's own output.
 from __future__ import annotations
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ EX2_ACHIEVED = [
 EX3_LAMBDA = [[1.0, 0.2, 0.1], [0.2, 1.0, 0.8], [0.1, 0.8, 1.0]]
 EX3_ALPHA = [[0.2, 0.1, 0.0], [0.2, 0.0, 0.8], [0.0, 0.2, 0.8]]
 EX3_C = 1.0
+
+
+def child_pids() -> list[int]:
+    """The pids of this process's children, running or not yet reaped, as the kernel lists them."""
+    pids = []
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/children") as fh:
+                pids += map(int, fh.read().split())
+        except FileNotFoundError:  # the thread has ended
+            pass
+    return sorted(pids)
 
 
 def savetxt_bytes(data: np.ndarray) -> bytes:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -25,7 +24,7 @@ from mevgen import fileio
 from mevgen.cli import main
 from mevgen.errors import DomainError
 
-from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA, savetxt_bytes
+from conftest import EX2_ALPHA, EX2_LAMBDA, EX3_ALPHA, EX3_LAMBDA, child_pids, savetxt_bytes
 
 
 @pytest.fixture
@@ -167,6 +166,18 @@ class TestSample:
         rc = main(["sample", "--spec", str(result_file), "--n", "-5", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "100000000000000000000000000"], ["--n", "9223372036854775808", "--chunk-size", "1"]],
+        ids=["n-1e26", "n-2**63-chunk-1"],
+    )
+    def test_n_of_2_to_the_63_or_more_is_usage_error(self, tmp_path, result_file, capsys, argv):
+        # the fork map takes len() of the chunk starts, which a C ssize_t bounds
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--spec", str(result_file), *argv, "--out", str(out)]) == 2
+        assert "below 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("chunk", ["0", "-1"])
     def test_nonpositive_chunk_size_is_usage_error(self, tmp_path, result_file, chunk):
         out = tmp_path / "s.csv"
@@ -236,10 +247,12 @@ class TestSampleStream:
             "spec_digest": spec.digest(spec.fingerprint()),
         }
 
-    def test_memory_is_bounded_and_flat_in_n(self, tmp_path, capsys):
+    def test_memory_is_bounded_and_flat_in_n(self, tmp_path, monkeypatch, capsys):
         # at d=80, D=1600 the whole batch is 1.25 MB per 2k rows, but holding
         # it plus its CSV text and several chunk-sized temporaries of the
-        # old 4M-word chunk took over 150 MiB
+        # old 4M-word chunk took over 150 MiB.  On one CPU the chunks are
+        # drawn and formatted here, where tracemalloc sees them.
+        _cpus(monkeypatch, 1)
         spec_path = tmp_path / "spec.json"
         fileio.dump_json(_all_positive_spec(80, 1600, seed=2).to_json_dict(), spec_path)
         peaks = {}
@@ -290,7 +303,7 @@ class TestSampleStream:
         assert main([*argv, "--out", str(out)]) == 2
         assert "disk full" in capsys.readouterr().err
         assert list(out.parent.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
 
 def _failing_chunks(monkeypatch, exc: BaseException) -> None:
@@ -331,7 +344,7 @@ class TestSampleWorkers:
             assert main([*argv, "--out", str(out)]) == 0
             outputs.append((out.read_bytes(), fileio.sidecar_path(out).read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "exc, code, message",
@@ -352,7 +365,7 @@ class TestSampleWorkers:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert sorted(p.name for p in out.parent.iterdir()) == ["s.csv"]
         assert out.read_text() == "old\n"
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_interrupt_stops_every_worker(self, tmp_path, result_file, monkeypatch, capsys):
         # Ctrl-C reaches the parent while the workers draw: they are stopped,
@@ -368,24 +381,26 @@ class TestSampleWorkers:
         with pytest.raises(KeyboardInterrupt):
             main([*argv, "--out", str(out)])
         assert list(out.parent.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_a_worker_stopped_before_it_serves_dies_by_the_signal(self):
         # A worker inherits sample's SIGTERM handler, which raises; run in a
         # worker that has not reset it yet, it would unwind the fork itself,
         # and the parent could wait for that worker forever.
         code = (
-            "import multiprocessing, os, signal, time\n"
+            "import os, signal, time\n"
             "from mevgen import fileio\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "serve = fileio._serve\n"
             "fileio._serve = lambda *args: time.sleep(0.3) or serve(*args)\n"
+            "waitpid, statuses = os.waitpid, []\n"
+            "os.waitpid = lambda *args: statuses.append(waitpid(*args)[1]) or (args[0], statuses[-1])\n"
             "def stop(signum, frame):\n"
             "    raise SystemExit(143)\n"
             "signal.signal(signal.SIGTERM, stop)\n"
             "with fileio._forked_map(str, range(4)):\n"
-            "    workers = multiprocessing.active_children()\n"
-            "print(sorted(w.exitcode for w in workers))\n"
+            "    pass\n"
+            "print(sorted(os.waitstatus_to_exitcode(status) for status in statuses))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run(
@@ -395,12 +410,10 @@ class TestSampleWorkers:
         assert proc.stdout.strip() == f"[{-signal.SIGTERM}, {-signal.SIGTERM}]"
 
     def test_at_most_two_chunks_per_worker_are_outstanding(self, monkeypatch):
-        from multiprocessing.connection import Connection
-
         sent = []
-        send = Connection.send
+        send = fileio._send
         # only this process's sends land in this list: a worker appends to its own copy
-        monkeypatch.setattr(Connection, "send", lambda conn, obj: sent.append(obj) or send(conn, obj))
+        monkeypatch.setattr(fileio, "_send", lambda pipe, obj: sent.append(obj) or send(pipe, obj))
         _cpus(monkeypatch, 3)
         spec = mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
         chunk, starts = mg.sampling._chunk_plan(spec, 100, 8, 4)
@@ -417,28 +430,40 @@ class TestSampleWorkers:
                 texts.append(text)
         assert sent == list(starts)
         assert b"".join(texts) == b"".join(fileio._csv_pieces(mg.sample_batch(spec, 100, 8).data, 3))
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
-    def test_multiprocessing_is_imported_only_to_fork(self, tmp_path, result_file):
-        # importing it costs every start-up about 20 ms, so the CLI's import
-        # and a serial sample leave it out
+    def test_multiprocessing_is_never_imported(self, tmp_path, result_file):
+        # importing it would cost every forking stage 15-20 ms: the fork map
+        # is built on os.fork, so neither a forking sample nor a ranged
+        # estimate loads it
+        csv = str(tmp_path / "s.csv")
         code = (
-            "import os, sys; from mevgen.cli import main\n"
-            "imported = 'multiprocessing' in sys.modules\n"
-            "os.sched_getaffinity = lambda pid: {0}\n"
+            "import os, sys; from mevgen import fileio; from mevgen.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "fileio._RANGE_BYTES = 1000\n"
+            "imported = ['multiprocessing' in sys.modules]\n"
             f"assert main(['sample', '--spec', {str(result_file)!r}, '--n', '50',"
-            f" '--chunk-size', '3', '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-            "print(imported, 'multiprocessing' in sys.modules)"
+            f" '--chunk-size', '3', '--out', {csv!r}]) == 0\n"
+            "imported.append('multiprocessing' in sys.modules)\n"
+            f"assert len(fileio._body_ranges({csv!r})[1]) == 2\n"
+            f"assert main(['estimate', '--data', {csv!r}, '--u', '0.9']) == 0\n"
+            "imported.append('multiprocessing' in sys.modules)\n"
+            "print(len(forks), *imported)"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-2:] == ["False", "False"]
+        assert proc.stdout.split()[-4:] == ["4", "False", "False", "False"]
 
 
 _SLOW_SAMPLE = """
-import multiprocessing, os, sys, time
+import os, sys, time
 import mevgen.sampling as sampling
+from conftest import child_pids
 from mevgen.cli import main
 
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -460,7 +485,7 @@ try:
     main(["sample", "--spec", sys.argv[1], "--n", "100000", "--chunk-size", "10",
           "--out", sys.argv[2]])
 finally:
-    print("children", multiprocessing.active_children(), flush=True)
+    print("children", child_pids(), flush=True)
 """
 
 
@@ -565,7 +590,7 @@ class TestParallelEstimate:
             outputs.append((est.read_bytes(), svg.read_bytes()))
         assert len(fileio._body_ranges(samples_file)[1]) == 3
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_the_spec_loads_while_the_workers_parse(
         self, samples_file, result_file, monkeypatch, capsys
@@ -576,12 +601,12 @@ class TestParallelEstimate:
         monkeypatch.setattr(
             fileio,
             "load_spec",
-            lambda path: running.append(len(multiprocessing.active_children())) or load_spec(path),
+            lambda path: running.append(len(child_pids())) or load_spec(path),
         )
         argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
         assert self._run(argv, capsys)[0] == 0
         assert running == [2]
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -601,7 +626,7 @@ class TestParallelEstimate:
             results.append(self._run(argv, capsys))
         assert results[0][0] == 2 and "Traceback" not in results[0][2]
         assert results[1] == results[0]
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "csv_fault, spec_fault, code, message",
@@ -635,7 +660,7 @@ class TestParallelEstimate:
             results.append(self._run(argv, capsys))
         assert results[0][0] == code and message in results[0][2], results[0]
         assert results[1] == results[0]
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_interrupt_during_the_spec_load_stops_every_worker(
         self, samples_file, result_file, monkeypatch
@@ -649,7 +674,7 @@ class TestParallelEstimate:
         argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
         with pytest.raises(KeyboardInterrupt):
             main(argv)
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
 
 class TestCoeffs:
@@ -680,6 +705,16 @@ class TestCdf:
         assert rc == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["log_cdf"] == pytest.approx(-2.875, abs=1e-15)
+
+    def test_a_point_where_one_over_x_overflows_has_cdf_zero(self, tmp_path, capsys):
+        # 1/1e-320 is inf, and margin 1's slack is 0: 0 * inf printed NaN with two warnings
+        spec_path = tmp_path / "spec.json"
+        fileio.dump_json(mg.ModelSpec(alpha=[[0.5, 0.5], [0.5, 0.2]], C=1.0).to_json_dict(), spec_path)
+        capsys.readouterr()
+        assert main(["cdf", "--spec", str(spec_path), "--at", "1e-320,1"]) == 0
+        out, err = capsys.readouterr()
+        obj = json.loads(out)
+        assert obj["cdf"] == 0.0 and obj["log_cdf"] == -np.inf and err == ""
 
     def test_copula_evaluation(self, result_file, capsys, ex3_spec):
         rc = main(["cdf", "--spec", str(result_file), "--at", "0.5,0.5,0.5", "--copula"])
@@ -1274,7 +1309,7 @@ class TestRoundTrip:
         indep = mg.ModelSpec(alpha=np.zeros((6, 1)), C=1.0)
         x = mg.sample_batch(indep, 2000, seed=4).data[:, :1]
         data, spec_path = tmp_path / "s.csv", tmp_path / "indep.json"
-        fileio.write_csv_blocks([np.repeat(x, 6, axis=1)], 6, data, None)
+        fileio.write_csv(mg.SampleBatch(np.repeat(x, 6, axis=1), 0, ""), data, sidecar=False)
         fileio.dump_json(indep.to_json_dict(), spec_path)
         rc = main(["estimate", "--data", str(data), "--u", "0.9", "--spec", str(spec_path)])
         assert rc == 0

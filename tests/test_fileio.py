@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import mmap
-import multiprocessing
 import os
 import stat
 import threading
@@ -24,7 +23,7 @@ from mevgen import _csvfmt
 from mevgen._csvfmt import format_rows, parse_rows
 from mevgen.errors import CsvFormatError, ShapeError
 
-from conftest import EX3_ALPHA, savetxt_bytes
+from conftest import EX3_ALPHA, child_pids, savetxt_bytes
 
 
 def _dump_old_layout(obj, path) -> None:
@@ -371,7 +370,7 @@ class TestParallelRead:
         again = fileio.read_csv(path)
         assert again.dtype == np.float64 and again.flags.c_contiguous
         assert again.tobytes() == data.tobytes()
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "body",
@@ -394,7 +393,7 @@ class TestParallelRead:
         assert len(fileio._body_ranges(path)[1]) == 3
         again = fileio.read_csv(path)
         assert again.shape == expected.shape and again.tobytes() == expected.tobytes()
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -411,7 +410,7 @@ class TestParallelRead:
         (lo, _), (mid, _) = fileio._body_ranges(path)[1]
         assert path.read_bytes().index(b"\n" + bad + b"\n") >= mid > lo
         assert _outcome(path) == expected
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     @pytest.mark.parametrize(
         "header",
@@ -480,7 +479,7 @@ class TestParallelRead:
 
         monkeypatch.setattr(mmap, "mmap", refuse)
         assert fileio.read_csv(path).tobytes() == data.tobytes()
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_small_bodies_and_one_cpu_stay_in_process(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
@@ -506,7 +505,7 @@ class TestParallelRead:
         monkeypatch.setattr(fileio, "_parse_range", failing)
         with pytest.raises(OSError, match="read failed"):
             fileio.read_csv(path)
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
     def test_interrupt_while_parsing_reaps_every_worker(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
@@ -515,7 +514,7 @@ class TestParallelRead:
         with pytest.raises(KeyboardInterrupt):
             with fileio._parsing_csv(path):
                 raise KeyboardInterrupt
-        assert multiprocessing.active_children() == []
+        assert child_pids() == []
 
 
 def _log_uniform() -> np.ndarray:
@@ -592,7 +591,7 @@ class TestRowFormatter:
         assert format_rows(block) is None
         assert b"".join(fileio._csv_pieces(block, 3)) == _percent_rows(block)
         path = tmp_path / "s.csv"
-        fileio.write_csv_blocks([block], 3, path, None)
+        fileio._write_csv_text(fileio._csv_pieces(block, 3), 3, path, None)
         assert path.read_bytes() == b"x1,x2,x3\n" + _percent_rows(block)
 
     @settings(max_examples=150, deadline=None)
@@ -764,6 +763,11 @@ class TestRowParser:
         self._assert_as_loadtxt_or_declined(tmp_path_factory, "".join(rows).encode(), d)
 
 
+def _texts(blocks, d: int):
+    """The CSV texts of (m, d) blocks, formatted as each is reached, as ``sample`` writes them."""
+    return (text for block in blocks for text in fileio._csv_pieces(block, d))
+
+
 class TestCsvWriter:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -775,8 +779,8 @@ class TestCsvWriter:
     def test_bytes_equal_savetxt_for_any_blocking(self, tmp_path_factory, data, cuts):
         path = tmp_path_factory.mktemp("csv") / "s.csv"
         blocks = np.split(data, sorted(c for c in cuts if c <= data.shape[0]))
-        rows = fileio.write_csv_blocks(iter(blocks), data.shape[1], path, None)
-        assert rows == data.shape[0]
+        fileio._write_csv_text(_texts(blocks, data.shape[1]), data.shape[1], path, None)
+        assert path.read_bytes().count(b"\n") == 1 + data.shape[0]
         assert path.read_bytes() == savetxt_bytes(data)
         fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
         assert path.read_bytes() == savetxt_bytes(data)
@@ -786,7 +790,8 @@ class TestCsvWriter:
         monkeypatch.setattr(fileio, "_FORMAT_VALUES", values_per_call)
         data = mg.sample_batch(mg.ModelSpec(alpha=EX3_ALPHA, C=1.0), 23, seed=5).data
         path = tmp_path / "s.csv"
-        assert fileio.write_csv_blocks([data[:20], data[20:]], 3, path, None) == 23
+        fileio._write_csv_text(_texts([data[:20], data[20:]], 3), 3, path, None)
+        assert path.read_bytes().count(b"\n") == 1 + 23
         assert path.read_bytes() == savetxt_bytes(data)
 
     def test_interrupted_stream_leaves_no_partial_file(self, tmp_path):
@@ -797,7 +802,7 @@ class TestCsvWriter:
             raise RuntimeError("generator failed")
 
         with pytest.raises(RuntimeError, match="generator failed"):
-            fileio.write_csv_blocks(blocks(), 2, path, {"n": 8, "seed": 0, "spec_fingerprint": ""})
+            fileio._write_csv_text(_texts(blocks(), 2), 2, path, {"n": 8, "seed": 0, "spec_fingerprint": ""})
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_rerun_keeps_the_old_file_and_drops_its_sidecar(self, tmp_path, ex3_spec):
@@ -810,14 +815,14 @@ class TestCsvWriter:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            fileio.write_csv_blocks(blocks(), 3, path, {"n": 4, "seed": 2, "spec_fingerprint": ""})
+            fileio._write_csv_text(_texts(blocks(), 3), 3, path, {"n": 4, "seed": 2, "spec_fingerprint": ""})
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
     def test_block_of_the_wrong_width_is_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         with pytest.raises(ShapeError, match="does not have 3 columns"):
-            fileio.write_csv_blocks([np.ones((2, 3)), np.ones((3, 2))], 3, path, None)
+            fileio._write_csv_text(_texts([np.ones((2, 3)), np.ones((3, 2))], 3), 3, path, None)
         assert list(tmp_path.iterdir()) == []
 
     def test_symlinked_target_is_written_through(self, tmp_path):
@@ -826,7 +831,8 @@ class TestCsvWriter:
         target.chmod(0o640)
         link.symlink_to(target.name)
         data = np.arange(6.0).reshape(3, 2)
-        assert fileio.write_csv_blocks([data], 2, link, None) == 3
+        fileio.write_csv(mg.SampleBatch(data, 0, ""), link, sidecar=False)
+        assert link.read_bytes().count(b"\n") == 1 + 3
         assert link.is_symlink()
         assert target.read_bytes() == savetxt_bytes(data)
         assert target.stat().st_mode & 0o777 == 0o640
@@ -835,7 +841,7 @@ class TestCsvWriter:
     def test_dangling_symlink_creates_its_target(self, tmp_path):
         link = tmp_path / "link.csv"
         link.symlink_to("target.csv")
-        fileio.write_csv_blocks([np.ones((1, 2))], 2, link, None)
+        fileio.write_csv(mg.SampleBatch(np.ones((1, 2)), 0, ""), link, sidecar=False)
         assert link.is_symlink()
         assert (tmp_path / "target.csv").read_bytes() == savetxt_bytes(np.ones((1, 2)))
 
@@ -848,7 +854,7 @@ class TestCsvWriter:
         # few bytes fit in the pipe buffer
         fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            fileio.write_csv_blocks([data], 2, fifo, None)
+            fileio._write_csv_text(fileio._csv_pieces(data, 2), 2, fifo, None)
             out = os.read(fd, 2**16)
         finally:
             os.close(fd)

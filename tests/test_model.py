@@ -409,6 +409,20 @@ class TestClosedForms:
     def test_joint_cdf_at_infinity_is_one(self, ex1_spec):
         assert mg.joint_cdf(ex1_spec, [np.inf, np.inf, np.inf]) == 1.0
 
+    @pytest.mark.parametrize(
+        "alpha, x",
+        [
+            ([[0.5, 0.5], [0.5, 0.2]], [1e-320, 1.0]),  # margin 1's slack is 0
+            ([[0.0, 1.0], [0.5, 0.2]], [1e-320, 1.0]),  # and so is its first weight
+            ([[0.5, 0.5], [0.0, 0.2]], [np.inf, 5e-324]),  # margin 2 has both
+        ],
+    )
+    def test_joint_cdf_is_zero_where_one_over_x_overflows(self, alpha, x):
+        # a zero weight or slack times 1/x = inf adds 0, not NaN, and nothing warns
+        spec = mg.ModelSpec(alpha=alpha, C=1.0)
+        assert mg.log_joint_cdf(spec, x) == -np.inf
+        assert mg.joint_cdf(spec, x) == 0.0
+
     def test_joint_cdf_rejects_bad_points(self, ex1_spec):
         for x in ([0.0, 1.0, 1.0], [1.0, -2.0, 1.0], [np.nan, 1.0, 1.0]):
             with pytest.raises(DomainError):
