@@ -37,7 +37,7 @@ output never depends on the number of workers.  At most two items per
 worker are sent ahead of the reader, so memory stays O(workers x item)
 however slow the reader is.  With one CPU, one item or no ``fork``, the
 items are mapped in process.  ``sample`` maps it over its chunks (drawing
-and formatting each); the CSV reader maps it over byte ranges.
+and formatting each); the CSV reader maps it over spans of the body.
 
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
@@ -45,27 +45,26 @@ and any ``indent`` run the pure-Python one.  Readers take any layout.
 Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
 chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
-CSV reading takes three steps.  After the header check, one loop,
-:func:`_parse_steps`, reads the body in line-aligned 4 MiB steps and parses
-each by the vectorized :func:`mevgen._csvfmt.parse_rows`.  It accepts the
-rows that ``sample`` writes: only ``[0-9.,\\n]``, d fields per line, each
-with at most 17 significant digits and a value in [1e-4, 1e16).  It keeps a
-value only when the value's own 17 digits equal the field's, which makes it
-the correctly rounded value of the field (that module gives the argument),
-so its arrays are bitwise those of ``np.loadtxt``.  If it declines a step,
-the file is read again by ``np.loadtxt``, whose result is kept when it has d
-columns and every value is finite; otherwise, or when it raises, line by
-line, which accepts exactly the same files and is the one source of the
-``CsvFormatError`` line messages.  A pipe is read whole first, as it cannot
-be read twice.  A body of at least two ``_RANGE_BYTES`` (2 MiB) is split
-just after newlines into ``min(CPUs, bytes // 2 MiB)`` byte ranges, and the
-fork map runs the same loop on each, in a worker that writes the rows into
-its slot of one shared anonymous mapping made before the fork.  If the
-kernel declines any range, the whole file goes through the serial path, so
-the accepted files, values and errors are those of a one-CPU read, and a
-CSV the kernel declines, such as another tool's, is read by ``np.loadtxt``
-on one CPU.  :func:`_parsing_csv` starts the workers and returns while they
-parse, so ``estimate`` loads its spec meanwhile.
+CSV reading takes three steps.  :func:`_parsing_csv` opens the file once,
+reads a pipe whole (it cannot be read twice), and cuts the body just after
+newlines into spans of about ``_READ_BYTES`` (4 MiB).  The fork map parses
+each span by the vectorized :func:`mevgen._csvfmt.parse_rows`, reading it
+from the open file by ``os.pread``, so a file replaced meanwhile is never
+read in part; one span, or one CPU, is parsed in process, and the rows come
+back in order.  The kernel accepts the rows that ``sample`` writes: only
+``[0-9.,\\n]``, d fields per line, each with at most 17 significant digits
+and a value in [1e-4, 1e16).  It keeps a value only when the value's own 17
+digits equal the field's, which makes it the correctly rounded value of the
+field (that module gives the argument), so its arrays are bitwise those of
+``np.loadtxt``.  If it declines any span, the same open file is read from
+its start by ``np.loadtxt``, whose result is kept when it has d columns and
+every value is finite; otherwise, or when it raises, line by line, which
+accepts exactly the same files and is the one source of the
+``CsvFormatError`` line messages.  So the accepted files, values and errors
+never depend on the CPU count, and a CSV the kernel declines, such as
+another tool's, is read by ``np.loadtxt`` on one CPU.  :func:`_parsing_csv`
+starts the workers and returns while they parse, so ``estimate`` loads its
+spec meanwhile.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ import stat
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,19 +90,14 @@ from .sampling import SampleBatch
 from .synthesis import SynthesisResult
 
 #: Values formatted per piece when writing CSV.  About 16k values keep the
-#: vectorized formatter's temporaries small (at 64k they pass the C library's
-#: mmap threshold and page faults rise) and its ~100 numpy calls cheap next
-#: to the work they do.
+#: vectorized formatter's temporaries small (at 64k malloc serves them from
+#: fresh pages of their own and page faults rise) and its ~100 numpy calls
+#: cheap next to the work they do.
 _FORMAT_VALUES = 2**14
 
-#: Least body bytes per range when a CSV body is parsed on several CPUs:
-#: a body is split into ``min(CPUs, bytes // _RANGE_BYTES)`` ranges, and
-#: with fewer than two it is parsed in process, where a fork would cost
-#: more than it saves.
-_RANGE_BYTES = 2**21
-
-#: Body bytes read per step when a CSV is parsed in process, so that only
-#: the rows, not the text, of a large file are held at once.
+#: Body bytes per span of a CSV read: each span is parsed as one item of
+#: the fork map, so a body of one span is parsed in process, and only the
+#: text of one span per worker, not of the file, is held at once.
 _READ_BYTES = 2**22
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -390,133 +384,58 @@ def read_csv(path) -> np.ndarray:
 def _parsing_csv(path):
     """Start parsing the CSV at ``path``; yield ``read()``, which returns :func:`read_csv`'s result.
 
-    A large body is parsed by forked workers, one range each, while the body
-    of the ``with`` block runs; otherwise ``read()`` parses it in process.
-    Either way ``read()`` returns the same array and raises the same errors,
-    and on leaving the block every worker has been stopped and reaped.
+    The file is opened once and its body cut into line-aligned spans, which
+    the fork map parses while the body of the ``with`` block runs.  If the
+    kernel declines any span, ``read()`` reads the same open file again as
+    text, so it returns the same array and raises the same errors on any
+    number of CPUs, and on leaving the block every worker has been reaped.
     """
-    import mmap
-
     from ._csvfmt import parse_rows  # noqa: F401 (imported before any fork: workers inherit it)
 
-    plan = _body_ranges(path)
-    if plan is not None:
-        d, ranges = plan
-        # a value takes at least two bytes of text, its field and a separator, so these
-        # slots hold the rows of every range that the kernel accepts
-        slots = [(hi - lo) // 2 for lo, hi in ranges]
-        starts = np.cumsum([0] + slots[:-1]).tolist()
-        try:
-            shared = mmap.mmap(-1, 8 * sum(slots))
-        except OSError:  # more than the system will map: parse in process
-            plan = None
-    if plan is None:
-        yield lambda: _read_serial(path)
-        return
-    with _forked_map(partial(_share_range, path, d, shared), list(zip(ranges, starts))) as counts:
-
-        def read() -> np.ndarray:
-            rows = list(counts)
-            if any(n is None for n in rows):
-                return _read_serial(path)
-            blocks = [np.frombuffer(shared, np.float64, n * d, 8 * s) for n, s in zip(rows, starts)]
-            return np.concatenate([block.reshape(-1, d) for block in blocks])
-
-        yield read
-
-
-def _share_range(path, d: int, shared, item: tuple[tuple[int, int], int]) -> int | None:
-    """Parse one range into its slot of ``shared``; return its row count, or None.
-
-    ``item`` is the range and the index of the slot's first value.  Sending
-    the rows back through a pipe instead made a two-range read of a 17 MB
-    body about 30 ms (a sixth) slower.
-    """
-    span, start = item
-    data = _parse_range(path, d, span)
-    if data is None:
-        return None
-    np.frombuffer(shared, np.float64, data.size, 8 * start)[:] = data.ravel()
-    return data.shape[0]
-
-
-def _body_ranges(path) -> tuple[int, list[tuple[int, int]]] | None:
-    """The header's width and the line-aligned byte ranges of the body, or None.
-
-    None means parse in process: fewer than two ranges of ``_RANGE_BYTES``
-    for the CPUs, no regular file at ``path``, or a header that is not
-    plainly valid UTF-8 ``x1,...,xd`` (the serial path then says what is
-    wrong).  Each range but the last ends just after a newline; the last ends
-    at the end of the file.
-    """
-    try:
-        info = os.stat(path)  # not open: a pipe is opened once, by the reader that reads it
-    except OSError:
-        return None
-    if not stat.S_ISREG(info.st_mode):
-        return None
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        lo, size = len(header), info.st_size
-        count = min(_cpu_count(), (size - lo) // _RANGE_BYTES)
-        if count < 2:
-            return None
-        d = _plain_header_width(header)
-        if d is None:
-            return None
-        bounds = [lo]
-        for i in range(1, count):
-            fh.seek(lo + i * (size - lo) // count - 1)
-            fh.readline()  # to just after the next "\n"
-            bounds.append(max(fh.tell(), bounds[-1]))
-        bounds.append(size)
-    return d, list(zip(bounds[:-1], bounds[1:]))
-
-
-def _parse_range(path, d: int, span: tuple[int, int]) -> np.ndarray | None:
-    """The rows of bytes ``span`` of the CSV at ``path`` by :func:`_parse_steps`, or None."""
-    lo, hi = span
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        return _parse_steps(fh, d, hi - lo)
-
-
-def _read_serial(path) -> np.ndarray:
-    """:func:`read_csv` in process: :func:`_parse_steps`, else ``loadtxt``, else the line parser.
-
-    The file is opened once, as a pipe cannot be opened again.  If the kernel declines a step,
-    the file is read again from its start as text, so a pipe is read whole first.
-    """
     with open(path, "rb") as raw:
-        if not raw.seekable():
+        if not raw.seekable():  # a pipe: read whole, as it cannot be read twice
             raw = io.BytesIO(raw.read())
         d = _plain_header_width(raw.readline())
-        data = None if d is None else _parse_steps(raw, d)
-        if data is not None:
-            return data
-        raw.seek(0)
-        return _read_text(path, raw)
+        spans = [] if d is None else _line_spans(raw)
+        with _forked_map(partial(_parse_span, raw, d), spans) as results:
+
+            def read() -> np.ndarray:
+                blocks = list(takewhile(lambda block: block is not None, results))
+                if spans and len(blocks) == len(spans):
+                    return np.concatenate(blocks)
+                raw.seek(0)
+                return _read_text(path, raw)
+
+            yield read
 
 
-def _parse_steps(fh, d: int, size: float = np.inf) -> np.ndarray | None:
-    """The rows of the next ``size`` bytes of binary stream ``fh`` by the kernel, or None.
+def _line_spans(raw) -> list[tuple[int, int]]:
+    """Byte spans of about ``_READ_BYTES`` from the offset of seekable ``raw`` to its end.
 
-    Line-aligned steps of ``_READ_BYTES`` hold only the rows, not the text, of a large body at
-    once.  None when the kernel declines a step, or the bytes are empty or end mid-line.
+    Each span but the last ends just after a newline; the last ends at the
+    end of the file.
+    """
+    bounds = [raw.tell()]
+    size = raw.seek(0, os.SEEK_END)
+    while bounds[-1] < size:
+        raw.seek(bounds[-1] + _READ_BYTES - 1)
+        raw.readline()  # to just after the next "\n"
+        bounds.append(min(raw.tell(), size))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _parse_span(raw, d: int, span: tuple[int, int]) -> np.ndarray | None:
+    """The rows of bytes ``span`` of ``raw`` by the kernel, or None.
+
+    A file is read by ``os.pread``, which leaves the offset that this
+    process and the workers share where it is; a pipe's bytes are in memory.
     """
     from ._csvfmt import parse_rows
 
-    blocks, rest = [], b""
-    while step := fh.read(min(_READ_BYTES, size)):
-        size -= len(step)
-        rest += step
-        end = rest.rfind(b"\n") + 1
-        if end:
-            blocks.append(parse_rows(memoryview(rest)[:end], d))
-            if blocks[-1] is None:
-                return None
-            rest = rest[end:]
-    return np.concatenate(blocks) if blocks and not rest else None
+    lo, hi = span
+    if isinstance(raw, io.BytesIO):
+        return parse_rows(raw.getvalue()[lo:hi], d)
+    return parse_rows(os.pread(raw.fileno(), hi - lo, lo), d)
 
 
 def _read_text(path, raw) -> np.ndarray:

@@ -434,20 +434,21 @@ class TestSampleWorkers:
 
     def test_multiprocessing_is_never_imported(self, tmp_path, result_file):
         # importing it would cost every forking stage 15-20 ms: the fork map
-        # is built on os.fork, so neither a forking sample nor a ranged
-        # estimate loads it
+        # is built on os.fork, so neither a forking sample nor an estimate
+        # parsed in spans loads it
         csv = str(tmp_path / "s.csv")
         code = (
             "import os, sys; from mevgen import fileio; from mevgen.cli import main\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "fork, forks = os.fork, []\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
-            "fileio._RANGE_BYTES = 1000\n"
+            "fileio._READ_BYTES = 1000\n"
             "imported = ['multiprocessing' in sys.modules]\n"
             f"assert main(['sample', '--spec', {str(result_file)!r}, '--n', '50',"
             f" '--chunk-size', '3', '--out', {csv!r}]) == 0\n"
             "imported.append('multiprocessing' in sys.modules)\n"
-            f"assert len(fileio._body_ranges({csv!r})[1]) == 2\n"
+            f"with open({csv!r}, 'rb') as raw: raw.readline(); spans = fileio._line_spans(raw)\n"
+            "assert len(spans) >= 2\n"
             f"assert main(['estimate', '--data', {csv!r}, '--u', '0.9']) == 0\n"
             "imported.append('multiprocessing' in sys.modules)\n"
             "print(len(forks), *imported)"
@@ -562,10 +563,10 @@ class TestStartup:
         assert proc.stdout.strip() == "False"
 
 
-def _split_reads(monkeypatch, cpus: int, range_bytes: int = 2**16) -> None:
-    """Make the CSV reader see ``cpus`` CPUs and split bodies every ``range_bytes`` bytes."""
+def _split_reads(monkeypatch, cpus: int, span_bytes: int = 2**16) -> None:
+    """Make the CSV reader see ``cpus`` CPUs and cut bodies into spans of ``span_bytes`` bytes."""
     _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(fileio, "_RANGE_BYTES", range_bytes)
+    monkeypatch.setattr(fileio, "_READ_BYTES", span_bytes)
 
 
 class TestParallelEstimate:
@@ -588,8 +589,35 @@ class TestParallelEstimate:
             assert main([*argv, "--spec", str(result_file), "--out", str(est)]) == 0
             assert main(["plot", "--data", str(samples_file), "--out", str(svg)]) == 0
             outputs.append((est.read_bytes(), svg.read_bytes()))
-        assert len(fileio._body_ranges(samples_file)[1]) == 3
+        with open(samples_file, "rb") as raw:
+            raw.readline()
+            assert len(fileio._line_spans(raw)) >= 3
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert child_pids() == []
+
+    def test_a_csv_replaced_while_plot_reads_it_plots_the_opened_file(
+        self, samples_file, result_file, tmp_path, monkeypatch
+    ):
+        # sample replaces its output by os.replace: a read that opened the
+        # path again would plot the rows of both files
+        _split_reads(monkeypatch, 2)
+        svgs = [tmp_path / f"p{i}.svg" for i in range(3)]
+        assert main(["plot", "--data", str(samples_file), "--out", str(svgs[0])]) == 0
+        other = tmp_path / "other.csv"
+        argv = ["sample", "--spec", str(result_file), "--n", "5000", "--seed", "8"]
+        assert main([*argv, "--out", str(other), "--no-sidecar"]) == 0
+        line_spans = fileio._line_spans
+
+        def replacing(raw):
+            spans = line_spans(raw)
+            os.replace(other, samples_file)
+            return spans
+
+        monkeypatch.setattr(fileio, "_line_spans", replacing)
+        assert main(["plot", "--data", str(samples_file), "--out", str(svgs[1])]) == 0
+        monkeypatch.setattr(fileio, "_line_spans", line_spans)
+        assert main(["plot", "--data", str(samples_file), "--out", str(svgs[2])]) == 0
+        assert svgs[1].read_bytes() == svgs[0].read_bytes() != svgs[2].read_bytes()
         assert child_pids() == []
 
     def test_the_spec_loads_while_the_workers_parse(
