@@ -31,13 +31,15 @@ written last, so a sidecar never describes other data than the CSV beside it.
 Work that splits into independent items runs on every CPU through one fork
 map, :func:`_forked_map`: one worker per CPU in the affinity mask (at most
 one per item), made by ``os.fork``, running the same function as the serial
-path and trading pickles with the parent through two pipes.  Item i goes to
-worker i mod w and the parent reads the results back in item order, so the
-output never depends on the number of workers.  At most two items per
-worker are sent ahead of the reader, so memory stays O(workers x item)
-however slow the reader is.  With one CPU, one item or no ``fork``, the
-items are mapped in process.  ``sample`` maps it over its chunks (drawing
-and formatting each); the CSV reader maps it over spans of the body.
+path.  Worker w takes items w, w + workers, ... from its forked copy and
+pickles each result into its one pipe; nothing goes the other way.  The
+parent reads item i from worker i mod w, so the output never depends on the
+number of workers, and a worker ahead of the reader stalls on its full pipe,
+so memory stays O(workers x item) however slow the reader is.  A worker
+stops at its first error, and at its next write once the parent has died.
+With one CPU, one item or no ``fork``, the items are mapped in process.
+``sample`` maps it over its chunks (drawing and formatting each); the CSV
+reader maps it over spans of the body.
 
 JSON files are written as one compact line with sorted keys, by a single
 ``json.dumps`` call: that is the C encoder, while ``json.dump`` to a file
@@ -56,15 +58,15 @@ back in order.  The kernel accepts the rows that ``sample`` writes: only
 and a value in [1e-4, 1e16).  It keeps a value only when the value's own 17
 digits equal the field's, which makes it the correctly rounded value of the
 field (that module gives the argument), so its arrays are bitwise those of
-``np.loadtxt``.  If it declines any span, the same open file is read from
-its start by ``np.loadtxt``, whose result is kept when it has d columns and
-every value is finite; otherwise, or when it raises, line by line, which
-accepts exactly the same files and is the one source of the
-``CsvFormatError`` line messages.  So the accepted files, values and errors
-never depend on the CPU count, and a CSV the kernel declines, such as
-another tool's, is read by ``np.loadtxt`` on one CPU.  :func:`_parsing_csv`
-starts the workers and returns while they parse, so ``estimate`` loads its
-spec meanwhile.
+``np.loadtxt``.  If it declines any span, that span's worker stops, and the
+same open file is read from its start by ``np.loadtxt``, whose result is
+kept when it has d columns and every value is finite; otherwise, or when it
+raises, line by line, which accepts exactly the same files and is the one
+source of the ``CsvFormatError`` line messages.  So the accepted files,
+values and errors never depend on the CPU count, and a CSV the kernel
+declines, such as another tool's, is read by ``np.loadtxt`` on one CPU.
+:func:`_parsing_csv` starts the workers and returns while they parse, so
+``estimate`` loads its spec meanwhile.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ import stat
 import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import islice, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -259,12 +260,12 @@ def _forked_map(job: Callable, items: Sequence):
     ``ChildProcessError``, and on leaving the block every worker has been
     killed and reaped.
 
-    ``job`` and what it reads are inherited by the fork, not pickled; only
-    items and results cross the pipes.  Python 3.12 and later issue a
-    ``DeprecationWarning`` when a process with more than one thread forks,
-    and numpy's OpenBLAS thread pool gives this process two.  The workers
-    call no BLAS routine and start no thread, so no lock a missing thread
-    held is ever waited on.
+    ``job`` and ``items`` are inherited by the fork, not pickled: worker w
+    takes ``items[w::workers]`` from its copy and only its results cross
+    its one pipe.  Python 3.12 and later issue a ``DeprecationWarning`` when
+    a process with more than one thread forks, and numpy's OpenBLAS thread
+    pool gives this process two.  The workers call no BLAS routine and start
+    no thread, so no lock a missing thread held is ever waited on.
     """
     workers = min(_cpu_count(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
@@ -272,7 +273,7 @@ def _forked_map(job: Callable, items: Sequence):
         return
     import signal  # here only: no serial run needs it
 
-    senders, readers, pids = [], [], []  # per worker: the parent's ends of its pipes, its pid
+    readers, pids = [], []  # per worker: the parent's end of its pipe, its pid
     try:
         # A worker inherits this process's handlers, which may raise, until
         # _serve resets them; with both signals blocked across the forks, one
@@ -280,42 +281,39 @@ def _forked_map(job: Callable, items: Sequence):
         # or being dropped by it.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
-            for _ in range(workers):
-                item_r, item_w = os.pipe()
+            for w in range(workers):
                 result_r, result_w = os.pipe()
-                senders.append(open(item_w, "wb", buffering=0))
                 readers.append(open(result_r, "rb"))
-                pid = os.fork()
-                if pid == 0:  # the worker: it exits here, never returning into our caller
-                    code = 1
-                    try:
-                        _serve(item_r, result_w, job, senders + readers)
-                        code = 0
-                    except SystemExit as exc:
-                        code = exc.code if isinstance(exc.code, int) else 1
-                    finally:
-                        os._exit(code)
+                with open(result_w, "wb", buffering=0) as sink:  # our copy closes, fork or not
+                    pid = os.fork()
+                    if pid == 0:  # the worker: it exits here, never returning into our caller
+                        code = 1
+                        try:
+                            _serve(sink, job, items[w::workers], readers)
+                            code = 0
+                        except SystemExit as exc:
+                            code = exc.code if isinstance(exc.code, int) else 1
+                        finally:
+                            os._exit(code)
                 pids.append(pid)
-                os.close(item_r)
-                os.close(result_w)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        # the workers start on the first items while the with block runs
-        tasks = enumerate(items)
-        for i, item in islice(tasks, 2 * workers):
-            _send(senders[i % workers], item)
-        yield _in_order(readers, senders, pids, tasks, len(items))
+        yield _in_order(readers, pids, len(items))
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGTERM)
         for pid in pids:
             os.waitpid(pid, 0)
-        for end in senders + readers:
+        for end in readers:
             end.close()
 
 
-def _serve(items: int, results: int, job: Callable, parent_ends: list) -> None:
-    """A worker's loop: answer each item read from pipe ``items`` with ``job(item)``."""
+def _serve(sink, job: Callable, items: Sequence, parent_ends: list) -> None:
+    """A worker's loop: write ``job(item)`` for each of ``items`` to ``sink``, to the first error.
+
+    A full pipe stalls the worker until the parent reads, and a parent that
+    has died ends it by ``BrokenPipeError``.
+    """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops us
@@ -323,26 +321,19 @@ def _serve(items: int, results: int, job: Callable, parent_ends: list) -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})  # see _forked_map
     for end in parent_ends:  # so that the pipes end if the parent dies
         end.close()
-    with open(items, "rb") as source, open(results, "wb", buffering=0) as sink:
-        while True:
-            try:
-                item = pickle.load(source)
-            except EOFError:
-                return
-            try:
-                reply = (True, job(item))
-            except Exception as exc:
-                reply = (False, exc)
-            _send(sink, reply)
+    for item in items:
+        try:
+            result = job(item)
+        except Exception as exc:
+            _send(sink, (False, exc))
+            return
+        _send(sink, (True, result))
 
 
-def _in_order(readers: list, senders: list, pids: list, tasks: Iterator, count: int) -> Iterator:
+def _in_order(readers: list, pids: list, count: int) -> Iterator:
     """The results of ``count`` items from the workers, in item order.
 
-    Item i goes to worker i mod w.  The first ``2 * w`` items have been
-    sent; each further item of ``tasks``, an iterator of (i, item), is sent
-    once the caller is done with a result, so at most ``2 * w`` items are
-    sent and not yet consumed.  A worker that died is reaped here and
+    Item i comes from worker i mod w.  A worker that died is reaped here and
     dropped from ``pids``.
     """
     w = len(readers)
@@ -356,18 +347,13 @@ def _in_order(readers: list, senders: list, pids: list, tasks: Iterator, count: 
         if not ok:
             raise value
         yield value
-        for j, item in islice(tasks, 1):
-            _send(senders[j % w], item)
 
 
 def _send(pipe, obj) -> None:
-    """Write the pickle of ``obj`` to ``pipe``, an unbuffered file, unless its reader has died."""
+    """Write the pickle of ``obj`` to ``pipe``, an unbuffered file."""
     view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-    try:
-        while view:
-            view = view[pipe.write(view) :]
-    except BrokenPipeError:
-        pass  # the parent learns how from that worker's next result; a worker, from EOF
+    while view:
+        view = view[pipe.write(view) :]
 
 
 def read_csv(path) -> np.ndarray:
@@ -400,9 +386,11 @@ def _parsing_csv(path):
         with _forked_map(partial(_parse_span, raw, d), spans) as results:
 
             def read() -> np.ndarray:
-                blocks = list(takewhile(lambda block: block is not None, results))
-                if spans and len(blocks) == len(spans):
-                    return np.concatenate(blocks)
+                if spans:
+                    try:
+                        return np.concatenate(list(results))
+                    except _Declined:
+                        pass
                 raw.seek(0)
                 return _read_text(path, raw)
 
@@ -424,18 +412,28 @@ def _line_spans(raw) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _parse_span(raw, d: int, span: tuple[int, int]) -> np.ndarray | None:
-    """The rows of bytes ``span`` of ``raw`` by the kernel, or None.
+class _Declined(Exception):
+    """A span the kernel declines: the whole file is read again as text."""
 
-    A file is read by ``os.pread``, which leaves the offset that this
-    process and the workers share where it is; a pipe's bytes are in memory.
+
+def _parse_span(raw, d: int, span: tuple[int, int]) -> np.ndarray:
+    """The rows of bytes ``span`` of ``raw`` by the kernel; raises ``_Declined`` if it declines.
+
+    As an error, a declined span stops its worker, which parses no span that
+    the text read then discards.  A file is read by ``os.pread``, which
+    leaves the offset that this process and the workers share where it is; a
+    pipe's bytes are in memory.
     """
     from ._csvfmt import parse_rows
 
     lo, hi = span
     if isinstance(raw, io.BytesIO):
-        return parse_rows(raw.getvalue()[lo:hi], d)
-    return parse_rows(os.pread(raw.fileno(), hi - lo, lo), d)
+        rows = parse_rows(raw.getvalue()[lo:hi], d)
+    else:
+        rows = parse_rows(os.pread(raw.fileno(), hi - lo, lo), d)
+    if rows is None:
+        raise _Declined
+    return rows
 
 
 def _read_text(path, raw) -> np.ndarray:

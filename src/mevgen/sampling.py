@@ -13,9 +13,9 @@ counter ``w // 4`` steps (one step gives four words) and discarding
 ``w % 4`` words, without drawing the words before it.  So any chunk can be
 drawn on its own, in any process, and the output never depends on which
 process drew it or in which order.  The ``sample`` subcommand uses this to
-draw and format chunks in forked workers, one per CPU, with at most two
-chunks per worker in flight, so its memory is O(workers x chunk) (see
-:mod:`mevgen.fileio`).
+draw and format chunks in forked workers, one per CPU, each stalling on a
+full pipe when it gets ahead of the writer, so its memory is
+O(workers x chunk) (see :mod:`mevgen.fileio`).
 
 :func:`sample_chunks` is the one generation loop: it maps that per-chunk
 function over the chunk starts, about ``CHUNK_WORDS`` words per chunk, so

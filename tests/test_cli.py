@@ -409,28 +409,60 @@ class TestSampleWorkers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"[{-signal.SIGTERM}, {-signal.SIGTERM}]"
 
-    def test_at_most_two_chunks_per_worker_are_outstanding(self, monkeypatch):
-        sent = []
-        send = fileio._send
-        # only this process's sends land in this list: a worker appends to its own copy
-        monkeypatch.setattr(fileio, "_send", lambda pipe, obj: sent.append(obj) or send(pipe, obj))
+    def test_at_most_two_chunks_per_worker_are_outstanding(self, tmp_path, monkeypatch):
+        # each result is 1 MiB, more than a pipe holds, so a worker that is
+        # ahead of the reader stalls in its write; smaller results run further
         _cpus(monkeypatch, 3)
         spec = mg.ModelSpec(alpha=EX3_ALPHA, C=1.0)
         chunk, starts = mg.sampling._chunk_plan(spec, 100, 8, 4)
+        log = tmp_path / "started"
+        log.touch()
         texts = []
 
         def job(start):
-            return b"".join(fileio._csv_pieces(chunk(start), spec.d))
+            with open(log, "ab") as fh:  # O_APPEND: the workers' lines never mix
+                fh.write(b"%d\n" % start)
+            return b"".join(fileio._csv_pieces(chunk(start), spec.d)), bytes(2**20)
+
+        def started() -> int:
+            return log.read_bytes().count(b"\n")
 
         with fileio._forked_map(job, starts) as it:
-            time.sleep(0.2)  # a slow sink: the workers may not run further ahead
-            assert sent == [0, 4, 8, 12, 16, 20]
-            for i, text in enumerate(it):
-                assert len(sent) - i <= 6  # sent but not yet written, this text included
+            time.sleep(0.2)  # a slow reader: each worker stalls in its first write
+            assert started() <= 3
+            for i, (text, pad) in enumerate(it):
+                assert started() <= i + 1 + 2 * 3
                 texts.append(text)
-        assert sent == list(starts)
+                assert pad == bytes(2**20)
+        assert sorted(map(int, log.read_bytes().split())) == list(starts)
         assert b"".join(texts) == b"".join(fileio._csv_pieces(mg.sample_batch(spec, 100, 8).data, 3))
         assert child_pids() == []
+
+    def test_each_worker_gets_one_pipe(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        pipe, pipes = os.pipe, []
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
+        with fileio._forked_map(str, range(7)) as it:
+            assert list(it) == [str(i) for i in range(7)]
+        assert len(pipes) == 3 and child_pids() == []
+
+    def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        fork, forks = os.fork, []
+
+        def failing():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", failing)
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            with fileio._forked_map(str, range(6)):
+                pass
+        assert child_pids() == []
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_multiprocessing_is_never_imported(self, tmp_path, result_file):
         # importing it would cost every forking stage 15-20 ms: the fork map
@@ -518,6 +550,32 @@ class TestKilledSample:
         assert "Traceback" not in stderr
         assert stdout.split("\n")[-2] == "children []"
         assert list(out.parent.iterdir()) == []
+
+    def test_the_workers_of_a_killed_sample_exit_promptly(self, tmp_path, result_file):
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        proc, _ = _start_slow_sample(result_file, out)
+        workers = []
+        for children in Path(f"/proc/{proc.pid}/task").glob("*/children"):
+            workers += map(int, children.read_text().split())
+        proc.kill()
+        try:
+            proc.wait(timeout=60)  # not communicate: the workers hold its stdout open
+            assert len(workers) == 2
+
+            def running(pid: int) -> bool:
+                try:
+                    stat = Path(f"/proc/{pid}/stat").read_text()
+                except FileNotFoundError:
+                    return False
+                return stat[stat.rindex(")") + 2] != "Z"  # a zombie has exited
+
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(running, workers))
+        finally:
+            proc.communicate(timeout=120)
 
     def test_the_next_write_removes_a_killed_writers_temp_file(self, tmp_path, result_file):
         out = tmp_path / "out" / "s.csv"

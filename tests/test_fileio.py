@@ -548,6 +548,28 @@ class TestParallelRead:
         assert len(forks) == 2 and child_pids() == []
         assert data.tobytes() == expected.tobytes()
 
+    def test_a_declined_read_parses_at_most_one_span_per_worker(self, tmp_path, monkeypatch):
+        # a declined span stops its worker: the text read makes the rest useless
+        data = np.random.default_rng(4).uniform(0, 100, (2000, 3))
+        path, log = tmp_path / "s.csv", tmp_path / "parsed"
+        np.savetxt(path, data, fmt="%.6f", delimiter=",", header="x1,x2,x3", comments="")
+        log.touch()
+        forks = _split_reads(monkeypatch, 2, 4096)
+        assert len(_spans(path)[1]) >= 8
+        parse = _csvfmt.parse_rows
+
+        def logged(text, d):
+            with open(log, "ab") as fh:  # O_APPEND: the workers' lines never mix
+                fh.write(b"parse\n")
+            return parse(text, d)
+
+        monkeypatch.setattr(_csvfmt, "parse_rows", logged)
+        again = fileio.read_csv(path)
+        assert len(forks) == 2 and child_pids() == []
+        assert log.read_bytes().count(b"\n") <= 2
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert again.shape == loaded.shape and again.tobytes() == loaded.tobytes()
+
     def test_a_worker_error_is_raised_and_every_worker_reaped(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)
