@@ -492,6 +492,28 @@ class TestSampleWorkers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-4:] == ["4", "False", "False", "False"]
 
+    def test_json_writing_stages_never_import_numpy_ma(self, tmp_path, target_file, samples_file):
+        # importing it would cost each of them about 15 ms: the JSON writer's
+        # np.unique runs with return_inverse, the form that skips
+        # np.ma.is_masked
+        model, coeffs, report = (str(tmp_path / name) for name in ("m.json", "c.json", "e.json"))
+        code = (
+            "import contextlib, io, sys; from mevgen.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['synth', '--target', {str(target_file)!r}, '--out', {model!r}]) == 0\n"
+            f"    assert main(['coeffs', '--spec', {model!r}, '--out', {coeffs!r}]) == 0\n"
+            f"    assert main(['estimate', '--data', {str(samples_file)!r}, '--u', '0.9',"
+            f" '--spec', {model!r}, '--out', {report!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert "exact_finite_u" in json.loads(Path(report).read_text())
+
 
 _SLOW_SAMPLE = """
 import os, sys, time

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import signal
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,6 +39,38 @@ def _dump_old_layout(obj, path) -> None:
 _EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, 1e16, 0.1, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_FLOATS_OR_NONE = st.one_of(_JSON_FLOATS, st.none())
+_JSON_LEAVES = st.one_of(
+    _FLOATS_OR_NONE, st.integers(), st.booleans(), st.text(max_size=3), _JSON_FLOATS.map(np.float64)
+)
+
+
+def _float_matrices(width: int):
+    """Lists of up to 4 rows of ``width`` floats or None: 1 x n, n x 1 and empty ones too."""
+    return st.lists(st.lists(_FLOATS_OR_NONE, min_size=width, max_size=width), max_size=4)
+
+
+_JSON_DOCUMENTS = st.recursive(
+    st.one_of(
+        _JSON_LEAVES,
+        st.lists(_FLOATS_OR_NONE, max_size=6),
+        st.integers(0, 4).flatmap(_float_matrices),
+        st.lists(st.lists(_FLOATS_OR_NONE, max_size=3), max_size=4),  # ragged
+        st.lists(st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=2)), max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=12,
 )
 
 
@@ -103,6 +136,21 @@ class TestJsonFiles:
         assert text.count("\n") == 1
         assert " " not in text
         assert json.loads(text) == obj
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    # each example overwrites the one file in tmp_path
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(obj=_JSON_DOCUMENTS)
+    @example(obj={"m": [[0.0, -0.0, math.nan], [None, -0.0, 0.0]], "v": [-0.0, math.nan, 0.0]})
+    def test_dump_json_bytes_equal_the_c_encoder(self, tmp_path, obj):
+        # the writer groups floats by their bits: -0.0 and 0.0 keep their own
+        # texts, a float NaN is written NaN, and only None becomes null
+        path = tmp_path / "o.json"
+        fileio.dump_json(obj, path)
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_old_indented_layout_still_reads(self, tmp_path, ex3_target, ex3_spec):
         spec_path = tmp_path / "spec.json"
