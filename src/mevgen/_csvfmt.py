@@ -1,4 +1,4 @@
-"""CSV rows of float64 values as ``%.17g`` text and back, vectorized over a block.
+"""Float64 values as ``%.17g`` CSV text and back, and as JSON text, vectorized over a block.
 
 :func:`format_rows` gives exactly the bytes of ``("%.17g,...,%.17g\\n" * m)
 % values`` when every value x satisfies 1e-4 <= x < 1e16, and None
@@ -15,6 +15,38 @@ The digits become ASCII by SWAR multiply-shift steps on uint64; each field is
 built in three little-endian words with its dot (or ``0.`` and the zeros
 after it for k < 0), its trailing zeros turned into NUL bytes, and the
 separator in its last byte, and deleting the NULs leaves the rows.
+
+:func:`repr_rows` gives the JSON text of each value with the same separators:
+``float.__repr__`` of a finite value, else ``NaN`` or ``Infinity``, which is
+what ``json.dumps`` writes.  repr writes the shortest digits that read back as
+x and, of those, the nearest to x (Steele & White 1990, "How to print
+floating-point numbers accurately"; Gay 1990, "Correctly rounded
+binary-decimal and decimal-binary conversions").  For x in [1e-4, 1e16) that
+is not a power of two, the doubles next to x lie ulp(x) away on both sides,
+so a decimal reads back as x if it lies strictly within g = ulp(x) / 2 * 10**p
+of X = x * 10**p = N + r, where r = lo - rint(lo) is exact and |r| <= 1/2.
+g is an exact double, a power of two times 10**p, and since x / ulp(x) <
+2**53, 0.55 < g < 11.2.  repr's digits are then those of the multiple of
+10**j nearest to X for the largest j at which it lies within g.  j = 0
+always qualifies: N, at most 1/2 from X, a tie going to even as repr's last
+digit does.  At j = 1 two multiples of 10 may lie within g, and the nearer
+is taken.  From j = 2 on at most one does, as 2g < 100, and a multiple of
+10**j within g is a multiple of 100 within g, so the one multiple of 100
+within g, if any, is repr's value, and the text drops its trailing zeros.
+With rem = N mod m, the two candidates lie |rem + r| and m - rem - r from X,
+exactly, as r is a multiple of 2**-46 in this range.  A candidate that
+carries to 10**17 raises k by one.  A power of two has half the gap below
+it, an interval inside the symmetric one; each of the 67 in the range,
+2**-13 to 2**53, has its candidate at or above X, so it is repr's too (the
+tests compare each of them with repr).  Left undecided, and written by one
+``json.dumps`` of them per piece, are: values outside the range (zeros,
+negatives, subnormals, NaN and inf among them), where repr may write a sign
+or an exponent; a nearest candidate exactly g from X, which reads back as x
+only when x's last bit is 0; and X exactly halfway between two multiples of
+10 within g.  About 0.4% of log-uniform values in the range are left so.
+The digits are written by :func:`format_rows`'s field words, keeping the dot
+and one digit after the integer part, so that an integral value ends in
+``.0``.
 
 :func:`parse_rows` reads such rows back, exactly.  It accepts a body of only ``[0-9.,\\n]``
 with d fields on every line and a final newline, each field at most 24
@@ -41,6 +73,9 @@ power of two and the field lies below it, so no other double is as close.
 
 from __future__ import annotations
 
+import json
+from itertools import chain
+
 import numpy as np
 
 _U = np.uint64
@@ -58,8 +93,9 @@ _POW_HI, _POW_LO = _halves(_POW10)
 
 
 def _layouts() -> np.ndarray:
-    """Per k in [-4, 15]: the digits' shift in bits and 64 minus it, the integer part's bytes
-    (2 words), and what turns digits into "0"-"9" and the opened byte into "." (3 words)."""
+    """Per k in [-4, 15]: the digits' shift in bits and 64 minus it, the integer part's bytes,
+    what turns digits into "0"-"9" and the opened byte into ".", and the bytes that repr keeps
+    whatever the digits, the integer part, the dot and one digit after it (3 words each)."""
     rows = []
     for k in range(-4, 16):
         if k < 0:  # "0." and -k - 1 zeros before the digits
@@ -67,16 +103,19 @@ def _layouts() -> np.ndarray:
         else:  # the k + 1 digits of the integer part, then the dot
             shift, mask, dot = 1, (1 << 8 * (k + 1)) - 1, k + 1
         add = int.from_bytes(b"0" * 24, "little") - (2 << 8 * dot)  # "." is "0" - 2
-        words = [mask, mask >> 64, add, add >> 64, add >> 128]
+        point_zero = (mask << 16) | 0xFFFF if k >= 0 else 0
+        words = [w >> 64 * i for w in (mask, add, point_zero) for i in range(3)]
         rows.append([8 * shift, 64 - 8 * shift] + [w % 2**64 for w in words])
     return np.array(rows, dtype=_U)
 
 
 _LAYOUT = _layouts()
+_INTEGER, _POINT_ZERO = slice(2, 5), slice(8, 11)  # the kept bytes of %.17g and repr
 
 
-def _scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """round-half-even(x * 10**(16 - k)) as uint64, exactly, when it is at least 2**53."""
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = round-half-even(x * 10**(16 - k)) as uint64 and x * 10**(16 - k) - N, both exactly,
+    when N is at least 2**53."""
     p = 16 - k
     prod, b_hi, b_lo = np.take(_POW10, p), np.take(_POW_HI, p), np.take(_POW_LO, p)
     prod *= x
@@ -87,8 +126,24 @@ def _scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     err += np.multiply(a_lo, b_hi, out=b_hi)
     err += np.multiply(a_lo, b_lo, out=b_lo)
     n = prod.astype(_U)
-    n += np.rint(err, out=err).astype(np.int64).view(_U)
-    return n
+    rounded = np.rint(err, out=prod)
+    n += rounded.astype(np.int64).view(_U)
+    err -= rounded
+    return n, err
+
+
+def _exponents(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """k, N and r of each x in [1e-4, 1e16): x * 10**(16 - k) = N + r with N in [10**16, 10**17)
+    and |r| <= 1/2, exactly; None if a k did not settle."""
+    k = np.floor(np.log10(x)).astype(np.int64)
+    n17, r = _scaled(x, k)
+    for _ in range(3):
+        bad = np.flatnonzero((n17 < _U(10**16)) | (n17 >= _U(10**17)))
+        if bad.size == 0:
+            return k, n17, r
+        k[bad] += np.where(n17[bad] < _U(10**16), -1, 1)
+        n17[bad], r[bad] = _scaled(x[bad], k[bad])
+    return None
 
 
 def _digits(v: np.ndarray, t: np.ndarray) -> None:
@@ -109,24 +164,12 @@ def _digits(v: np.ndarray, t: np.ndarray) -> None:
         v += t
 
 
-def format_rows(block: np.ndarray) -> bytes | None:
-    """``%.17g`` CSV rows of an (m, d) float64 block; None if empty or a value is out of range."""
-    m, d = block.shape
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    if x.size == 0 or not ((x >= 1e-4) & (x < 1e16)).all():  # also false for NaN
-        return None
-    k = np.floor(np.log10(x)).astype(np.int64)
-    n17 = _scaled(x, k)
-    for _ in range(3):
-        bad = np.flatnonzero((n17 < _U(10**16)) | (n17 >= _U(10**17)))
-        if bad.size == 0:
-            break
-        k[bad] += np.where(n17[bad] < _U(10**16), -1, 1)
-        n17[bad] = _scaled(x[bad], k[bad])
-    else:
-        return None
-    text = np.empty((x.size, 3), "<u8")
-    word, keep, tmp = text.T, np.empty((3, x.size), _U), np.empty((3, x.size), _U)
+def _fields(n17: np.ndarray, k: np.ndarray, kept: slice) -> np.ndarray:
+    """The (size, 3) little-endian words of each value's text: the 17 digits of ``n17`` at
+    decimal exponent k in fixed notation, with NUL bytes after its last nonzero digit except
+    in the bytes of ``_LAYOUT[:, kept]``, and the last byte free for a separator."""
+    text = np.empty((n17.size, 3), "<u8")
+    word, keep, tmp = text.T, np.empty((3, n17.size), _U), np.empty((3, n17.size), _U)
     # N's digits as bytes 0..16: the first, then two groups of eight
     q = n17 // _U(10**8)
     top = q // _U(10**8)
@@ -157,11 +200,95 @@ def format_rows(block: np.ndarray) -> bytes | None:
     keep *= _U(0xFF)
     for w in (1, 0):
         keep[w] |= np.negative(np.bitwise_and(keep[w + 1], _U(1), out=tmp[0]), out=tmp[0])
-    keep[:2] |= lay[2:4]
-    word += lay[4:]
+    keep |= lay[kept]
+    word += lay[5:8]
     word &= keep
+    return text
+
+
+def format_rows(block: np.ndarray) -> bytes | None:
+    """``%.17g`` CSV rows of an (m, d) float64 block; None if empty or a value is out of range."""
+    m, d = block.shape
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    if x.size == 0 or not ((x >= 1e-4) & (x < 1e16)).all():  # also false for NaN
+        return None
+    exact = _exponents(x)
+    if exact is None:
+        return None
+    k, n17, _ = exact
+    text = _fields(n17, k, _INTEGER)
     text.reshape(m, d, 3)[:, :, 2] |= np.array([ord(",")] * (d - 1) + [ord("\n")], _U) << _U(56)
     return text.tobytes().translate(None, b"\0")
+
+
+#: Values turned into text per piece by :func:`repr_rows`, as many as ``fileio`` formats per
+#: piece of CSV, so that its temporaries stay small whatever the block's size.
+_REPR_VALUES = 2**14
+
+
+def repr_rows(block: np.ndarray) -> bytes:
+    """The JSON texts of an (m, d) float64 block's values, "," after each but the last of a row
+    and "\\n" after that: ``float.__repr__`` for a finite value, else ``NaN`` or ``Infinity``."""
+    d = block.shape[1]
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    ends = np.array([ord(",")] * (d - 1) + [ord("\n")], _U) << _U(56)
+    pieces = []
+    for lo in range(0, x.size, _REPR_VALUES):
+        part = x[lo : lo + _REPR_VALUES]
+        fit = (part >= 1e-4) & (part < 1e16)  # also false for NaN
+        # 1.5 stands in for the values out of the range, which are left undecided
+        shortest = _shortest(np.where(fit, part, 1.5)) if fit.any() else None
+        if shortest is None:
+            text, left = np.zeros((part.size, 3), "<u8"), np.ones(part.size, bool)
+        else:
+            c, k, decided = shortest
+            text, left = _fields(c, k, _POINT_ZERO), ~(decided & fit)
+        text[left] = [ord("?"), 0, 0]  # a mark where the undecided values' texts go
+        text[:, 2] |= np.resize(ends, lo % d + part.size)[lo % d :]
+        body = text.tobytes().translate(None, b"\0")
+        if left.any():
+            texts = json.dumps(part[left].tolist(), separators=(",", ":"))[1:-1]
+            marked = body.split(b"?")
+            body = b"".join(chain.from_iterable(zip(marked, texts.encode().split(b","))))
+            body += marked[-1]
+        pieces.append(body)
+    return b"".join(pieces)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The digits and decimal exponent of ``repr`` of each x in [1e-4, 1e16), and which of them
+    are decided: (c, k, decided), repr's digits being those of c without its trailing zeros.
+
+    None if an exponent did not settle.  See the module docstring for the argument."""
+    exact = _exponents(x)
+    if exact is None:
+        return None
+    k, n17, r = exact
+    g = np.spacing(x)
+    g *= np.take(_POW10, 16 - k)
+    g *= 0.5  # exact: 10**p is a double, and spacing(x) and 0.5 are powers of two
+    tens, dist10, tie = _nearest(n17, r, 10)
+    hundreds, dist100, _ = _nearest(n17, r, 100)
+    by10, by100 = dist10 <= g, dist100 <= g
+    c = np.where(by100, hundreds, np.where(by10, tens, n17))  # n17 is rounded half-even
+    unsure = np.where(by100, dist100 == g, by10 & ((dist10 == g) | tie))
+    carried = c == _U(10**17)
+    c[carried] = _U(10**16)
+    k += carried
+    return c, k, ~unsure
+
+
+def _nearest(n17: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multiple of m nearest to X = n17 + r, its distance from X, and whether X is halfway
+    between two multiples; the distances are exact, as |r| <= 1/2 is a multiple of 2**-46."""
+    below = n17 // _U(m) * _U(m)
+    rem = n17 - below
+    down = rem.astype(np.float64)
+    down += r
+    np.abs(down, out=down)  # a multiple of m below X, or n17 itself just above it
+    up = (_U(m) - rem).astype(np.float64)
+    up -= r
+    return below + np.where(up < down, _U(m), _U(0)), np.minimum(down, up), up == down
 
 
 #: Bytes gathered per field by :func:`parse_rows`, right-aligned at its end: the longest field
@@ -292,10 +419,10 @@ def _field_values(windows: np.ndarray, masks: np.ndarray, dots: int) -> np.ndarr
         return None
     n *= np.take(_POW10_U, 17 - digits)  # the 17 digits of the value
     y /= np.take(_FRAC10, c)
-    got = _scaled(y, k)
+    got = _scaled(y, k)[0]
     miss = np.flatnonzero(got != n)
     if miss.size:  # y is off by an ulp: step towards the field's value
         y[miss] = np.nextafter(y[miss], np.where(got[miss] < n[miss], np.inf, 0.0))
-        if (_scaled(y[miss], k[miss]) != n[miss]).any():
+        if (_scaled(y[miss], k[miss])[0] != n[miss]).any():
             return None
     return y

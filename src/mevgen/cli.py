@@ -140,7 +140,9 @@ def cmd_sample(args) -> int:
     with _sigterm_exits(), fileio._forked_map(text, starts) as texts:
         meta = None
         if not args.no_sidecar:
-            fingerprint = spec.fingerprint()  # while the workers draw the first chunks
+            # the workers draw their first chunks meanwhile, then stall on their pipes,
+            # as a chunk's text is far more than a pipe holds, until the CSV write below
+            fingerprint = spec.fingerprint()
             meta = {
                 "n": args.n,
                 "seed": args.seed,

@@ -128,6 +128,36 @@ def _rank_exceedances(data: np.ndarray, u: float) -> np.ndarray:
     return exceed
 
 
+def _joint_counts(exceed: np.ndarray) -> np.ndarray:
+    """``exceed.T @ exceed`` of an (n, d) bool matrix as int64, without BLAS.
+
+    In some processes OpenBLAS's threaded product of the 0/1 matrix took 20-100 times its
+    usual time.  Each column is packed into 64-bit words instead, and each entry on and above
+    the diagonal counts the set bits of the AND of two columns' words by a SWAR popcount.
+    """
+    d = exceed.shape[1]
+    # (d, ceil(n / 8)), the bits past n zero; packing contiguous rows is about 3 times faster
+    packed = np.packbits(np.ascontiguousarray(exceed.T), axis=1)
+    words = np.zeros((d, -(-packed.shape[1] // 8) * 8), np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view(np.uint64)  # (d, w)
+    counts = np.empty((d, d), np.int64)
+    fives, threes, fifteens, ones = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 15, 1))
+    step = max(1, 2**16 // (d * words.shape[1]))  # rows per block: temporaries of 512 KiB
+    for lo in range(0, d, step):  # the rows from lo against the columns from lo, then mirror
+        v = words[lo : lo + step, None, :] & words[None, lo:, :]
+        v -= (v >> np.uint64(1)) & fives  # each 2 bits hold their count, then each 4, each 8
+        v = (v & threes) + ((v >> np.uint64(2)) & threes)
+        v += v >> np.uint64(4)
+        v &= fifteens
+        v *= ones  # the top byte sums the eight
+        v >>= np.uint64(56)
+        counts[lo : lo + step, lo:] = v.sum(axis=2)
+    lower = np.tril_indices(d, -1)
+    counts[lower] = counts.T[lower]
+    return counts
+
+
 def estimate_tail_dep(
     batch: SampleBatch, u: float, margins: str = "rank", scale: float | None = None
 ) -> EstimateReport:
@@ -167,9 +197,7 @@ def estimate_tail_dep(
     else:
         raise DomainError(f"margins must be 'rank' or 'known', got {margins!r}")
 
-    # float64 matmul goes through BLAS; the counts stay below 2**53, so exact
-    exceed = exceed.astype(np.float64)
-    counts = (exceed.T @ exceed).astype(np.int64)
+    counts = _joint_counts(exceed)
     n_cond = np.diagonal(counts).astype(np.float64)
 
     with np.errstate(divide="ignore", invalid="ignore"):

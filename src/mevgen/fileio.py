@@ -20,7 +20,7 @@ with Dekker's two-product (that module gives the argument), so the bytes are
 the same.  A piece holding any other value (0, a negative, a subnormal, a
 huge value, NaN or inf) is formatted by one ``%`` over a row format repeated
 once per row, which stays the reference.  The formatter is imported on first
-use, so stages that write no CSV never load it.
+use, so stages that write no CSV or float list never load it.
 A target that is absent or a regular file is written as a temporary file
 ``.<name>.<pid>.tmp`` next to it and moved into place only when complete; a
 symlink, pipe or device is written through directly.  A temporary file whose
@@ -51,11 +51,12 @@ they repeat: lambda and the extremal coefficients are symmetric, and an
 estimate at a finite u takes at most K + 1 values, so the 153,600 floats of
 a d = 160 estimate report hold 26,169 distinct ones.  Entries are grouped by
 their bits, so -0.0 and 0.0 stay apart; the distinct values are formatted by
-one ``json.dumps``, so each text is the encoder's own (``float.__repr__``,
-``NaN``, ``Infinity``), and None is written as ``null``.  Everything else,
-such as ints, bools, strings, numpy scalars, ragged or mixed lists and dicts
-with a key that is not a str, goes to ``json.dumps`` as it is, so the bytes
-never change.  Readers take any layout.
+:func:`mevgen._csvfmt.repr_rows`, which writes the encoder's own texts
+(``float.__repr__``, ``NaN``, ``Infinity``) vectorized and leaves the few
+values it cannot decide to one ``json.dumps``, and None is written as
+``null``.  Everything else, such as ints, bools, strings, numpy scalars,
+ragged or mixed lists and dicts with a key that is not a str, goes to
+``json.dumps`` as it is, so the bytes never change.  Readers take any layout.
 Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
 chooses; :meth:`ModelSpec.from_json_dict` reads both.
 
@@ -170,10 +171,12 @@ def _json_text(obj) -> str:
 
 def _float_tokens(rows: list) -> np.ndarray:
     """The JSON texts of the entries of equal-length rows of floats and None."""
+    from ._csvfmt import repr_rows  # here only: stages that write no float list never load it
+
     values = np.array(rows, dtype=np.float64)  # None becomes NaN
     # without return_inverse, np.unique would import numpy.ma
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist(), separators=(",", ":"))[1:-1].split(",")
+    texts = repr_rows(bits.view(np.float64)[None, :]).decode("ascii")[:-1].split(",")
     tokens = np.array(texts, dtype=object)[inverse].reshape(values.shape)
     for r, c in zip(*np.nonzero(np.isnan(values))):
         if rows[r][c] is None:

@@ -28,7 +28,11 @@ nonzero, the fingerprint builds its dense JSON text from runs of zeros and
 the encoded nonzeros, and the tail dependence matrix sums each pair of
 sparse rows over the nonzero columns of one of them.
 
-The fingerprint still encodes every entry of a dense alpha as text.
+The fingerprint still encodes every entry of a dense alpha as text, the
+bytes ``json.dumps`` writes.  The texts come from the vectorized
+:func:`mevgen._csvfmt.repr_rows`, which writes ``float.__repr__`` exactly:
+the fully stored rows in one pass with their commas, and the stored entries
+of the other rows as tokens between the runs of ``0.0,``.
 :meth:`ModelSpec.digest` hashes the stored entries' bits instead; sample
 sidecars carry it, so ``estimate`` can confirm that a spec is the sampled
 one without building that text.
@@ -39,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -128,10 +132,20 @@ class ModelSpec:
         The sha256 of the compact, sorted-key JSON of the spec with alpha as
         a dense list of lists, whichever layout :meth:`to_json_dict` picks.
         """
+        from ._csvfmt import repr_rows  # here only: stages that hash no spec never load it
+
+        stored = _stored(self.alpha)
+        full = stored.all(axis=1) & (self.D > 0)  # an empty row has no value to end its line
+        # the fully stored rows in one pass, the kernel writing their commas; the stored
+        # entries of the other rows as tokens, taken in turn between their runs of "0.0,"
+        full_texts = iter(repr_rows(self.alpha[full]).split(b"\n"))
+        values = self.alpha[stored & ~full[:, None]]
+        tokens = iter(repr_rows(values[None, :])[:-1].split(b",") if values.size else [])
         h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), self.D))
-        for s, row in enumerate(self.alpha):
-            h.update(b"," if s else b"")
-            h.update(_dense_row_json(row).encode("ascii"))
+        for s, row in enumerate(stored):
+            h.update(b",[" if s else b"[")
+            h.update(next(full_texts) if full[s] else _dense_row_json(row, tokens))
+            h.update(b"]")
         h.update(b'],"d":%d}' % self.d)
         return h.hexdigest()
 
@@ -220,21 +234,18 @@ def _stored(alpha: np.ndarray) -> np.ndarray:
     return (alpha != 0) | np.signbit(alpha)
 
 
-def _dense_row_json(row: np.ndarray) -> str:
-    """``json.dumps(row.tolist(), separators=(",", ":"))`` in O(nnz) Python steps.
+def _dense_row_json(stored: np.ndarray, tokens: Iterator[bytes]) -> bytes:
+    """The text between the brackets of ``json.dumps(row.tolist(), separators=(",", ":"))``
+    of a row whose entries ``stored`` take their JSON texts from ``tokens``, one each, in
+    O(nnz) Python steps.
 
-    The stored entries are encoded by one ``json.dumps``; the +0.0 entries
-    between them are the repeated text ``0.0,``.
+    The +0.0 entries between them are the repeated text ``0.0,``.
     """
-    pos = np.flatnonzero(_stored(row))
-    if pos.size == row.size:
-        return json.dumps(row.tolist(), separators=(",", ":"))
-    # float texts hold no ", ", so the default separator splits them apart
-    tokens = json.dumps(row[pos].tolist())[1:-1].split(", ") if pos.size else []
+    pos = np.flatnonzero(stored)
     gaps = (np.diff(pos, prepend=-1) - 1).tolist()
-    tail = row.size - 1 - (int(pos[-1]) if pos.size else -1)
-    text = "".join(["0.0," * g + t + "," for g, t in zip(gaps, tokens)]) + "0.0," * tail
-    return "[" + text[:-1] + "]"
+    tail = stored.size - 1 - (int(pos[-1]) if pos.size else -1)
+    # zip takes from gaps first, so it takes no token past this row's
+    return (b"".join([b"0.0," * g + t + b"," for g, t in zip(gaps, tokens)]) + b"0.0," * tail)[:-1]
 
 
 def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ fixed layout constants, fixed formatting, no randomness.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,31 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` of a nonempty 1-d array, bit for bit, without numpy.ma.
+
+    np.percentile imports numpy.ma, about 14 ms of a ``plot`` process.  This takes the two
+    order statistics around its "linear" virtual index (n - 1) * q / 100 by ``np.partition``
+    and interpolates as numpy's ``_lerp`` does, from the upper one when the weight is at
+    least 1/2.  As in numpy, an index at or past the last takes the last value with the
+    weight measured from -1, and a NaN anywhere gives NaN.
+    """
+    n = values.size
+    v = (n - 1) * (q / 100)
+    lo, hi = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+    part = np.partition(values, sorted({lo % n, hi % n, n - 1}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b = part[lo], part[hi]
+    t = v - lo
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def _axis_range(values: np.ndarray, log_scale: bool) -> tuple[float, float]:
     if values.size == 0:
         return (0.0, 1.0)
-    hi = float(np.percentile(values, CLIP_PERCENTILE))
+    hi = _percentile(values, CLIP_PERCENTILE)
     if log_scale:
         pos = values[values > 0]
         if pos.size == 0 or hi <= 0:

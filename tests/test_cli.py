@@ -495,8 +495,9 @@ class TestSampleWorkers:
     def test_json_writing_stages_never_import_numpy_ma(self, tmp_path, target_file, samples_file):
         # importing it would cost each of them about 15 ms: the JSON writer's
         # np.unique runs with return_inverse, the form that skips
-        # np.ma.is_masked
+        # np.ma.is_masked, and plot's clip takes no np.percentile
         model, coeffs, report = (str(tmp_path / name) for name in ("m.json", "c.json", "e.json"))
+        svg = str(tmp_path / "p.svg")
         code = (
             "import contextlib, io, sys; from mevgen.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -504,6 +505,7 @@ class TestSampleWorkers:
             f"    assert main(['coeffs', '--spec', {model!r}, '--out', {coeffs!r}]) == 0\n"
             f"    assert main(['estimate', '--data', {str(samples_file)!r}, '--u', '0.9',"
             f" '--spec', {model!r}, '--out', {report!r}]) == 0\n"
+            f"    assert main(['plot', '--data', {str(samples_file)!r}, '--out', {svg!r}]) == 0\n"
             "print('numpy.ma' in sys.modules)"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import mevgen as mg
 from mevgen.errors import DomainError, ProvenanceError, ShapeError
-from mevgen.estimation import _rank_exceedances
+from mevgen.estimation import _joint_counts, _rank_exceedances
 
 from conftest import EX3_LAMBDA
 
@@ -102,6 +102,21 @@ class TestRankTransform:
         report = mg.estimate_tail_dep(batch, 0.9, margins="rank")
         exceed = expected.astype(np.int64)
         assert np.array_equal(report.counts, exceed.T @ exceed)
+
+
+class TestJointCounts:
+    @pytest.mark.parametrize(
+        "n, d", [(1, 2), (1, 5), (7, 2), (63, 3), (65, 4), (129, 2), (1001, 17), (3000, 70)]
+    )
+    def test_equal_the_integer_product(self, n, d):
+        # n off multiples of 8 and 64 leaves zero bits past the last row in the packed words
+        rng = np.random.default_rng(n * d)
+        for share in (0.0, 0.05, 0.5, 1.0):
+            exceed = rng.random((n, d)) < share
+            ints = exceed.astype(np.int64)
+            counts = _joint_counts(exceed)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, ints.T @ ints)
 
 
 class TestEstimateTailDep:

@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 import mevgen as mg
 from mevgen import fileio
 from mevgen import _csvfmt
-from mevgen._csvfmt import format_rows, parse_rows
+from mevgen._csvfmt import format_rows, parse_rows, repr_rows
 from mevgen.errors import CsvFormatError, ShapeError
 
 from conftest import EX3_ALPHA, child_pids, savetxt_bytes
@@ -755,6 +755,120 @@ class TestRowFormatter:
     )
     def test_any_block_in_range_matches_percent(self, data):
         assert format_rows(data) == _percent_rows(data)
+
+
+def _repr_lines(block: np.ndarray) -> bytes:
+    """The reference JSON text of a block's rows: ``json.dumps`` of each row, without brackets."""
+    text = json.dumps(block.tolist(), separators=(",", ":"))[2:-2].replace("],[", "\n")
+    return (text + "\n").encode() if block.size else b"\n" * block.shape[0]
+
+
+def _powers_of_two() -> np.ndarray:
+    """2**e across the fast range and a little beyond it, and their two nearest neighbours."""
+    p = np.ldexp(1.0, np.arange(-16, 56))
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+def _short_decimals() -> np.ndarray:
+    """Decimals of 1 to 6 digits at every exponent of the range, and their neighbours."""
+    rng = np.random.default_rng(15)
+    digits, k = rng.integers(1, 10**6, 20_000), rng.integers(-9, 16, 20_000)
+    short = np.array([float(f"{m}e{e}") for m, e in zip(digits.tolist(), k.tolist())])
+    return np.concatenate([short, np.nextafter(short, 0.0), np.nextafter(short, np.inf)])
+
+
+def _integer_fives() -> np.ndarray:
+    """x = n + 1/4 and n + 3/4 for 2**49 <= n < 1e15, where X = 100 * x is an integer ending in
+    5, halfway between two multiples of 10 that both lie within g = 6.25; and n + 1/8, n + 3/8."""
+    rng = np.random.default_rng(16)
+    n = rng.integers(2**49, 10**15, 20_000).astype(np.float64)
+    return np.concatenate([n + 0.25, n + 0.75, n + 0.125, n + 0.375])
+
+
+def _integral() -> np.ndarray:
+    """Integers written with ".0": small ones, and the even ones from 2**53 to 1e16."""
+    rng = np.random.default_rng(17)
+    small = rng.integers(1, 10**15, 10_000).astype(np.float64)
+    return np.concatenate([np.arange(1.0, 3000.0), small, _large_integers()])
+
+
+def _range_ends() -> np.ndarray:
+    """Doubles on both sides of 1e-4 and below 1e16, the ends of the kernel's range, and
+    around 1e15, where the integer part takes 16 digits."""
+    steps = np.arange(-2000, 2000)
+    ends = [1e-4 * (1 + steps * 2.0**-52), 1e16 - 2.0 * (steps + 2001), 1e15 + steps / 8]
+    return np.concatenate(ends)
+
+
+def _bits_float(bits: int) -> float:
+    """The double with these bits."""
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+#: The bits of every finite positive double, and more often those of [1e-4, 1e16).
+_POSITIVE_BITS = st.one_of(
+    st.integers(1, 0x7FEFFFFFFFFFFFFF),
+    st.integers(int(np.float64(1e-4).view(np.uint64)), int(np.float64(1e16).view(np.uint64)) - 1),
+)
+
+
+_REPR_FAMILIES = {
+    "log-uniform": _log_uniform,
+    "full mantissas": _full_mantissas,
+    "powers of two": _powers_of_two,
+    "short decimals": _short_decimals,
+    "integer X ending in 5": _integer_fives,
+    "halves at 17 digits": _half_ties,
+    "integral": _integral,
+    "range ends": _range_ends,
+}
+
+
+class TestReprRows:
+    """``repr_rows`` writes ``float.__repr__``, and JSON's NaN and Infinity, for every float64."""
+
+    def test_families_where_shortest_digits_can_slip(self):
+        for name, family in _REPR_FAMILIES.items():
+            x = family()
+            block = x[: x.size // 7 * 7].reshape(-1, 7)
+            assert repr_rows(block) == _repr_lines(block), name
+
+    def test_few_values_are_left_to_repr(self):
+        # those go through one json.dumps; the kernel decides the rest itself
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            x = np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 200_000))
+            c, k, decided = _csvfmt._shortest(x)
+            assert np.count_nonzero(~decided) <= 0.01 * x.size
+            texts = repr_rows(x[decided][:, None]).decode().split()
+            assert texts == [repr(v) for v in x[decided].tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=arrays(np.uint64, st.integers(1, 40), elements=_POSITIVE_BITS))
+    def test_any_finite_positive_double(self, bits):
+        x = bits.view(np.float64)[None, :]
+        assert repr_rows(x) == _repr_lines(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.integers(1, 5).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(0, 12), st.just(d)),
+                elements=st.one_of(_JSON_FLOATS, _POSITIVE_BITS.map(_bits_float)),
+            )
+        )
+    )
+    def test_any_block_with_zeros_signs_nan_and_inf(self, data):
+        assert repr_rows(data) == _repr_lines(data)
+
+    @pytest.mark.parametrize("piece", [1, 3, 5])
+    def test_rows_split_across_pieces(self, monkeypatch, piece):
+        monkeypatch.setattr(_csvfmt, "_REPR_VALUES", piece)
+        block = np.array([[0.1, 2.0, -0.0, np.nan], [1e-5, 0.1 + 0.2, 1e300, 7.0]])
+        # in [8, 10) the gap is nearly 9 units of the 17th digit: two 16-digit values are close
+        block = np.vstack([block, np.random.default_rng(18).uniform(8.0, 10.0, (4, 4))])
+        assert repr_rows(block) == _repr_lines(block)
 
 
 def _loadtxt_and_line_parser(body: bytes, d: int) -> tuple:

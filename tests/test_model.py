@@ -24,6 +24,7 @@ from conftest import (
     model_specs,
     tail_dep_targets,
     unit_points,
+    weight_matrices,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -172,11 +173,31 @@ class TestModelSpec:
 
 
 class TestSpecJson:
-    @given(spec=edge_specs())
+    @given(spec=st.one_of(edge_specs(), weight_matrices(5, 40).map(lambda a: mg.ModelSpec(a, 2.0))))
     @settings(max_examples=300)
     def test_fingerprint_is_sha256_of_dense_json(self, spec):
         expect = hashlib.sha256(_dense_json(spec).encode("ascii")).hexdigest()
         assert spec.fingerprint() == expect
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fingerprint_of_mixed_layouts(self, seed):
+        # fully stored rows take the kernel's one pass, the others its tokens between zeros
+        rng = np.random.default_rng(seed)
+        weights = [
+            rng.uniform(0.0, 2.0, 400),
+            np.round(rng.uniform(0.0, 1.0, 400), 2),
+            np.ldexp(1.0, rng.integers(-20, 20, 400)),
+            rng.choice([1.0, 2.0], 400),
+            rng.uniform(0.0, 1e-4, 400),
+            1e15 + rng.uniform(0.0, 10.0, 400),
+        ]
+        alpha = np.stack([w[rng.permutation(400)] for w in weights] * 3).reshape(18, 400)
+        alpha[6:12] *= rng.random((6, 400)) < 0.1  # sparse rows
+        alpha[12] = 0.0
+        alpha[13, ::3] = -0.0
+        for a in (alpha, alpha[:6], alpha[6:]):
+            spec = mg.ModelSpec(alpha=a, C=1.0)
+            assert spec.fingerprint() == hashlib.sha256(_dense_json(spec).encode()).hexdigest()
 
     @given(spec=edge_specs())
     @settings(max_examples=300)

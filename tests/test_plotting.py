@@ -10,7 +10,7 @@ import pytest
 
 import mevgen as mg
 from mevgen.errors import DomainError, ShapeError
-from mevgen.plotting import pair_scatter_svg
+from mevgen.plotting import _percentile, pair_scatter_svg
 
 
 def _panel_titles(svg: str) -> list[str]:
@@ -98,3 +98,20 @@ class TestPairScatter:
             pair_scatter_svg(np.ones((3, 2)), pairs=[(0, 2)])
         with pytest.raises(DomainError):
             pair_scatter_svg(np.ones((3, 2)), pairs=[])
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("q", [99.5, 0.0, 37.5, 50.0, 99.9, 100.0])
+    def test_bits_equal_np_percentile(self, q):
+        rng = np.random.default_rng(int(q * 10))
+        cases = [np.array(v) for v in ([3.0], [2.0, 1.0], [-0.0], [0.0, -0.0], [1.0, np.nan, 3.0])]
+        cases += [np.array([np.inf, 1.0]), np.array([-np.inf, np.inf])]
+        for n in [1, 2, 3, 8, 199, 200, 201, 1000]:
+            cases.append(rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5))
+            cases.append(rng.integers(0, 3, n).astype(np.float64))  # ties
+            cases.append(1.0 / rng.random(n))  # a heavy upper tail, as the samples have
+        for values in cases:
+            with np.errstate(invalid="ignore"):
+                want = np.float64(np.percentile(values, q))
+                got = np.float64(_percentile(values.copy(), q))
+            assert got.tobytes() == want.tobytes(), (values, q)
