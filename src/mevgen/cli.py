@@ -34,7 +34,6 @@ from .errors import (
     ShapeError,
     SpecValidationError,
 )
-from .estimation import estimate_tail_dep, theoretical_vs_empirical
 from .model import (
     FEASIBILITY_TOL,
     _log_copula,
@@ -44,9 +43,6 @@ from .model import (
     require_valid_spec,
     tail_dep_matrix,
 )
-from .plotting import pair_scatter_svg
-from .sampling import SampleBatch, _chunk_plan
-from .synthesis import synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,6 +72,8 @@ def _emit_json(obj: dict, out_path) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .synthesis import synthesize  # each subcommand imports the modules it runs
+
     target = fileio.load_tail_dep(args.target)
     result = synthesize(target, c=args.c)
     canonical = target.canonical()
@@ -131,6 +129,9 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--chunk-size must be positive, got {args.chunk_size}")
     if not 0 <= args.seed < 2**64:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
+    from . import _csvfmt  # noqa: F401 (before the fork: the workers and the fingerprint share it)
+    from .sampling import _chunk_plan
+
     spec = fileio.load_spec(args.spec)
     chunk, starts = _chunk_plan(spec, args.n, args.seed, args.chunk_size)
 
@@ -191,6 +192,8 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .sampling import SampleBatch
+
     if not 0.0 < args.u < 1.0:
         raise _UsageError(f"--u must lie strictly between 0 and 1, got {args.u}")
     spec = spec_error = None
@@ -222,10 +225,19 @@ def cmd_estimate(args) -> int:
             digest = spec.digest(fingerprint)  # binds the empty fingerprint to this spec
     batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint, spec_digest=digest)
 
-    rank_report = estimate_tail_dep(batch, args.u, margins="rank")
-    out = rank_report.to_json_dict()
+    out = _estimate_json(batch, spec, args.u)
+    del data, batch, spec  # the report alone is held while its text is written
+    _emit_json(out, args.out)
+    return EXIT_OK
+
+
+def _estimate_json(batch, spec, u: float) -> dict:
+    """``estimate``'s report on ``batch``, compared with ``spec`` unless it is None."""
+    from .estimation import estimate_tail_dep, theoretical_vs_empirical
+
+    out = estimate_tail_dep(batch, u, margins="rank").to_json_dict()
     if spec is not None:
-        comparison = theoretical_vs_empirical(spec, batch, u_grid=[args.u])[0]
+        comparison = theoretical_vs_empirical(spec, batch, u_grid=[u])[0]
         known = comparison.to_json_dict()
         out["exact_finite_u"] = known.pop("exact_finite_u")
         out["lambda_limit"] = known.pop("lambda_limit")
@@ -238,8 +250,7 @@ def cmd_estimate(args) -> int:
                 f"estimate deviates by more than 3 half-widths for {len(flagged)} pairs: "
                 f"{pairs}{f' and {more} more' if more > 0 else ''}"
             )
-    _emit_json(out, args.out)
-    return EXIT_OK
+    return out
 
 
 def _parse_pairs(raw: list[str] | None, d: int) -> tuple[tuple[int, int], ...] | None:
@@ -263,6 +274,8 @@ def _parse_pairs(raw: list[str] | None, d: int) -> tuple[tuple[int, int], ...] |
 
 
 def cmd_plot(args) -> int:
+    from .plotting import pair_scatter_svg
+
     data = fileio.read_csv(args.data)
     pairs = _parse_pairs(args.pairs, data.shape[1])
     pair_scatter_svg(data, path=args.out, log_scale=args.log, pairs=pairs)

@@ -95,14 +95,16 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError, ShapeError
 from .model import ModelSpec, TailDepMatrix
-from .sampling import SampleBatch
-from .synthesis import SynthesisResult
+
+if TYPE_CHECKING:  # for annotations only: a stage that samples or synthesizes nothing skips them
+    from .sampling import SampleBatch
+    from .synthesis import SynthesisResult
 
 #: Values formatted per piece when writing CSV.  About 16k values keep the
 #: vectorized formatter's temporaries small (at 64k malloc serves them from
@@ -114,6 +116,11 @@ _FORMAT_VALUES = 2**14
 #: the fork map, so a body of one span is parsed in process, and only the
 #: text of one span per worker, not of the file, is held at once.
 _READ_BYTES = 2**22
+
+#: Floats of a JSON document formatted per :func:`mevgen._csvfmt.repr_rows` call, at
+#: least: the lists holding them are formatted together, which spares a small document
+#: the kernel's fixed cost per call and bounds the temporaries of a large one.
+_JSON_VALUES = 2**16
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -143,18 +150,32 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj: dict | list, path) -> None:
-    text = _json_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(_json_parts(obj))
         fh.write("\n")
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, formatting each distinct
-    float of a list of floats, or of equal-length rows of them, once (None is ``null``)."""
+def _json_parts(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces,
+    formatting the distinct floats of all its lists of floats, or of equal-length rows of
+    them, at once (None is ``null``); each list's text is made as it is asked for."""
+    parts: list = []
+    lists: list = []
+    _add_json_parts(obj, parts, lists)
+    texts = _float_list_texts(lists)
+    return (next(texts) if part is None else part for part in parts)
+
+
+def _add_json_parts(obj, parts: list, lists: list) -> None:
+    """Append the text of ``obj`` to ``parts``, with None in place of each float list,
+    whose ``(rows, nested)`` is appended to ``lists``."""
     if type(obj) is dict and all(type(key) is str for key in obj):
-        items = (f"{json.dumps(key)}:{_json_text(obj[key])}" for key in sorted(obj))
-        return "{" + ",".join(items) + "}"
+        parts.append("{")
+        for n, key in enumerate(sorted(obj)):
+            parts.append(f"{',' if n else ''}{json.dumps(key)}:")
+            _add_json_parts(obj[key], parts, lists)
+        parts.append("}")
+        return
     if type(obj) is list and obj:
         nested = all(type(row) is list for row in obj)
         rows = obj if nested else [obj]
@@ -164,24 +185,40 @@ def _json_text(obj) -> str:
             and all(len(row) == width for row in rows)
             and set(map(type, chain.from_iterable(rows))) <= {float, type(None)}
         ):
-            text = "],[".join(map(",".join, _float_tokens(rows).tolist()))
-            return f"[[{text}]]" if nested else f"[{text}]"
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            parts.append(None)
+            lists.append((rows, nested))
+            return
+    parts.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _float_tokens(rows: list) -> np.ndarray:
-    """The JSON texts of the entries of equal-length rows of floats and None."""
+def _float_list_texts(lists: list) -> Iterator[str]:
+    """The JSON text of each ``(rows, nested)`` float list; the distinct values of
+    consecutive lists, until they hold ``_JSON_VALUES`` values, are formatted by one
+    :func:`mevgen._csvfmt.repr_rows` call."""
     from ._csvfmt import repr_rows  # here only: stages that write no float list never load it
 
-    values = np.array(rows, dtype=np.float64)  # None becomes NaN
-    # without return_inverse, np.unique would import numpy.ma
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = repr_rows(bits.view(np.float64)[None, :]).decode("ascii")[:-1].split(",")
-    tokens = np.array(texts, dtype=object)[inverse].reshape(values.shape)
-    for r, c in zip(*np.nonzero(np.isnan(values))):
-        if rows[r][c] is None:
-            tokens[r, c] = "null"
-    return tokens
+    start = 0
+    while start < len(lists):
+        distinct, size = [], 0  # each list's distinct values, by their bits
+        for rows, _ in lists[start:]:
+            values = np.array(rows, dtype=np.float64)  # None becomes NaN
+            # np.unique without return_inverse would import numpy.ma
+            bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+            distinct.append((bits, inverse.reshape(values.shape), np.argwhere(np.isnan(values))))
+            size += values.size
+            if size >= _JSON_VALUES:
+                break
+        every = np.unique(np.concatenate([bits for bits, _, _ in distinct]), return_inverse=True)[0]
+        texts = repr_rows(every.view(np.float64)[None, :]).decode("ascii")[:-1].split(",")
+        texts = np.array(texts, dtype=object)
+        for (rows, nested), (bits, inverse, nan) in zip(lists[start:], distinct):
+            tokens = texts[np.searchsorted(every, bits)][inverse]
+            for r, c in nan.tolist():
+                if rows[r][c] is None:
+                    tokens[r, c] = "null"
+            text = "],[".join(map(",".join, tokens.tolist()))
+            yield f"[[{text}]]" if nested else f"[{text}]"
+        start += len(distinct)
 
 
 def load_spec(path) -> ModelSpec:

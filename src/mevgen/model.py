@@ -40,10 +40,10 @@ one without building that text.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -85,7 +85,17 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+#: Most entries, d * D (a side of 0 counting as 1), that a spec made from
+#: stored entries (a sparse file, or :func:`mevgen.synthesize`) may have:
+#: 2**29, which admits a synthesized d = 1024.  Dense alpha would take 4 GiB there and the fingerprint text
+#: 2 GiB, so a larger shape is refused before anything of its size exists.
+_MAX_ENTRIES = 2**29
+
+#: Values per block of dense row images (512 KiB), through which the row sums
+#: of stored rows and the lambda of pairs with a dense row are taken.
+_IMAGE_VALUES = 2**15
+
+
 class ModelSpec:
     """Full parametrization of the max-mixture model.
 
@@ -100,31 +110,138 @@ class ModelSpec:
 
     Construction only normalizes shapes; use :func:`require_valid_spec` to
     check the numeric invariants.  A read-only float64 ``alpha`` that owns
-    its memory is held as it is; any other is copied.
+    its memory is held as it is; any other is copied.  A spec is immutable;
+    its ``alpha`` is that array, or for a spec made from stored entries (a
+    sparse file, or :func:`mevgen.synthesize`) a read-only array built on
+    first use.
     """
 
-    alpha: np.ndarray
-    C: float
+    def __init__(self, alpha, C):
+        alpha = _as_readonly_matrix(alpha, "alpha")
+        dense = 2 * np.count_nonzero(alpha, axis=1) > alpha.shape[1]
+        rows, cols = np.nonzero(_stored(alpha) & ~dense[:, None])
+        block = alpha if dense.all() else alpha[dense]
+        self.__dict__["alpha"] = alpha
+        self._hold(C, alpha.shape, dense, block, rows, cols, alpha[rows, cols])
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_readonly_matrix(self.alpha, "alpha"))
-        object.__setattr__(self, "C", float(self.C))
+    @classmethod
+    def _from_entries(cls, d: int, big_d: int, C, rows, cols, vals) -> "ModelSpec":
+        """The (d, D) spec with entries ``alpha[rows[t], cols[t]] = vals[t]``, in any order.
 
-    @property
-    def d(self) -> int:
-        return self.alpha.shape[0]
+        The caller has passed the shape through :func:`_check_shape`.  Raises
+        ShapeError on an entry listed twice; listed +0.0 values are not stored.
+        """
+        flat = rows * big_d + cols
+        order = np.argsort(flat, kind="stable")
+        flat, vals = flat[order], vals[order]
+        del order  # as each temporary below, freed early: loading holds O(nnz)
+        if np.any(flat[1:] == flat[:-1]):
+            raise ShapeError("sparse alpha lists an entry more than once")
+        keep = _stored(vals)
+        if not keep.all():
+            flat, vals = flat[keep], vals[keep]
+        rows, cols = np.divmod(flat, big_d)
+        del flat
+        dense = 2 * np.bincount(rows[vals != 0], minlength=d) > big_d
+        in_block = dense[rows]
+        block = np.zeros((np.count_nonzero(dense), big_d))
+        block[(np.cumsum(dense) - 1)[rows[in_block]], cols[in_block]] = vals[in_block]
+        block.flags.writeable = False
+        if in_block.any():
+            rows, cols, vals = rows[~in_block], cols[~in_block], vals[~in_block]
+        spec = cls.__new__(cls)
+        spec._hold(C, (d, big_d), dense, block, rows, cols, vals)
+        return spec
 
-    @property
-    def D(self) -> int:
-        return self.alpha.shape[1]
+    def _hold(self, C, shape, dense, block, rows, cols, vals) -> None:
+        """Set the stored rows: ``rows``, ``cols`` and ``vals`` list the stored entries of
+        the rows that ``dense`` leaves out, in row-major order, and ``block`` holds the others."""
+        bounds = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=bounds[1:])
+        self.__dict__.update(
+            C=float(C), d=shape[0], D=shape[1], _dense=dense, _block=block,
+            _rows=rows, _cols=cols, _vals=vals, _bounds=bounds,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelSpec is immutable: cannot set {name!r}")
+
+    def _with_scale(self, C) -> "ModelSpec":
+        """This spec with scale constant ``C``; the two share their arrays."""
+        spec = ModelSpec.__new__(ModelSpec)
+        spec.__dict__.update(self.__dict__, C=float(C))
+        return spec
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """The (d, D) weights as one read-only array."""
+        alpha = np.zeros((self.d, self.D))
+        alpha[self._dense] = self._block
+        alpha[self._rows, self._cols] = self._vals
+        alpha.flags.writeable = False
+        return alpha
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        """The row sums, with the bits of ``alpha.sum(axis=1)``: a stored row's sum is taken
+        over its dense image, as summing its stored values alone would group them otherwise."""
+        with np.errstate(all="ignore"):  # validation reports what overflows
+            if "alpha" in self.__dict__:
+                return self.alpha.sum(axis=1)
+            return np.concatenate([image.sum(axis=1) for _, image in self._images()] + [[]])
+
+    def _images(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, alpha[lo:hi])`` for consecutive blocks of about ``_IMAGE_VALUES`` values,
+        in one buffer that is cleared for the next block once the caller asks for it."""
+        step = max(1, _IMAGE_VALUES // max(self.D, 1))
+        at = np.cumsum(self._dense) - 1  # the block row of each dense row
+        scratch = np.zeros((step, self.D))
+        for lo in range(0, self.d, step):
+            hi = min(lo + step, self.d)
+            image = scratch[: hi - lo]
+            dense = np.flatnonzero(self._dense[lo:hi])
+            image[dense] = self._block[at[lo + dense]]
+            e = slice(self._bounds[lo], self._bounds[hi])
+            image[self._rows[e] - lo, self._cols[e]] = self._vals[e]
+            yield lo, image
+            image[dense] = 0.0
+            image[self._rows[e] - lo, self._cols[e]] = 0.0
+
+    def _entries(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices ``i * D + j`` and values of every stored entry, in row-major order;
+        the dense rows among them only where the mask ``rows`` holds."""
+        flat, vals = self._rows * self.D + self._cols, self._vals
+        block, dense = self._block, np.flatnonzero(self._dense)
+        if rows is not None:
+            block, dense = block[rows[dense]], dense[rows[dense]]
+        if block.size:
+            at = np.flatnonzero(_stored(block))
+            block_vals = block.ravel()[at]
+            if dense.size < self.d:
+                at = dense[at // self.D] * self.D + at % self.D
+            if flat.size:
+                order = np.argsort(np.concatenate([flat, at]), kind="stable")
+                at, block_vals = np.concatenate([flat, at])[order], np.concatenate([vals, block_vals])[order]
+            flat, vals = at, block_vals
+        return flat, vals
+
+    def _first(self, test: Callable[[np.ndarray], np.ndarray]) -> list[tuple[int, int, float]]:
+        """``(row, column, value)`` of the first ten stored entries, in row-major order,
+        for which the vectorized ``test`` holds; it must not hold for +0.0."""
+        if not (test(self._block).any() or test(self._vals).any()):
+            return []
+        flat, vals = self._entries()
+        hit = np.flatnonzero(test(vals))[:10]
+        rows, cols = np.divmod(flat[hit], self.D)
+        return list(zip(rows.tolist(), cols.tolist(), vals[hit].tolist()))
 
     def row_sums(self) -> np.ndarray:
         """Per-margin total shared weight, ``sum_j alpha[i, j]``."""
-        return self.alpha.sum(axis=1)
+        return self._sums.copy()
 
     def slacks(self) -> np.ndarray:
         """Idiosyncratic coefficients ``C - row_sums``, clamped at zero."""
-        return np.maximum(self.C - self.row_sums(), 0.0)
+        return np.maximum(self.C - self._sums, 0.0)
 
     def fingerprint(self) -> str:
         """Content hash identifying this spec across serialization round trips.
@@ -132,21 +249,41 @@ class ModelSpec:
         The sha256 of the compact, sorted-key JSON of the spec with alpha as
         a dense list of lists, whichever layout :meth:`to_json_dict` picks.
         """
-        from ._csvfmt import repr_rows  # here only: stages that hash no spec never load it
+        import hashlib  # here only, as is the kernel: stages that hash no spec never load them
 
-        stored = _stored(self.alpha)
-        full = stored.all(axis=1) & (self.D > 0)  # an empty row has no value to end its line
-        # the fully stored rows in one pass, the kernel writing their commas; the stored
-        # entries of the other rows as tokens, taken in turn between their runs of "0.0,"
-        full_texts = iter(repr_rows(self.alpha[full]).split(b"\n"))
-        values = self.alpha[stored & ~full[:, None]]
-        tokens = iter(repr_rows(values[None, :])[:-1].split(b",") if values.size else [])
-        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), self.D))
-        for s, row in enumerate(stored):
+        from ._csvfmt import repr_rows
+
+        d, big_d = self.d, self.D
+        full = np.zeros(d, dtype=bool)  # dense rows with every entry stored
+        if big_d:  # an empty row has no value to end its line
+            full[self._dense] = _stored(self._block).all(axis=1)
+        # the full rows in one pass, the kernel writing their commas; the stored
+        # entries of the others as tokens, taken in turn between their runs of "0.0,"
+        full_texts = iter(repr_rows(self._block[full[self._dense]]).split(b"\n"))
+        flat, vals = self._entries(~full)
+        tokens = repr_rows(vals[None, :])[:-1].split(b",") if vals.size else []
+        cols = flat % max(big_d, 1)
+        bounds = np.searchsorted(flat, np.arange(d + 1) * big_d).tolist()
+        gaps = np.diff(flat, prepend=-1) - 1  # the run of +0.0 before each stored entry
+        first = np.array(bounds[:-1], dtype=np.intp)
+        first = first[first < flat.size]
+        gaps[first] = cols[first]  # a row's first run starts at its column 0
+        gaps, cols = gaps.tolist(), cols.tolist()
+        zero = b"0.0,"
+        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), big_d))
+        for s in range(d):
             h.update(b",[" if s else b"[")
-            h.update(next(full_texts) if full[s] else _dense_row_json(row, tokens))
+            if full[s]:
+                h.update(next(full_texts))
+            else:
+                lo, hi = bounds[s], bounds[s + 1]
+                row = [zero * g + t for g, t in zip(gaps[lo:hi], tokens[lo:hi])]
+                tail = big_d - 1 - (cols[hi - 1] if hi > lo else -1)
+                if tail:
+                    row.append(memoryview(zero * tail)[:-1])
+                h.update(b",".join(row))
             h.update(b"]")
-        h.update(b'],"d":%d}' % self.d)
+        h.update(b'],"d":%d}' % d)
         return h.hexdigest()
 
     def digest(self, fingerprint: str) -> str:
@@ -158,12 +295,14 @@ class ModelSpec:
         spec whose digest with a sidecar's fingerprint equals the sidecar's
         digest has that fingerprint, without the O(d * D) text being built.
         """
-        flat = np.flatnonzero(_stored(self.alpha))
+        import hashlib
+
+        flat, vals = self._entries()
         h = hashlib.sha256(json.dumps(fingerprint).encode())
         h.update(np.array([self.d, self.D], dtype="<i8").tobytes())
         h.update(np.array([self.C], dtype="<f8").tobytes())
         h.update(flat.astype("<i8").tobytes())
-        h.update(self.alpha.ravel()[flat].astype("<f8").tobytes())
+        h.update(vals.astype("<f8").tobytes())
         return h.hexdigest()
 
     def to_json_dict(self) -> dict:
@@ -173,13 +312,12 @@ class ModelSpec:
         survive.  The sparse form ``{"i": rows, "j": cols, "v": values}``
         lists them in row-major order; otherwise alpha is a list of rows.
         """
-        a = self.alpha
-        stored = _stored(a)
-        if 4 * np.count_nonzero(stored) <= a.size:
-            rows, cols = np.nonzero(stored)
-            alpha = {"i": rows.tolist(), "j": cols.tolist(), "v": a[rows, cols].tolist()}
+        if 4 * (self._vals.size + np.count_nonzero(_stored(self._block))) <= self.d * self.D:
+            flat, vals = self._entries()
+            rows, cols = np.divmod(flat, max(self.D, 1))
+            alpha = {"i": rows.tolist(), "j": cols.tolist(), "v": vals.tolist()}
         else:
-            alpha = a.tolist()
+            alpha = self.alpha.tolist()
         return {"d": self.d, "D": self.D, "C": self.C, "alpha": alpha}
 
     @classmethod
@@ -199,9 +337,8 @@ class ModelSpec:
         except OverflowError:
             raise ShapeError(f"scale constant C={c!r} is outside the float64 range") from None
         if isinstance(alpha, dict):
-            alpha = _alpha_from_entries(alpha, d, big_d)
-        else:
-            _require_number_rows(alpha, "alpha")
+            return cls._from_entries(d, big_d, c, *_listed_entries(alpha, d, big_d))
+        _require_number_rows(alpha, "alpha")
         spec = cls(alpha=alpha, C=c)
         if spec.d != d or spec.D != big_d:
             raise ShapeError(
@@ -234,22 +371,21 @@ def _stored(alpha: np.ndarray) -> np.ndarray:
     return (alpha != 0) | np.signbit(alpha)
 
 
-def _dense_row_json(stored: np.ndarray, tokens: Iterator[bytes]) -> bytes:
-    """The text between the brackets of ``json.dumps(row.tolist(), separators=(",", ":"))``
-    of a row whose entries ``stored`` take their JSON texts from ``tokens``, one each, in
-    O(nnz) Python steps.
+def _check_shape(d: int, big_d: int) -> None:
+    """Raise ShapeError unless a (d, D) alpha has nonnegative sides and at most
+    ``_MAX_ENTRIES`` entries."""
+    if d < 0 or big_d < 0:
+        raise ShapeError(
+            f"alpha of shape ({d}, {big_d}) cannot be held: negative dimensions are not allowed"
+        )
+    if max(d, 1) * max(big_d, 1) > _MAX_ENTRIES:
+        raise ShapeError(
+            f"alpha of shape ({d}, {big_d}) is over the limit of {_MAX_ENTRIES} = 2**29 entries"
+        )
 
-    The +0.0 entries between them are the repeated text ``0.0,``.
-    """
-    pos = np.flatnonzero(stored)
-    gaps = (np.diff(pos, prepend=-1) - 1).tolist()
-    tail = stored.size - 1 - (int(pos[-1]) if pos.size else -1)
-    # zip takes from gaps first, so it takes no token past this row's
-    return (b"".join([b"0.0," * g + t + b"," for g, t in zip(gaps, tokens)]) + b"0.0," * tail)[:-1]
 
-
-def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
-    """The dense (d, D) alpha of a sparse ``{"i", "j", "v"}`` object."""
+def _listed_entries(obj: dict, d: int, big_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and values listed by a sparse ``{"i", "j", "v"}`` object."""
     try:
         rows, cols, vals = obj["i"], obj["j"], obj["v"]
     except KeyError as exc:
@@ -261,28 +397,25 @@ def _alpha_from_entries(obj: dict, d: int, big_d: int) -> np.ndarray:
             f"sparse alpha lists differ in length: i has {len(rows)}, j {len(cols)}, "
             f"v {len(vals)}"
         )
+    _check_shape(d, big_d)  # so that every index in range fits an intp
+    indices = []
     for name, idx, bound in (("i", rows, d), ("j", cols, big_d)):
         if not set(map(type, idx)) <= {int}:
             raise ShapeError(f"sparse alpha indices {name} must be integers")
-        if idx and (min(idx) < 0 or max(idx) >= bound):
+        try:
+            idx = np.array(idx, dtype=np.intp)
+            inside = not idx.size or (idx.min() >= 0 and idx.max() < bound)
+        except OverflowError:  # past 2**63, so past any bound that passed the shape check
+            inside = False
+        if not inside:
             raise ShapeError(f"sparse alpha index {name} outside [0, {bound})")
+        indices.append(idx)
     if (k := _first_non_number(vals)) is not None:
         raise ShapeError(f"sparse alpha values must be numbers, in a flat list: v[{k}]={vals[k]!r}")
     try:
-        v = np.array(vals, dtype=np.float64)
+        return (*indices, np.array(vals, dtype=np.float64))
     except OverflowError:
         raise ShapeError("sparse alpha values must lie in the float64 range") from None
-    try:
-        alpha = np.zeros((d, big_d))
-    except (ValueError, MemoryError) as exc:
-        raise ShapeError(f"alpha of shape ({d}, {big_d}) cannot be held: {exc}") from exc
-    i, j = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    flat = np.sort(i * big_d + j)  # np.sort, not np.unique, which imports numpy.ma
-    if np.any(flat[1:] == flat[:-1]):
-        raise ShapeError("sparse alpha lists an entry more than once")
-    alpha[i, j] = v
-    alpha.flags.writeable = False  # ModelSpec takes it without a copy
-    return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,22 +482,16 @@ def require_valid_spec(spec: ModelSpec) -> ModelSpec:
             f"scale constant C={spec.C!r} must be positive, finite and at least "
             f"{_MIN_SCALE!r}, the smallest normal float64"
         )
-    if not np.all(np.isfinite(spec.alpha)):
-        bad = np.argwhere(~np.isfinite(spec.alpha))
-        for i, j in bad[:10]:
-            violations.append(f"alpha[{i}][{j}] is not finite")
-    else:
-        neg = np.argwhere(spec.alpha < 0)
-        for i, j in neg[:10]:
-            violations.append(
-                f"alpha[{i}][{j}] = {float(spec.alpha[i, j])!r} is negative"
-            )
+    bad = spec._first(lambda a: ~np.isfinite(a))
+    violations += [f"alpha[{i}][{j}] is not finite" for i, j, _ in bad]
+    if not bad:
+        negative = spec._first(lambda a: a < 0)
+        violations += [f"alpha[{i}][{j}] = {v!r} is negative" for i, j, v in negative]
         if np.isfinite(spec.C):
-            row_sums = spec.alpha.sum(axis=1)
-            over = np.flatnonzero(row_sums > spec.C + FEASIBILITY_TOL)
-            for i in over[:10]:
+            sums = spec._sums
+            for i in np.flatnonzero(sums > spec.C + FEASIBILITY_TOL)[:10]:
                 violations.append(
-                    f"row {i} sum {float(row_sums[i])!r} exceeds scale constant C={spec.C!r}"
+                    f"row {i} sum {float(sums[i])!r} exceeds scale constant C={spec.C!r}"
                 )
     if violations:
         raise SpecValidationError(violations)
@@ -503,31 +630,70 @@ def tail_dep_matrix(spec: ModelSpec) -> TailDepMatrix:
     ``lambda[s, k] = (1 / C) * sum_j min(alpha[s, j], alpha[k, j])`` off the
     diagonal; the diagonal is 1 by definition, never computed.
 
-    A zero weight in row s makes the column's min 0, so a pair of rows that
-    both have at most half of their D entries nonzero sums over the first
-    row's nonzero columns only; a pair with a denser row sums over all D,
-    so every entry of a dense row has the bits of the full sum.  On a
-    synthesized spec every pair shares one column, so both give the same
-    bits; elsewhere the sparse sum may differ from the full one in the last
-    place.
+    A pair with a dense row sums all D minima, so its entry has the bits of
+    the full sum.  Two stored rows (see the module docstring) are paired
+    through the columns they both store, as every other column's minimum is
+    0: when they share at most two, the sum of those minima is the full
+    sum's value exactly, since adding zeros is exact and two terms commute.
+    A pair sharing three or more sums over the first row's nonzero columns,
+    which may differ from the full sum in the last place.  On a synthesized
+    spec every pair shares exactly one column.
     """
     require_valid_spec(spec)
-    d, alpha = spec.d, spec.alpha
-    dense = 2 * np.count_nonzero(alpha, axis=1) > spec.D
-    lam = np.zeros((d, d))
-    # Row-at-a-time keeps peak memory at O(d * D) even for d ~ 1e3, D ~ 1e4.
-    for s in range(d - 1):
-        if dense[s]:
-            lam[s, s + 1 :] = np.minimum(alpha[s + 1 :], alpha[s]).sum(axis=1)
-            continue
-        cols = np.flatnonzero(alpha[s])
-        lam[s, s + 1 :] = np.minimum(alpha[s + 1 :, cols], alpha[s, cols]).sum(axis=1)
-        if dense[s + 1 :].any():
-            k = s + 1 + np.flatnonzero(dense[s + 1 :])
-            lam[s, k] = np.minimum(alpha[k], alpha[s]).sum(axis=1)
+    lam = np.zeros((spec.d, spec.d))
+    if spec._dense.any():
+        _dense_pair_sums(spec, lam)
+    _stored_pair_sums(spec, lam.reshape(-1))
     lam = (lam + lam.T) / spec.C
     np.fill_diagonal(lam, 1.0)
     return TailDepMatrix(lam)
+
+
+def _dense_pair_sums(spec: ModelSpec, lam: np.ndarray) -> None:
+    """Set ``lam[s, k] = np.minimum(alpha[k], alpha[s]).sum()``, s < k, for each pair with
+    a dense row, through blocks of row images."""
+    dense = spec._dense
+    for lo, image in spec._images():
+        hi = lo + image.shape[0]
+        for s, weights in zip(np.flatnonzero(dense).tolist(), spec._block):
+            if s + 1 < hi:  # with the rows k > s of this block
+                k = max(lo, s + 1)
+                lam[s, k:hi] = np.minimum(image[k - lo :], weights).sum(axis=1)
+            below = lo + np.flatnonzero(~dense[lo : min(hi, s)])  # with stored rows k < s
+            if below.size:
+                lam[below, s] = np.minimum(weights, image[below - lo]).sum(axis=1)
+
+
+def _stored_pair_sums(spec: ModelSpec, lam: np.ndarray) -> None:
+    """Set ``lam[s * d + k]``, s < k, for each pair of stored rows that shares a stored column."""
+    d, b = spec.d, spec._bounds
+    order = np.argsort(spec._cols, kind="stable")  # by column, rows ascending within one
+    rows, cols, vals = spec._rows[order], spec._cols[order], spec._vals[order]
+    shared = np.zeros(d * d, dtype=np.intp)
+    for off in range(1, rows.size):
+        t = np.flatnonzero(cols[off:] == cols[:-off])  # entries t and t + off share a column
+        if not t.size:
+            break  # a column stored by more rows would have a pair at this offset too
+        pair = rows[t] * d + rows[t + off]
+        np.add.at(lam, pair, np.minimum(vals[t + off], vals[t]))
+        np.add.at(shared, pair, 1)
+    stored = np.flatnonzero(~spec._dense)
+    at = np.full(spec.D, -1)  # the place of each of row s's nonzero columns, else -1
+    for s in np.flatnonzero((shared > 2).reshape(d, d).any(axis=1)).tolist():
+        cols_s, vals_s = spec._cols[b[s] : b[s + 1]], spec._vals[b[s] : b[s + 1]]
+        cols_s, vals_s = cols_s[vals_s != 0], vals_s[vals_s != 0]
+        at[cols_s] = np.arange(cols_s.size)
+        # alpha[s + 1 :, cols_s] as the fancy index lays it out, in column-major order: the
+        # sums run along rows in that order, so its bits depend on the layout
+        gathered = np.zeros((cols_s.size, d - s - 1)).T
+        e = slice(b[s + 1], b[d])
+        place = at[spec._cols[e]]
+        hit = place >= 0
+        gathered[spec._rows[e][hit] - s - 1, place[hit]] = spec._vals[e][hit]
+        at[cols_s] = -1
+        sums = np.minimum(gathered, vals_s).sum(axis=1)
+        k = stored[stored > s]
+        lam[s * d + k] = sums[k - s - 1]
 
 
 def extremal_matrix(spec: ModelSpec) -> np.ndarray:

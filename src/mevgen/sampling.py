@@ -126,12 +126,12 @@ class SampleBatch:
         return self.data.shape[1]
 
 
-def _factor_max(alpha: np.ndarray):
+def _factor_max(spec: ModelSpec):
     """Kernel writing ``out[:, i] = max_j alpha[i, j] * z[:, j]`` for a chunk z.
 
-    Each row is classified once here: a row with ``2 * nnz <= D`` gathers its
-    nonzero columns (a row with none gives 0); the others are dense and go
-    ``_BLOCK_ROWS`` observations at a time through one reused buffer.
+    A stored row (see :mod:`mevgen.model`) gathers its nonzero columns (a
+    row with none gives 0); the dense rows go ``_BLOCK_ROWS`` observations
+    at a time through one reused buffer.
 
     With at least ``2 * (_TOP_K + 1)`` dense rows and ``D > 4 * (_TOP_K + 1)``,
     dense rows are bounded before any full product.  For each observation t
@@ -155,20 +155,19 @@ def _factor_max(alpha: np.ndarray):
     buffer in groups of ``D // (_TOP_K + 1)`` rows, and the bounds of a block
     take the size of its output.
     """
-    big_d = alpha.shape[1]
-    gathered, dense = [], []
-    for i, row in enumerate(alpha):
-        cols = np.flatnonzero(row)
-        if 2 * cols.size <= big_d:
-            gathered.append((i, cols, row[cols]))
-        else:
-            dense.append(i)
-    buf = np.empty((_BLOCK_ROWS, big_d)) if dense else None
+    big_d, b = spec.D, spec._bounds
+    gathered = []
+    for i in np.flatnonzero(~spec._dense).tolist():
+        cols, weights = spec._cols[b[i] : b[i + 1]], spec._vals[b[i] : b[i + 1]]
+        nonzero = weights != 0  # a -0.0 weight is stored, but its products are not gathered
+        gathered.append((i, cols[nonzero], weights[nonzero]))
+    dense, alpha = np.flatnonzero(spec._dense), spec._block  # row r of alpha is row dense[r]
+    buf = np.empty((_BLOCK_ROWS, big_d)) if dense.size else None
     # the selection costs about as much as a few rows of full products, so
     # it pays only when many rows share it and D is well above _TOP_K + 1
     if len(dense) >= 2 * (_TOP_K + 1) and big_d > 4 * (_TOP_K + 1):
-        rows = np.array(dense)
-        weights_t = np.ascontiguousarray(alpha[rows].T)  # (D, rows): row j holds column j
+        rows = dense
+        weights_t = np.ascontiguousarray(alpha.T)  # (D, rows): row j holds column j
         amax = weights_t.max(axis=0)
         best = np.empty((_BLOCK_ROWS, rows.size))
         # rows per candidate group, so that one group's products fit in buf
@@ -176,10 +175,10 @@ def _factor_max(alpha: np.ndarray):
     else:
         rows = None
 
-    def full(block, dst, i):
+    def full(block, dst, r):
         prod = buf[: block.shape[0]]
-        np.multiply(block, alpha[i], out=prod)
-        prod.max(axis=1, out=dst[:, i])
+        np.multiply(block, alpha[r], out=prod)
+        prod.max(axis=1, out=dst[:, dense[r]])
 
     def bounded(block, dst):
         b = block.shape[0]
@@ -199,21 +198,21 @@ def _factor_max(alpha: np.ndarray):
         if not fail.any():
             return
         whole = 4 * fail.sum(axis=0) > b
-        for i in rows[whole]:
-            full(block, dst, i)
+        for r in np.flatnonzero(whole):
+            full(block, dst, r)
         fail[:, whole] = False
         ti, ri = np.nonzero(fail)
         for lo in range(0, ri.size, _BLOCK_ROWS):
             t, r = ti[lo : lo + _BLOCK_ROWS], ri[lo : lo + _BLOCK_ROWS]
             prod = buf[: r.size]
-            np.multiply(alpha[rows[r]], block[t], out=prod)
+            np.multiply(alpha[r], block[t], out=prod)
             dst[t, rows[r]] = prod.max(axis=1)
 
     def kernel(z: np.ndarray, out: np.ndarray) -> None:
         for i, cols, weights in gathered:
             # products are >= 0, so the initial 0 changes only an empty row
             out[:, i] = (z[:, cols] * weights).max(axis=1, initial=0.0)
-        if not dense:
+        if not dense.size:
             return
         for lo in range(0, z.shape[0], _BLOCK_ROWS):
             block = z[lo : lo + _BLOCK_ROWS]
@@ -221,8 +220,8 @@ def _factor_max(alpha: np.ndarray):
             if rows is not None:
                 bounded(block, dst)
             else:
-                for i in dense:
-                    full(block, dst, i)
+                for r in range(dense.size):
+                    full(block, dst, r)
 
     return kernel
 
@@ -303,7 +302,7 @@ def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
     d, big_d = spec.d, spec.D
     slack = spec.slacks()
     own_margins = np.flatnonzero(slack > 0)
-    factor_max = _factor_max(spec.alpha)
+    factor_max = _factor_max(spec)
 
     def chunk(start: int, m: int) -> np.ndarray:
         w = start * (big_d + d)

@@ -28,6 +28,7 @@ from .model import (
     FEASIBILITY_TOL,
     ModelSpec,
     TailDepMatrix,
+    _check_shape,
     require_valid_tail_dep_matrix,
     tail_dep_matrix,
 )
@@ -89,13 +90,13 @@ def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult
     """
     lam = require_valid_tail_dep_matrix(target).values
     d = lam.shape[0]
+    _check_shape(d, d * (d - 1) // 2)
     s, k = np.triu_indices(d, 1)
     cols = np.arange(s.size)
     row_max = np.triu(lam, 1).max(axis=1)
-    alpha = np.zeros((d, s.size))
-    alpha[s, cols] = lam[s, k]
-    alpha[k, cols] = row_max[s]
-    cm = float(alpha.sum(axis=1).max())
+    rows, values = np.concatenate([s, k]), np.concatenate([lam[s, k], row_max[s]])
+    spec = ModelSpec._from_entries(d, s.size, 1.0, rows, np.concatenate([cols, cols]), values)
+    cm = float(spec.row_sums().max())
     if c is None:
         c_used = 1.0 if cm <= 1.0 + FEASIBILITY_TOL else cm
     else:
@@ -104,7 +105,7 @@ def synthesize(target: TailDepMatrix, c: float | None = None) -> SynthesisResult
             raise InfeasibleTargetError(c_used, cm)
         if c_used <= 0:
             raise DomainError(f"scale constant must be positive, got {c_used!r}")
-    spec = ModelSpec(alpha=alpha, C=c_used)
+    spec = spec._with_scale(c_used)
     return SynthesisResult(
         spec=spec,
         achieved=tail_dep_matrix(spec),

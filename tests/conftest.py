@@ -180,6 +180,50 @@ def dense_row_specs(draw, max_d: int = 24, max_shared: int = 300) -> ModelSpec:
     return ModelSpec(alpha=alpha, C=base if draw(st.booleans()) else 1.25 * base)
 
 
+#: Kinds of row drawn by :func:`stored_row_alphas`.
+STORED_ROW_KINDS = ("sparse", "half", "dense", "empty")
+
+
+@st.composite
+def stored_row_alphas(draw, max_d: int = 7, max_shared: int = 64) -> tuple[np.ndarray, dict]:
+    """A weight matrix and a sparse spec object listing its stored entries.
+
+    Rows are mostly stored ones (``2 * nnz <= D``) of up to 32 nonzeros, so
+    row sums and gathered lambda sums run through numpy's pairwise blocks of
+    8; some have exactly ``2 * nnz = D``, some are dense, some empty.  Every
+    row may take any of up to five hot columns, so pairs of rows share 0 to
+    5 stored columns.  Weights span eight decades, and -0.0 and 5e-324 are
+    mixed in.  The object lists the entries in a shuffled order, with some
+    +0.0 entries listed too.  Weights come from a drawn numpy seed.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, max_d))
+    big_d = draw(st.integers(1, max_shared))
+    hot = rng.choice(big_d, size=min(5, big_d), replace=False)
+    alpha = np.zeros((d, big_d))
+    for row in alpha:
+        kind = draw(st.sampled_from(STORED_ROW_KINDS))
+        nnz = {
+            "sparse": int(rng.integers(0, min(32, big_d // 2) + 1)),
+            "half": big_d // 2,
+            "dense": big_d // 2 + 1,
+            "empty": 0,
+        }[kind]
+        share = hot[rng.random(hot.size) < 0.7][:nnz]
+        own = rng.permutation(np.setdiff1d(np.arange(big_d), share))[: nnz - share.size]
+        cols = np.concatenate([share, own])
+        row[cols] = rng.uniform(0.5, 1.5, cols.size) * 10.0 ** rng.uniform(-6, 2, cols.size)
+        row[cols[rng.random(cols.size) < 0.1]] = 5e-324
+    alpha[rng.random(alpha.shape) < 0.03] = -0.0
+    i, j = np.nonzero((alpha != 0) | np.signbit(alpha))
+    listed = np.concatenate([i * big_d + j, rng.choice(alpha.size, size=3)])
+    listed = np.unique(listed[rng.permutation(listed.size)])
+    listed = listed[rng.permutation(listed.size)]
+    rows, cols = np.divmod(listed, big_d)
+    entries = {"i": rows.tolist(), "j": cols.tolist(), "v": alpha.ravel()[listed].tolist()}
+    return alpha, entries
+
+
 @st.composite
 def tail_dep_targets(draw, max_d: int = 8, capped: bool = False) -> TailDepMatrix:
     """Valid symmetric targets with unit diagonal; ``capped`` bounds entries

@@ -632,6 +632,80 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    #: The mevgen modules that ``import mevgen.cli`` loads.
+    CLI_MODULES = ["mevgen", "mevgen.cli", "mevgen.errors", "mevgen.fileio", "mevgen.model"]
+
+    #: The modules each subcommand loads besides those; every file written as
+    #: JSON formats its floats through _csvfmt.
+    STAGE_MODULES = {
+        "synth": ["mevgen._csvfmt", "mevgen.synthesis"],
+        "coeffs": ["mevgen._csvfmt"],
+        "cdf": [],
+        "sample": ["mevgen._csvfmt", "mevgen.sampling"],
+        "estimate": ["mevgen._csvfmt", "mevgen.estimation", "mevgen.sampling"],
+        "plot": ["mevgen._csvfmt", "mevgen.plotting"],
+        "check": [],
+    }
+
+    def test_each_subcommand_loads_only_its_own_modules(
+        self, tmp_path, target_file, result_file, samples_file
+    ):
+        # each subcommand runs in a child forked right after import mevgen.cli
+        spec, out = str(result_file), str(tmp_path / "out")
+        argv = {
+            "synth": ["synth", "--target", str(target_file), "--out", out],
+            "coeffs": ["coeffs", "--spec", spec, "--out", out],
+            "cdf": ["cdf", "--spec", spec, "--at", "1,2,3"],
+            "sample": ["sample", "--spec", spec, "--n", "20", "--out", out],
+            "estimate": ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", spec],
+            "plot": ["plot", "--data", str(samples_file), "--out", out],
+            "check": ["check", "--spec", spec],
+        }
+        code = (
+            "import contextlib, io, json, os, sys\n"
+            "import mevgen.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'mevgen')\n"
+            "print(json.dumps(loaded()))\n"
+            "for name, argv in json.loads(sys.argv[1]).items():\n"
+            "    sys.stdout.flush()\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            code = mevgen.cli.main(argv)\n"
+            "        print(json.dumps([name, code, loaded()]), flush=True)\n"
+            "        os._exit(0)\n"
+            "    assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert json.loads(lines[0]) == self.CLI_MODULES
+        got = {name: (code, modules) for name, code, modules in map(json.loads, lines[1:])}
+        assert got == {
+            name: (0, sorted(self.CLI_MODULES + extra))
+            for name, extra in self.STAGE_MODULES.items()
+        }
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import sys, mevgen\n"
+            "assert [m for m in sys.modules if m.startswith('mevgen.')] == []\n"
+            "missing = [n for n in mevgen.__all__ if getattr(mevgen, n, None) is None]\n"
+            "names = {}\n"
+            "exec('from mevgen import *', names)\n"
+            "print(missing, sorted(set(mevgen.__all__) - set(names)), len(mevgen.__all__))\n"
+            "print(mevgen.sampling.sample_batch is mevgen.sample_batch, 'sampling' in dir(mevgen))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[] [] 35", "True True"]
+
     def test_check_does_not_import_numpy_random(self, result_file):
         code = (
             "import contextlib, io, sys; from mevgen.cli import main\n"
@@ -1396,6 +1470,68 @@ class TestSpecLayout:
             assert rc == 0
         for suffix in (".csv", ".csv.meta.json"):
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+class TestStoredRowSpecs:
+    def test_absurd_declared_shape_exits_3_without_allocating(self, tmp_path):
+        # an 80-byte file declaring d = D = 10**5: dense alpha would take 80 GB and
+        # the fingerprint text 40 GB; each stage refuses it, in a child whose
+        # address space is capped at 1 GiB (set in the child only)
+        import resource
+
+        spec = tmp_path / "absurd.json"
+        spec.write_text('{"d": 100000, "D": 100000, "C": 1.0, "alpha": {"i": [0], "j": [0], "v": [0.5]}}')
+        code = (
+            "import sys, time\n"
+            "from mevgen.cli import main\n"
+            f"spec, out = {str(spec)!r}, {str(tmp_path / 's.csv')!r}\n"
+            "for argv in (['coeffs', '--spec', spec], ['check', '--spec', spec],\n"
+            "             ['sample', '--spec', spec, '--n', '10', '--out', out]):\n"
+            "    t = time.perf_counter()\n"
+            "    code = main(argv)\n"
+            "    print(argv[0], code, time.perf_counter() - t < 5.0)\n"
+        )
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            preexec_fn=cap, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:3] == ["coeffs 3 True", "check 3 True", "sample 3 True"]
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("is over the limit of 536870912 = 2**29 entries") == 3
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_pipeline_never_holds_dense_alpha(self, tmp_path):
+        # d = 160: dense alpha is 160 x 12,720 floats, 16.3 MB; synth, coeffs,
+        # sample and estimate --spec each hold O(nnz + d**2) in this process
+        rng = np.random.default_rng(160)
+        d = 160
+        lam = np.triu(rng.uniform(0.0, 1.0 / (d - 1), size=(d, d)), 1)
+        target, result = tmp_path / "t.json", tmp_path / "r.json"
+        fileio.dump_json(mg.TailDepMatrix(lam + lam.T + np.eye(d)).to_json_dict(), target)
+        csv = str(tmp_path / "s.csv")
+        stages = [
+            ["synth", "--target", str(target), "--out", str(result)],
+            ["coeffs", "--spec", str(result), "--out", str(tmp_path / "c.json")],
+            ["sample", "--spec", str(result), "--n", "500", "--seed", "1", "--out", csv],
+            ["estimate", "--data", csv, "--u", "0.9", "--spec", str(result),
+             "--out", str(tmp_path / "e.json")],
+        ]
+        peaks = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in stages:
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) < d * (d * (d - 1) // 2) * 8, peaks
 
 
 class TestRoundTrip:

@@ -22,6 +22,7 @@ from conftest import (
     EX3_ALPHA,
     EX3_C,
     model_specs,
+    stored_row_alphas,
     tail_dep_targets,
     unit_points,
     weight_matrices,
@@ -63,6 +64,105 @@ def _tail_dep_full_sums(spec: mg.ModelSpec) -> np.ndarray:
     return lam
 
 
+def _stored(alpha: np.ndarray) -> np.ndarray:
+    return (alpha != 0) | np.signbit(alpha)
+
+
+# Dense references: the spec-wide steps as they were written before the
+# stored rows, each scanning a dense alpha, kept to compare bits against.
+
+
+def _ref_violations(alpha: np.ndarray, c: float) -> list[str]:
+    d, big_d = alpha.shape
+    violations = []
+    if d < 2:
+        violations.append(f"dimension d={d} must be at least 2")
+    if big_d < 1:
+        violations.append(f"factor count D={big_d} must be at least 1")
+    tiny = float(np.finfo(np.float64).tiny)
+    if not np.isfinite(c) or c < tiny:
+        violations.append(
+            f"scale constant C={c!r} must be positive, finite and at least "
+            f"{tiny!r}, the smallest normal float64"
+        )
+    if not np.all(np.isfinite(alpha)):
+        for i, j in np.argwhere(~np.isfinite(alpha))[:10]:
+            violations.append(f"alpha[{i}][{j}] is not finite")
+    else:
+        for i, j in np.argwhere(alpha < 0)[:10]:
+            violations.append(f"alpha[{i}][{j}] = {float(alpha[i, j])!r} is negative")
+        if np.isfinite(c):
+            row_sums = alpha.sum(axis=1)
+            for i in np.flatnonzero(row_sums > c + mg.FEASIBILITY_TOL)[:10]:
+                violations.append(
+                    f"row {i} sum {float(row_sums[i])!r} exceeds scale constant C={c!r}"
+                )
+    return violations
+
+
+def _ref_tail_dep(alpha: np.ndarray, c: float) -> np.ndarray:
+    d, big_d = alpha.shape
+    dense = 2 * np.count_nonzero(alpha, axis=1) > big_d
+    lam = np.zeros((d, d))
+    for s in range(d - 1):
+        if dense[s]:
+            lam[s, s + 1 :] = np.minimum(alpha[s + 1 :], alpha[s]).sum(axis=1)
+            continue
+        cols = np.flatnonzero(alpha[s])
+        lam[s, s + 1 :] = np.minimum(alpha[s + 1 :, cols], alpha[s, cols]).sum(axis=1)
+        if dense[s + 1 :].any():
+            k = s + 1 + np.flatnonzero(dense[s + 1 :])
+            lam[s, k] = np.minimum(alpha[k], alpha[s]).sum(axis=1)
+    lam = (lam + lam.T) / c
+    np.fill_diagonal(lam, 1.0)
+    return lam
+
+
+def _ref_digest(alpha: np.ndarray, c: float, fingerprint: str) -> str:
+    flat = np.flatnonzero(_stored(alpha))
+    h = hashlib.sha256(json.dumps(fingerprint).encode())
+    h.update(np.array(alpha.shape, dtype="<i8").tobytes())
+    h.update(np.array([c], dtype="<f8").tobytes())
+    h.update(flat.astype("<i8").tobytes())
+    h.update(alpha.ravel()[flat].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def _ref_json_dict(alpha: np.ndarray, c: float) -> dict:
+    stored = _stored(alpha)
+    if 4 * np.count_nonzero(stored) <= alpha.size:
+        rows, cols = np.nonzero(stored)
+        layout = {"i": rows.tolist(), "j": cols.tolist(), "v": alpha[rows, cols].tolist()}
+    else:
+        layout = alpha.tolist()
+    return {"d": alpha.shape[0], "D": alpha.shape[1], "C": c, "alpha": layout}
+
+
+def _assert_matches_dense_references(spec: mg.ModelSpec, alpha: np.ndarray) -> None:
+    """Every spec-wide step of ``spec`` gives the bits its dense reference gives on ``alpha``."""
+    c = spec.C
+    assert spec.alpha.tobytes() == alpha.tobytes()
+    with np.errstate(all="ignore"):
+        assert spec.row_sums().tobytes() == alpha.sum(axis=1).tobytes()
+        assert spec.slacks().tobytes() == np.maximum(c - alpha.sum(axis=1), 0.0).tobytes()
+    want = _ref_violations(alpha, c)
+    try:
+        mg.require_valid_spec(spec)
+        got = []
+    except SpecValidationError as exc:
+        got = list(exc.violations)
+    assert got == want
+    if not want:
+        assert mg.tail_dep_matrix(spec).values.tobytes() == _ref_tail_dep(alpha, c).tobytes()
+    obj = {"d": spec.d, "D": spec.D, "C": c, "alpha": alpha.tolist()}
+    fingerprint = hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    assert spec.fingerprint() == fingerprint
+    assert spec.digest(fingerprint) == _ref_digest(alpha, c, fingerprint)
+    assert json.dumps(spec.to_json_dict()) == json.dumps(_ref_json_dict(alpha, c))
+
+
 def _log_copula_all_margins(spec: mg.ModelSpec, u) -> float:
     """Reference log copula: the shared max taken over every margin."""
     v = -np.log(np.asarray(u, dtype=np.float64))
@@ -98,8 +198,9 @@ class TestModelSpec:
         assert np.array_equal(again.alpha, ex1_spec.alpha)
         assert again.C == ex1_spec.C
 
-    def test_sparse_file_holds_dense_alpha_once(self):
-        # filling a dense alpha and copying it in the constructor held it twice
+    def test_sparse_file_loads_without_dense_alpha(self):
+        # a d = 160 synthesized spec stores 25,440 of 2,035,200 entries (16.3 MB
+        # dense): loading it holds the stored entries and a bounded row image
         rng = np.random.default_rng(160)
         lam = np.triu(rng.uniform(0.0, 1.0 / 159, size=(160, 160)), 1)
         spec = mg.synthesize(mg.TailDepMatrix(lam + lam.T + np.eye(160))).spec
@@ -108,11 +209,13 @@ class TestModelSpec:
         tracemalloc.start()
         try:
             again = mg.ModelSpec.from_json_dict(obj)
+            mg.require_valid_spec(again)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2_000_000, peak
         assert np.array_equal(again.alpha, spec.alpha) and not again.alpha.flags.writeable
-        assert peak < 1.25 * again.alpha.nbytes, (peak, again.alpha.nbytes)
+        assert again.alpha is again.alpha  # built once, on first use
 
     def test_owned_read_only_alpha_is_held_as_it_is(self):
         alpha = np.array([[0.5, 0.25], [0.0, 1.0]])
@@ -170,6 +273,84 @@ class TestModelSpec:
         if spec.d != spec.D:  # same stored entries under another shape
             reshaped = mg.ModelSpec(alpha=spec.alpha.reshape(spec.D, spec.d), C=spec.C)
             assert reshaped.digest(fp) != base
+
+
+class TestStoredRows:
+    """The stored rows give every spec-wide step the bits of its dense reference."""
+
+    @given(spec=edge_specs())
+    @settings(max_examples=200)
+    def test_edge_specs(self, spec):
+        alpha = np.array(spec.alpha)
+        _assert_matches_dense_references(spec, alpha)
+        obj = json.loads(json.dumps(spec.to_json_dict()))
+        _assert_matches_dense_references(mg.ModelSpec.from_json_dict(obj), alpha)
+
+    @given(case=stored_row_alphas(), c_scale=st.sampled_from([1.0, 1.25, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_sharing_zero_to_five_columns(self, case, c_scale):
+        # in both layouts: the dense array, and a sparse object listing +0.0
+        # entries too, out of row-major order
+        alpha, entries = case
+        c = float(alpha.sum(axis=1).max()) * c_scale or 1.0
+        _assert_matches_dense_references(mg.ModelSpec(alpha=alpha, C=c), alpha)
+        obj = {"d": alpha.shape[0], "D": alpha.shape[1], "C": c, "alpha": entries}
+        _assert_matches_dense_references(mg.ModelSpec.from_json_dict(obj), alpha)
+
+    @given(case=stored_row_alphas(max_d=5, max_shared=30), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_entries_are_listed_in_order(self, case, data):
+        alpha, entries = case
+        bad = data.draw(st.sampled_from([-0.5, -5e-324, np.nan, np.inf, -np.inf]))
+        listed = data.draw(st.lists(st.integers(0, len(entries["i"]) - 1), max_size=12))
+        for t in listed:
+            entries["v"][t] = bad
+            alpha[entries["i"][t], entries["j"][t]] = bad
+        obj = {"d": alpha.shape[0], "D": alpha.shape[1], "C": 1.0, "alpha": entries}
+        for spec in (mg.ModelSpec(alpha=alpha, C=1.0), mg.ModelSpec.from_json_dict(obj)):
+            with np.errstate(all="ignore"):
+                assert spec.row_sums().tobytes() == alpha.sum(axis=1).tobytes()
+            try:
+                mg.require_valid_spec(spec)
+                got = []
+            except SpecValidationError as exc:
+                got = list(exc.violations)
+            assert got == _ref_violations(alpha, 1.0)
+
+    def test_rows_at_exactly_half_stored(self):
+        # 2 * nnz == D keeps a row stored; one more nonzero makes it dense
+        rng = np.random.default_rng(21)
+        alpha = np.zeros((6, 40))
+        for i, row in enumerate(alpha):
+            row[rng.permutation(40)[: 20 + (i % 2)]] = rng.uniform(0.01, 1.0, 20 + (i % 2))
+        spec = mg.ModelSpec(alpha=alpha, C=25.0)
+        assert spec._dense.tolist() == [False, True] * 3
+        _assert_matches_dense_references(spec, alpha)
+        _assert_matches_dense_references(mg.ModelSpec.from_json_dict(spec.to_json_dict()), alpha)
+
+    def test_listed_zeros_are_not_stored_and_entries_are_sorted(self):
+        obj = {
+            "d": 2, "D": 8, "C": 1.0,
+            "alpha": {"i": [1, 0, 1, 0], "j": [3, 2, 0, 1], "v": [-0.0, 0.5, 0.0, 5e-324]},
+        }
+        spec = mg.ModelSpec.from_json_dict(obj)
+        assert spec.to_json_dict()["alpha"] == {"i": [0, 0, 1], "j": [1, 2, 3], "v": [5e-324, 0.5, -0.0]}
+        assert np.signbit(spec.alpha[1, 3]) and not np.signbit(spec.alpha[1, 0])
+
+    def test_absurd_declared_shape_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for d, big_d in ((10**5, 10**5), (10**12, 0), (1, 2**29 + 1)):
+                with pytest.raises(ShapeError, match=r"over the limit of 536870912 = 2\*\*29"):
+                    mg.ModelSpec.from_json_dict(
+                        {"d": d, "D": big_d, "C": 1.0, "alpha": {"i": [0], "j": [0], "v": [1.0]}}
+                    )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        # the largest synthesized spec the limit admits: d = 1024
+        assert 1024 * (1024 * 1023 // 2) <= mg.model._MAX_ENTRIES < 1025 * (1025 * 1024 // 2)
 
 
 class TestSpecJson:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mevgen as mg
 from mevgen.errors import DomainError, ShapeError
 
-from conftest import dense_row_specs, model_specs
+from conftest import dense_row_specs, model_specs, stored_row_alphas
 
 
 def unit_frechet(u):
@@ -76,7 +76,7 @@ def full_factor_max(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def kernel_factor_max(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.empty((z.shape[0], alpha.shape[0]))
-    mg.sampling._factor_max(alpha)(z, out)
+    mg.sampling._factor_max(mg.ModelSpec(alpha=alpha, C=1.0))(z, out)
     return out
 
 
@@ -422,6 +422,22 @@ class TestDenseFactorMax:
     def test_matches_full_product_on_heavy_tailed_z(self, spec, n, seed):
         z = -1.0 / np.log(np.random.default_rng(seed).random((n, spec.D)))
         assert np.array_equal(kernel_factor_max(spec.alpha, z), full_factor_max(spec.alpha, z))
+
+
+class TestStoredRowFactorMax:
+    @given(case=stored_row_alphas(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_of_a_sparse_file_matches_full_product(self, case, n, seed):
+        # the kernel built from the stored rows of a file, -0.0 weights and
+        # listed +0.0 entries included, gives the full product's maxima
+        alpha, entries = case
+        spec = mg.ModelSpec.from_json_dict(
+            {"d": alpha.shape[0], "D": alpha.shape[1], "C": 1.0, "alpha": entries}
+        )
+        z = -1.0 / np.log(np.random.default_rng(seed).random((n, spec.D)))
+        out = np.empty((n, spec.d))
+        mg.sampling._factor_max(spec)(z, out)
+        assert np.array_equal(out, full_factor_max(alpha, z))
 
 
 class TestSampleChunks:
