@@ -44,10 +44,11 @@ reader maps it over spans of the body.
 JSON files are written as one compact line with sorted keys, the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: the C encoder,
 while ``json.dump`` to a file and any ``indent`` run the pure-Python one.
-:func:`_json_text` writes a dict with str keys itself, key by sorted key, and
-formats each distinct float of a list of floats, or of a list of
-equal-length rows of floats, once.  The reports are made of such lists, and
-they repeat: lambda and the extremal coefficients are symmetric, and an
+:func:`_json_parts` writes a dict with str keys itself, key by sorted key,
+and formats each distinct float of its lists of floats, or of lists of
+equal-length rows of floats, once, in one kernel call per ``_JSON_VALUES``
+floats, so a small report pays the kernel's fixed cost once.  The reports
+are made of such lists, and they repeat: lambda and the extremal coefficients are symmetric, and an
 estimate at a finite u takes at most K + 1 values, so the 153,600 floats of
 a d = 160 estimate report hold 26,169 distinct ones.  Entries are grouped by
 their bits, so -0.0 and 0.0 stay apart; the distinct values are formatted by
@@ -117,9 +118,9 @@ _FORMAT_VALUES = 2**14
 #: text of one span per worker, not of the file, is held at once.
 _READ_BYTES = 2**22
 
-#: Floats of a JSON document formatted per :func:`mevgen._csvfmt.repr_rows` call, at
-#: least: the lists holding them are formatted together, which spares a small document
-#: the kernel's fixed cost per call and bounds the temporaries of a large one.
+#: Floats of a JSON document whose lists are formatted by one
+#: :func:`mevgen._csvfmt.repr_rows` call: a call costs about 0.3 ms whatever its
+#: size, and the distinct values it holds are kept until their lists are written.
 _JSON_VALUES = 2**16
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -193,8 +194,8 @@ def _add_json_parts(obj, parts: list, lists: list) -> None:
 
 def _float_list_texts(lists: list) -> Iterator[str]:
     """The JSON text of each ``(rows, nested)`` float list; the distinct values of
-    consecutive lists, until they hold ``_JSON_VALUES`` values, are formatted by one
-    :func:`mevgen._csvfmt.repr_rows` call."""
+    consecutive lists are formatted by one :func:`mevgen._csvfmt.repr_rows` call, up to
+    the list that brings them to ``_JSON_VALUES`` values."""
     from ._csvfmt import repr_rows  # here only: stages that write no float list never load it
 
     start = 0

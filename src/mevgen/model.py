@@ -21,21 +21,24 @@ are immutable and safe to share across threads.
 Indexing convention: margins are 0-based throughout the Python API.  The
 CLI and file formats label coordinates 1-based (``x1``..``xd``).
 
-A synthesized alpha has d - 1 nonzeros per row out of D = d(d - 1)/2, so
-the steps that handle a whole spec follow its nonzeros: the JSON form
-stores alpha as (row, column, value) lists when at most a quarter of it is
-nonzero, the fingerprint builds its dense JSON text from runs of zeros and
-the encoded nonzeros, and the tail dependence matrix sums each pair of
-sparse rows over the nonzero columns of one of them.
-
-The fingerprint still encodes every entry of a dense alpha as text, the
-bytes ``json.dumps`` writes.  The texts come from the vectorized
-:func:`mevgen._csvfmt.repr_rows`, which writes ``float.__repr__`` exactly:
-the fully stored rows in one pass with their commas, and the stored entries
-of the other rows as tokens between the runs of ``0.0,``.
-:meth:`ModelSpec.digest` hashes the stored entries' bits instead; sample
-sidecars carry it, so ``estimate`` can confirm that a spec is the sampled
-one without building that text.
+A spec holds alpha's stored entries once, as built at construction: the
+entries whose bits are not +0.0 (so -0.0 and NaN survive), since a
+synthesized alpha has d - 1 nonzeros per row out of D = d(d - 1)/2.  A row
+with at most half of its D entries nonzero (2 * nnz <= D) is a stored row:
+its stored entries are kept as row-major column and value arrays.  The
+other, dense rows form one dense block.  The row sums are taken over each
+row's dense image, in bounded blocks, so they have the bits of
+``alpha.sum(axis=1)``.  Validation, the slacks, the tail dependence matrix,
+the JSON form (alpha sparse when at most a quarter of it is stored), the
+fingerprint, the digest and the sampler's factor max all read this
+structure, so a spec read from a sparse file or synthesized holds O(nnz)
+and builds its dense alpha only when ``alpha`` is asked for, as the closed
+forms do.  The fingerprint hashes the bytes ``json.dumps`` writes for the
+dense spec, row by row: the dense rows with every entry stored are written
+in one pass of :func:`mevgen._csvfmt.repr_rows`, and the other rows as runs
+of ``0.0,`` between the texts of their stored entries, from one
+``repr_rows`` call; :meth:`ModelSpec.digest` hashes the stored entries' bits
+instead, in O(nnz).
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
 #: 2 GiB, so a larger shape is refused before anything of its size exists.
 _MAX_ENTRIES = 2**29
 
-#: Values per block of dense row images (512 KiB), through which the row sums
+#: Values per block of dense row images (256 KiB), through which the row sums
 #: of stored rows and the lambda of pairs with a dense row are taken.
 _IMAGE_VALUES = 2**15
 
@@ -192,7 +195,11 @@ class ModelSpec:
 
     def _images(self) -> Iterator[tuple[int, np.ndarray]]:
         """``(lo, alpha[lo:hi])`` for consecutive blocks of about ``_IMAGE_VALUES`` values,
-        in one buffer that is cleared for the next block once the caller asks for it."""
+        in one buffer that is cleared for the next block once the caller asks for it; a spec
+        of dense rows only is its block."""
+        if self._dense.all():
+            yield 0, self._block
+            return
         step = max(1, _IMAGE_VALUES // max(self.D, 1))
         at = np.cumsum(self._dense) - 1  # the block row of each dense row
         scratch = np.zeros((step, self.D))

@@ -32,13 +32,12 @@ word per value, and adding ``2**-54`` to it rounds the same real number,
 not change how a value rounds, and no value is subnormal).  Every step
 after the draw runs in place on the chunk's array of uniforms.
 
-The factor max ``max_j alpha[i, j] * Z_j`` follows the structure of alpha,
-read once per :func:`sample_chunks` call.  A row with at most half of its D
-entries nonzero takes the max over its nonzero columns only, so sparse rows
-cost O(n * sum_i nnz_i) instead of O(n * d * D); a synthesized spec has at
-most d - 1 nonzeros of d(d - 1)/2 per row, so for d >= 4 every row is sparse.
-The other, dense rows go through blocks of observations small enough to
-stay in cache.
+The factor max ``max_j alpha[i, j] * Z_j`` reads the spec's stored rows
+(see :mod:`mevgen.model`) once per :func:`sample_chunks` call.  A stored
+row takes the max over its nonzero columns only, so it costs O(n * nnz_i)
+instead of O(n * D); for d >= 4 every row of a synthesized spec is stored.
+The dense rows go through blocks of observations small enough to stay in
+cache.
 
 Unit Fréchet factors are heavy-tailed, so a dense row's max is nearly
 always set by one of an observation's few largest factors.  When a spec has
