@@ -21,24 +21,18 @@ are immutable and safe to share across threads.
 Indexing convention: margins are 0-based throughout the Python API.  The
 CLI and file formats label coordinates 1-based (``x1``..``xd``).
 
-A spec holds alpha's stored entries once, as built at construction: the
-entries whose bits are not +0.0 (so -0.0 and NaN survive), since a
-synthesized alpha has d - 1 nonzeros per row out of D = d(d - 1)/2.  A row
-with at most half of its D entries nonzero (2 * nnz <= D) is a stored row:
-its stored entries are kept as row-major column and value arrays.  The
-other, dense rows form one dense block.  The row sums are taken over each
-row's dense image, in bounded blocks, so they have the bits of
-``alpha.sum(axis=1)``.  Validation, the slacks, the tail dependence matrix,
-the JSON form (alpha sparse when at most a quarter of it is stored), the
-fingerprint, the digest and the sampler's factor max all read this
-structure, so a spec read from a sparse file or synthesized holds O(nnz)
-and builds its dense alpha only when ``alpha`` is asked for, as the closed
-forms do.  The fingerprint hashes the bytes ``json.dumps`` writes for the
-dense spec, row by row: the dense rows with every entry stored are written
-in one pass of :func:`mevgen._csvfmt.repr_rows`, and the other rows as runs
-of ``0.0,`` between the texts of their stored entries, from one
-``repr_rows`` call; :meth:`ModelSpec.digest` hashes the stored entries' bits
-instead, in O(nnz).
+A spec holds alpha's stored entries (bits not +0.0, so -0.0 and NaN
+survive) once, as built at construction; a synthesized alpha has d - 1
+nonzeros per row of D = d(d - 1)/2.  A stored row, with 2 * nnz <= D, keeps
+its stored entries as row-major column and value arrays; the other, dense
+rows form one block.  Row sums are taken over each row's dense image, so
+they have the bits of ``alpha.sum(axis=1)``.  Validation, the slacks,
+lambda, the JSON form, the fingerprint, the digest and the sampler's factor
+max read this structure, so a sparse or synthesized spec holds O(nnz) and
+builds its dense alpha only when ``alpha`` is asked for.  The fingerprint
+hashes the bytes ``json.dumps`` writes for the dense spec, row by row, from
+:func:`mevgen._csvfmt.repr_rows` texts: the fully stored dense rows in one
+pass, the other rows as runs of ``0.0,`` between their stored entries.
 """
 
 from __future__ import annotations
@@ -90,8 +84,9 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
 
 #: Most entries, d * D (a side of 0 counting as 1), that a spec made from
 #: stored entries (a sparse file, or :func:`mevgen.synthesize`) may have:
-#: 2**29, which admits a synthesized d = 1024.  Dense alpha would take 4 GiB there and the fingerprint text
-#: 2 GiB, so a larger shape is refused before anything of its size exists.
+#: 2**29, which admits a synthesized d = 1024.  Dense alpha would take 4 GiB
+#: there and the fingerprint text 2 GiB, so a larger shape is refused before
+#: anything of its size exists.
 _MAX_ENTRIES = 2**29
 
 #: Values per block of dense row images (256 KiB), through which the row sums
@@ -227,8 +222,9 @@ class ModelSpec:
             if dense.size < self.d:
                 at = dense[at // self.D] * self.D + at % self.D
             if flat.size:
-                order = np.argsort(np.concatenate([flat, at]), kind="stable")
-                at, block_vals = np.concatenate([flat, at])[order], np.concatenate([vals, block_vals])[order]
+                at, block_vals = np.concatenate([flat, at]), np.concatenate([vals, block_vals])
+                order = np.argsort(at, kind="stable")
+                at, block_vals = at[order], block_vals[order]
             flat, vals = at, block_vals
         return flat, vals
 
@@ -269,13 +265,10 @@ class ModelSpec:
         full_texts = iter(repr_rows(self._block[full[self._dense]]).split(b"\n"))
         flat, vals = self._entries(~full)
         tokens = repr_rows(vals[None, :])[:-1].split(b",") if vals.size else []
-        cols = flat % max(big_d, 1)
         bounds = np.searchsorted(flat, np.arange(d + 1) * big_d).tolist()
-        gaps = np.diff(flat, prepend=-1) - 1  # the run of +0.0 before each stored entry
-        first = np.array(bounds[:-1], dtype=np.intp)
-        first = first[first < flat.size]
-        gaps[first] = cols[first]  # a row's first run starts at its column 0
-        gaps, cols = gaps.tolist(), cols.tolist()
+        # the run of +0.0 before each stored entry, from the entry before it or its row's start
+        before = np.maximum(np.concatenate([[-1], flat[:-1]]), flat - flat % max(big_d, 1) - 1)
+        gaps, flat = (flat - before - 1).tolist(), flat.tolist()
         zero = b"0.0,"
         h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), big_d))
         for s in range(d):
@@ -285,7 +278,7 @@ class ModelSpec:
             else:
                 lo, hi = bounds[s], bounds[s + 1]
                 row = [zero * g + t for g, t in zip(gaps[lo:hi], tokens[lo:hi])]
-                tail = big_d - 1 - (cols[hi - 1] if hi > lo else -1)
+                tail = (s + 1) * big_d - 1 - (flat[hi - 1] if hi > lo else s * big_d - 1)
                 if tail:
                     row.append(memoryview(zero * tail)[:-1])
                 h.update(b",".join(row))

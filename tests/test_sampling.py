@@ -426,7 +426,7 @@ class TestDenseFactorMax:
 
 class TestStoredRowFactorMax:
     @given(case=stored_row_alphas(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_kernel_of_a_sparse_file_matches_full_product(self, case, n, seed):
         # the kernel built from the stored rows of a file, -0.0 weights and
         # listed +0.0 entries included, gives the full product's maxima
