@@ -48,10 +48,11 @@ while ``json.dump`` to a file and any ``indent`` run the pure-Python one.
 and formats each distinct float of its lists of floats, or of lists of
 equal-length rows of floats, once, in one kernel call per ``_JSON_VALUES``
 floats, so a small report pays the kernel's fixed cost once.  The reports
-are made of such lists, and they repeat: lambda and the extremal coefficients are symmetric, and an
-estimate at a finite u takes at most K + 1 values, so the 153,600 floats of
-a d = 160 estimate report hold 26,169 distinct ones.  Entries are grouped by
-their bits, so -0.0 and 0.0 stay apart; the distinct values are formatted by
+are made of such lists, and they repeat: lambda and the extremal
+coefficients are symmetric, and an estimate at a finite u takes at most
+K + 1 values, so the 153,600 floats of a d = 160 estimate report hold
+26,169 distinct ones.  Entries are grouped by their bits, so -0.0 and 0.0
+stay apart; the distinct values are formatted by
 :func:`mevgen._csvfmt.repr_rows`, which writes the encoder's own texts
 (``float.__repr__``, ``NaN``, ``Infinity``) vectorized and leaves the few
 values it cannot decide to one ``json.dumps``, and None is written as
@@ -157,9 +158,9 @@ def dump_json(obj: dict | list, path) -> None:
 
 
 def _json_parts(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces,
-    formatting the distinct floats of all its lists of floats, or of equal-length rows of
-    them, at once (None is ``null``); each list's text is made as it is asked for."""
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces;
+    the texts of its lists of floats, or of equal-length rows of them (None is ``null``),
+    come from :func:`_float_list_texts`, each made as it is asked for."""
     parts: list = []
     lists: list = []
     _add_json_parts(obj, parts, lists)
