@@ -197,10 +197,10 @@ class ModelSpec:
             return
         step = max(1, _IMAGE_VALUES // max(self.D, 1))
         at = np.cumsum(self._dense) - 1  # the block row of each dense row
-        scratch = np.zeros((step, self.D))
+        buffer = np.zeros((step, self.D))
         for lo in range(0, self.d, step):
             hi = min(lo + step, self.d)
-            image = scratch[: hi - lo]
+            image = buffer[: hi - lo]
             dense = np.flatnonzero(self._dense[lo:hi])
             image[dense] = self._block[at[lo + dense]]
             e = slice(self._bounds[lo], self._bounds[hi])
