@@ -11,10 +11,8 @@ two-product (Veltkamp split by 2**27 + 1; Dekker 1971) gives hi + lo equal to
 x * 10**p, and hi >= 2**53 is an even integer, so N = hi + rint(lo).  k starts
 at floor(log10(x)) and moves by one while N lies outside [10**16, 10**17),
 which mends a log10 off by one and the carry of 9.99...95e(k) to 1e(k + 1).
-The digits become ASCII by SWAR multiply-shift steps on uint64; each field is
-built in three little-endian words with its dot (or ``0.`` and the zeros
-after it for k < 0), its trailing zeros turned into NUL bytes, and the
-separator in its last byte, and deleting the NULs leaves the rows.
+The digits become ASCII by SWAR steps into :func:`_fields`' words, and
+deleting their NUL bytes leaves the rows.
 
 :func:`repr_rows` gives the JSON text of each value with the same separators:
 ``float.__repr__`` of a finite value, else ``NaN`` or ``Infinity``, which is
@@ -48,33 +46,35 @@ The digits are written by :func:`format_rows`'s field words, keeping the dot
 and one digit after the integer part, so that an integral value ends in
 ``.0``.
 
-:func:`parse_rows` reads such rows back, exactly.  It accepts a body of only ``[0-9.,\\n]``
-with d fields on every line and a final newline, each field at most 24
-bytes with at most one dot, at most 17 significant digits and a value in
-[1e-4, 1e16), and returns None for any other body; the caller then parses
-it with ``np.loadtxt``.  It works through pieces of about 256 KiB of whole
-lines, so its temporaries stay O(piece).  Per piece, the separators are
-located, each field's 24 bytes ending at its separator are gathered as
-three little-endian words and masked to the field by its length, the dot
-becomes a zero digit and its position is read off by one multiply, and
-SWAR steps turn the digits into an integer, from which dropping the dot's
-digit gives N, the field's digits, with f of them after the dot.  The
-candidate is y = float(N) / 10**f.  y is accepted only when
-``_scaled(y, k)``, its own 17 digits at the field's decimal exponent k,
-equal N's digits padded to 17; otherwise y's neighbour towards the field
-is tried, and if it fails too the body is declined.  An accepted y is
-exactly the correctly rounded value of the field, which is what
-``loadtxt`` returns (Clinger 1990, "How to read floating point numbers
-accurately"): the field lies within half a unit of the 17th digit of y,
-10**(k - 16) / 2, and since 10**k <= field < 2**(e + 1) with 2**e <= y
-that is less than 0.46 ulp(y), and less than a quarter ulp when y is a
-power of two and the field lies below it, so no other double is as close.
+:func:`parse_rows` reads CSV text back, exactly, in pieces of about 256 KiB of whole lines,
+declining a piece it cannot read so (see the function).  Per piece, the separators are
+located, each field's 24 bytes ending at its separator are gathered as three little-endian
+words and masked to the field by its length, the dot becomes a zero digit and its position
+is read off by one multiply, and SWAR steps turn the digits into an integer, from which
+dropping the dot's digit gives N, the field's digits, with f of them after the dot.  The
+candidate is y = float(N) / 10**f.  When N <= 2**53, float(N) and 10**f are exact, so the
+one division rounds the field correctly, ties to even as ``np.loadtxt`` does (Clinger 1990,
+"How to read floating point numbers accurately": the fast path), and y is kept.  Else, with
+k the field's decimal exponent and M its digits padded to 17 (the field is
+M * 10**(k - 16)), y is kept when its own 17 digits, ``_scaled(y, k)`` = N17, equal M, as
+for nearly every field :func:`format_rows` writes; else its neighbour towards the field when
+its digits do; else whichever of the two holds the field strictly inside its rounding
+interval: as y * 10**(16 - k) = N17 + r exactly, the field lies (M - N17) - r units of
+10**(k - 16) from y, exactly (an integer below 2**6 minus a multiple of 2**-46; a larger
+integer is far outside), and that must be less than the half-gap g of :func:`_shortest`, or
+g / 2 below a power of two.  A field on the edge, halfway between two doubles, is declined.
+A kept value is thus the double nearest the field; equal digits pass the same test, as
+|r| <= 1/2 and the half-gap on the field's side exceeds 0.55 units (2**(e - 54) * 10**p
+below a power of two 2**e > 10**k).  float(N) and the division round once each, so y lies
+under 2 ulp from the correctly rounded value, y or that neighbour: every field of at most 17
+digits in [1e-4, 1e16) is read but a halfway one, which has a value above 2**52.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -326,51 +326,49 @@ _POW10_U = np.array([10**p for p in range(19)], dtype=_U)
 _DIGITS_FROM = np.array([len(str(2 ** max(e - 2, 0))) for e in range(60)], dtype=np.intp)
 
 
-def parse_rows(raw, d: int) -> np.ndarray | None:
-    """The (m, d) float64 rows of the CSV body ``raw``, as ``np.loadtxt`` reads them, or None.
+def parse_rows(raw: bytes, d: int) -> Iterator[tuple[int, np.ndarray | None]]:
+    """For each piece of the CSV body ``raw``, in order: the offset just after it, and its
+    (m, d) float64 rows as ``np.loadtxt`` reads them, or None if the kernel declines it.
 
-    ``raw`` is any bytes-like object.  None unless it holds only ``[0-9.,\\n]``, ends in a
-    newline, and every line has d fields, each with at most one dot, at most 24 bytes and 17
-    significant digits, and a value in [1e-4, 1e16).
+    A piece is the whole lines in ``_PIECE_BYTES``, or one longer line or a last line
+    without its newline, which are declined.  So is a piece with any byte outside
+    ``[0-9.,\\n]`` or a line without d fields, each of at most 24 bytes with at most one dot.
     """
     body = np.frombuffer(raw, np.uint8)
-    if body.size == 0 or body[-1] != 10:
-        return None
     step = max(_PIECE_BYTES, (_WINDOW + 1) * d)
     pad = np.zeros(_WINDOW + min(step, body.size), np.uint8)
     windows = np.ndarray((pad.size - _WINDOW + 1,), np.dtype((np.void, _WINDOW)), pad, 0, (1,))
-    blocks = []
     lo = 0
     while lo < body.size:
-        piece = body[lo : lo + step]
-        a = pad[_WINDOW : _WINDOW + piece.size]
-        a[:] = piece
-        if a.max() > 57 or np.count_nonzero(a == 47):  # above "9", or "/" between "." and "0"
-            return None
-        sep = np.flatnonzero(a < 46)  # "," and "\n", or a byte that fails below
-        kind = a[sep]
-        ends = np.flatnonzero(kind == 10)
-        if ends.size == 0:
-            return None
-        sep, kind = sep[: ends[-1] + 1], kind[: ends[-1] + 1]  # whole lines only
-        if (
-            sep.size != ends.size * d
-            or (kind[d - 1 :: d] != 10).any()
-            or np.count_nonzero(kind == 44) != sep.size - ends.size
-        ):
-            return None
-        length = np.empty_like(sep)
-        length[0] = sep[0]
-        np.subtract(sep[1:], sep[:-1], out=length[1:])
-        length[1:] -= 1
-        if length.min() < 1 or length.max() > _WINDOW:
-            return None
-        values = _field_values(windows[sep], _TAIL[length], np.count_nonzero(a[: sep[-1]] == 46))
-        if values is None:
-            return None
-        blocks.append(values.reshape(-1, d))
-        lo += sep[-1] + 1
-    return np.concatenate(blocks)
+        hi = raw.rfind(b"\n", lo, lo + step) + 1 or raw.find(b"\n", lo + step) + 1 or body.size
+        whole = hi - lo <= step and body[hi - 1] == 10  # else a line too long, or without its end
+        yield hi, _piece_rows(body[lo:hi], pad, windows, d) if whole else None
+        lo = hi
+
+
+def _piece_rows(piece: np.ndarray, pad: np.ndarray, windows: np.ndarray, d: int):
+    """The rows of ``piece``, whole lines, or None; ``pad`` is scratch, viewed by ``windows``."""
+    a = pad[_WINDOW : _WINDOW + piece.size]
+    a[:] = piece
+    if a.max() > 57 or np.count_nonzero(a == 47):  # above "9", or "/" between "." and "0"
+        return None
+    sep = np.flatnonzero(a < 46)  # "," and "\n", or a byte that fails below
+    kind = a[sep]
+    ends = np.count_nonzero(kind == 10)
+    if (
+        sep.size != ends * d
+        or (kind[d - 1 :: d] != 10).any()
+        or np.count_nonzero(kind == 44) != sep.size - ends
+    ):
+        return None
+    length = np.empty_like(sep)
+    length[0] = sep[0]
+    np.subtract(sep[1:], sep[:-1], out=length[1:])
+    length[1:] -= 1
+    if length.min() < 1 or length.max() > _WINDOW:
+        return None
+    values = _field_values(windows[sep], _TAIL[length], np.count_nonzero(a == 46))
+    return None if values is None else values.reshape(-1, d)
 
 
 def _field_values(windows: np.ndarray, masks: np.ndarray, dots: int) -> np.ndarray | None:
@@ -417,12 +415,28 @@ def _field_values(windows: np.ndarray, masks: np.ndarray, dots: int) -> np.ndarr
     k = digits - np.maximum(c, 1)  # the decimal exponent: value in [10**k, 10**(k + 1))
     if k.min() < -4 or k.max() > 15:
         return None
-    n *= np.take(_POW10_U, 17 - digits)  # the 17 digits of the value
+    rounded = n > _U(2**53)  # else float(N) is exact, and so is y: Clinger's fast path
+    n *= np.take(_POW10_U, 17 - digits)  # M, the field's digits padded to 17
     y /= np.take(_FRAC10, c)
-    got = _scaled(y, k)[0]
-    miss = np.flatnonzero(got != n)
-    if miss.size:  # y is off by an ulp: step towards the field's value
-        y[miss] = np.nextafter(y[miss], np.where(got[miss] < n[miss], np.inf, 0.0))
-        if (_scaled(y[miss], k[miss])[0] != n[miss]).any():
+    n17, r = _scaled(y, k)
+    miss = np.flatnonzero((n17 != n) & rounded)
+    if miss.size:  # y's neighbour towards the field, or whichever of the two holds it
+        m, k_m = n[miss], k[miss]
+        near = np.nextafter(y[miss], np.where(n17[miss] < m, np.inf, 0.0))
+        near17, near_r = _scaled(near, k_m)
+        left = np.flatnonzero(near17 != m)
+        own = _inside(y[miss[left]], k_m[left], m[left], n17[miss[left]], r[miss[left]])
+        if not (own | _inside(near[left], k_m[left], m[left], near17[left], near_r[left])).all():
             return None
+        near[left[own]] = y[miss[left[own]]]
+        y[miss] = near
     return y
+
+
+def _inside(y, k, m, n17, r) -> np.ndarray:
+    """Whether each field M * 10**(k - 16), M in ``m``, lies strictly inside the rounding
+    interval of y, where ``_scaled(y, k)`` is (n17, r); see the module docstring."""
+    gap = (m.view(np.int64) - n17.view(np.int64)).astype(np.float64) - r  # field - y, scaled
+    half = np.spacing(y) * np.take(_POW10, 16 - k) * 0.5  # exact, as in _shortest
+    half[(gap < 0) & (np.frexp(y)[0] == 0.5)] *= 0.5  # the gap below a power of two
+    return np.abs(gap) < half

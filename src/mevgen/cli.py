@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager, suppress
 
-import numpy as np
+# mevgen calls no BLAS: without OpenBLAS's pool, start-up costs less CPU and a fork has one thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import fileio
 from .errors import (

@@ -14,74 +14,38 @@ Rows are formatted by one function, :func:`_csv_pieces`, as ASCII bytes in
 pieces of at most ``_FORMAT_VALUES`` values; they are the bytes of
 ``np.savetxt(fmt="%.17g", delimiter=",")``.  A piece whose values all lie in
 [1e-4, 1e16) goes through the vectorized formatter
-:func:`mevgen._csvfmt.format_rows`: there ``%.17g`` writes fixed notation,
-and its 17 digits are x * 10**(16 - k) rounded half-even, computed exactly
-with Dekker's two-product (that module gives the argument), so the bytes are
-the same.  A piece holding any other value (0, a negative, a subnormal, a
+:func:`mevgen._csvfmt.format_rows`, which writes the same bytes (that
+module gives the argument).  A piece holding any other value (0, a negative, a subnormal, a
 huge value, NaN or inf) is formatted by one ``%`` over a row format repeated
 once per row, which stays the reference.  The formatter is imported on first
 use, so stages that write no CSV or float list never load it.
-A target that is absent or a regular file is written as a temporary file
-``.<name>.<pid>.tmp`` next to it and moved into place only when complete; a
-symlink, pipe or device is written through directly.  A temporary file whose
-pid no longer runs, left by a writer that was killed, is removed by the next
-write to the same target.  The old sidecar is removed first and the new one
-written last, so a sidecar never describes other data than the CSV beside it.
+:func:`_write_csv_text` gives the order of the writes, so that a sidecar
+never describes other data than the CSV beside it.
 
 Work that splits into independent items runs on every CPU through one fork
-map, :func:`_forked_map`: one worker per CPU in the affinity mask (at most
-one per item), made by ``os.fork``, running the same function as the serial
-path.  Worker w takes items w, w + workers, ... from its forked copy and
-pickles each result into its one pipe; nothing goes the other way.  The
-parent reads item i from worker i mod w, so the output never depends on the
-number of workers, and a worker ahead of the reader stalls on its full pipe,
-so memory stays O(workers x item) however slow the reader is.  A worker
-stops at its first error, and at its next write once the parent has died.
-With one CPU, one item or no ``fork``, the items are mapped in process.
-``sample`` maps it over its chunks (drawing and formatting each); the CSV
-reader maps it over spans of the body.
+map, :func:`_forked_map`: ``sample`` maps it over its chunks (drawing and
+formatting each), and the CSV reader over spans of the body.
 
 JSON files are written as one compact line with sorted keys, the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: the C encoder,
 while ``json.dump`` to a file and any ``indent`` run the pure-Python one.
 :func:`_json_parts` writes a dict with str keys itself, key by sorted key,
 and formats each distinct float of its lists of floats, or of lists of
-equal-length rows of floats, once, in one kernel call per ``_JSON_VALUES``
-floats, so a small report pays the kernel's fixed cost once.  The reports
-are made of such lists, and they repeat: lambda and the extremal
-coefficients are symmetric, and an estimate at a finite u takes at most
-K + 1 values, so the 153,600 floats of a d = 160 estimate report hold
-26,169 distinct ones.  Entries are grouped by their bits, so -0.0 and 0.0
-stay apart; the distinct values are formatted by
-:func:`mevgen._csvfmt.repr_rows`, which writes the encoder's own texts
-(``float.__repr__``, ``NaN``, ``Infinity``) vectorized and leaves the few
-values it cannot decide to one ``json.dumps``, and None is written as
-``null``.  Everything else, such as ints, bools, strings, numpy scalars,
-ragged or mixed lists and dicts with a key that is not a str, goes to
-``json.dumps`` as it is, so the bytes never change.  Readers take any layout.
-Spec files hold alpha sparse or dense, as :meth:`ModelSpec.to_json_dict`
-chooses; :meth:`ModelSpec.from_json_dict` reads both.
+equal-length rows of floats, once.  The reports are made of such lists,
+and they repeat: lambda and the extremal coefficients are symmetric, and an
+estimate at a finite u takes at most K + 1 values, so the 153,600 floats of
+a d = 160 estimate report hold 26,169 distinct ones.  Entries are grouped
+by their bits, so -0.0 and 0.0 stay apart; the distinct values are
+formatted by :func:`mevgen._csvfmt.repr_rows`, which writes the encoder's
+own texts, and None is written as ``null``.  Everything else, such as ints,
+bools, strings, numpy scalars, ragged or mixed lists and dicts with a key
+that is not a str, goes to ``json.dumps`` as it is, so the bytes never
+change.  Readers take any layout.
 
-CSV reading takes three steps.  :func:`_parsing_csv` opens the file once,
-reads a pipe whole (it cannot be read twice), and cuts the body just after
-newlines into spans of about ``_READ_BYTES`` (4 MiB).  The fork map parses
-each span by the vectorized :func:`mevgen._csvfmt.parse_rows`, reading it
-from the open file by ``os.pread``, so a file replaced meanwhile is never
-read in part; one span, or one CPU, is parsed in process, and the rows come
-back in order.  The kernel accepts the rows that ``sample`` writes: only
-``[0-9.,\\n]``, d fields per line, each with at most 17 significant digits
-and a value in [1e-4, 1e16).  It keeps a value only when the value's own 17
-digits equal the field's, which makes it the correctly rounded value of the
-field (that module gives the argument), so its arrays are bitwise those of
-``np.loadtxt``.  If it declines any span, that span's worker stops, and the
-same open file is read from its start by ``np.loadtxt``, whose result is
-kept when it has d columns and every value is finite; otherwise, or when it
-raises, line by line, which accepts exactly the same files and is the one
-source of the ``CsvFormatError`` line messages.  So the accepted files,
-values and errors never depend on the CPU count, and a CSV the kernel
-declines, such as another tool's, is read by ``np.loadtxt`` on one CPU.
-:func:`_parsing_csv` starts the workers and returns while they parse, so
-``estimate`` loads its spec meanwhile.
+CSV files are read by one reader, :func:`_parsing_csv`, whose fork map
+parses the body's spans by :func:`_parse_span`: by the vectorized kernel
+:func:`mevgen._csvfmt.parse_rows`, and each piece that it declines by the
+line parser, the reference.
 """
 
 from __future__ import annotations
@@ -92,10 +56,9 @@ import os
 import pickle
 import re
 import stat
-import warnings
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -350,10 +313,8 @@ def _forked_map(job: Callable, items: Sequence):
 
     ``job`` and ``items`` are inherited by the fork, not pickled: worker w
     takes ``items[w::workers]`` from its copy and only its results cross
-    its one pipe.  Python 3.12 and later issue a ``DeprecationWarning`` when
-    a process with more than one thread forks, and numpy's OpenBLAS thread
-    pool gives this process two.  The workers call no BLAS routine and start
-    no thread, so no lock a missing thread held is ever waited on.
+    its one pipe, where it stalls when ahead of the reader, so memory stays
+    O(workers x item).  The workers call no BLAS routine and start no thread.
     """
     workers = min(_cpu_count(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
@@ -397,11 +358,8 @@ def _forked_map(job: Callable, items: Sequence):
 
 
 def _serve(sink, job: Callable, items: Sequence, parent_ends: list) -> None:
-    """A worker's loop: write ``job(item)`` for each of ``items`` to ``sink``, to the first error.
-
-    A full pipe stalls the worker until the parent reads, and a parent that
-    has died ends it by ``BrokenPipeError``.
-    """
+    """A worker's loop: write ``job(item)`` for each of ``items`` to ``sink``, to the first error,
+    or until a parent that has died ends it by ``BrokenPipeError``."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops us
@@ -458,29 +416,38 @@ def read_csv(path) -> np.ndarray:
 def _parsing_csv(path):
     """Start parsing the CSV at ``path``; yield ``read()``, which returns :func:`read_csv`'s result.
 
-    The file is opened once and its body cut into line-aligned spans, which
-    the fork map parses while the body of the ``with`` block runs.  If the
-    kernel declines any span, ``read()`` reads the same open file again as
-    text, so it returns the same array and raises the same errors on any
-    number of CPUs, and on leaving the block every worker has been reaped.
+    The file is opened once, and a pipe read whole.  After a plain header,
+    the fork map parses the body's spans by :func:`_parse_span` while the
+    ``with`` block runs, and ``read()`` numbers each span's lines after
+    those of the spans before it, so nothing depends on the CPU count;
+    after any other header the line parser reads the file.  On leaving the
+    block every worker has been reaped.
     """
     from ._csvfmt import parse_rows  # noqa: F401 (imported before any fork: workers inherit it)
 
     with open(path, "rb") as raw:
-        if not raw.seekable():  # a pipe: read whole, as it cannot be read twice
+        if not raw.seekable():
             raw = io.BytesIO(raw.read())
-        d = _plain_header_width(raw.readline())
+        header = raw.readline()
+        d = _plain_header_width(header)
         spans = [] if d is None else _line_spans(raw)
-        with _forked_map(partial(_parse_span, raw, d), spans) as results:
+        with _forked_map(partial(_parse_span, raw, path, d), spans) as results:
 
             def read() -> np.ndarray:
-                if spans:
-                    try:
-                        return np.concatenate(list(results))
-                    except _Declined:
-                        pass
-                raw.seek(0)
-                return _read_text(path, raw)
+                before = 0  # lines before the span being read
+                try:
+                    if d is None:
+                        raw.seek(0)
+                        return _read_text(path, raw)
+                    before = _line_count(header)  # "x1,x2\r\r\n" is two
+                    blocks = [np.empty((0, d))]
+                    for rows, lines in results:
+                        blocks.append(rows)
+                        before += lines
+                    return np.concatenate(blocks)
+                except _BadLine as bad:
+                    line, reason = bad.args
+                    raise CsvFormatError(f"{path}: line {before + line}: {reason}") from None
 
             yield read
 
@@ -500,32 +467,66 @@ def _line_spans(raw) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-class _Declined(Exception):
-    """A span the kernel declines: the whole file is read again as text."""
+def _pread(raw, lo: int, hi: int) -> bytes:
+    """Bytes [lo, hi) of ``raw``, a pipe's from memory; ``os.pread`` leaves the shared offset."""
+    if isinstance(raw, io.BytesIO):
+        return raw.getvalue()[lo:hi]
+    return os.pread(raw.fileno(), hi - lo, lo)
 
 
-def _parse_span(raw, d: int, span: tuple[int, int]) -> np.ndarray:
-    """The rows of bytes ``span`` of ``raw`` by the kernel; raises ``_Declined`` if it declines.
-
-    As an error, a declined span stops its worker, which parses no span that
-    the text read then discards.  A file is read by ``os.pread``, which
-    leaves the offset that this process and the workers share where it is; a
-    pipe's bytes are in memory.
-    """
+def _parse_span(raw, path, d: int, span: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """The rows of bytes ``span`` of ``raw`` and its number of lines, by the kernel
+    :func:`mevgen._csvfmt.parse_rows` and, for each piece that it declines, the line parser;
+    a bad line raises ``_BadLine`` numbered from the span's first line as 1."""
     from ._csvfmt import parse_rows
 
-    lo, hi = span
-    if isinstance(raw, io.BytesIO):
-        rows = parse_rows(raw.getvalue()[lo:hi], d)
-    else:
-        rows = parse_rows(os.pread(raw.fileno(), hi - lo, lo), d)
-    if rows is None:
-        raise _Declined
-    return rows
+    lo = span[0]
+    blocks, lines, start = [], 0, 0
+    for end, rows in parse_rows(_pread(raw, *span), d):
+        if rows is None:
+            rows, count = _parse_piece(raw, path, d, (lo + start, lo + end), 1 + lines)
+        else:
+            count = rows.shape[0]
+        blocks.append(rows)
+        lines += count
+        start = end
+    return np.concatenate(blocks), lines
+
+
+def _parse_piece(raw, path, d: int, piece: tuple[int, int], first: int) -> tuple[np.ndarray, int]:
+    """The rows of the lines in bytes ``piece`` of ``raw`` by the line parser, the first
+    being line ``first``, and their number.
+
+    They are decoded in ``io.TextIOWrapper``'s 8 KiB chunks from the file's start, from the
+    character at the start of the chunk that holds the piece's start, each chunk before the
+    lines that end in it, so that a UTF-8 error comes and reads as in a text read of the file.
+    """
+    lo, hi = piece
+    origin = max(lo - lo % 8192 - 3, 0)
+    data = _pread(raw, origin, hi - hi % -8192)
+    at = lo - lo % 8192 - origin
+    while at and data[at] & 0xC0 == 0x80:  # a UTF-8 continuation byte
+        at -= 1
+    count = _line_count(data[lo - origin : hi - origin])
+    spaced = b" " * ((origin + at) % 8192) + data[at:]  # so that its chunks end where the file's do
+    with _utf8_text(path, io.BytesIO(spaced)) as fh:
+        for _ in range(_line_count(data[at : lo - origin])):
+            fh.readline()
+        return _parse_lines(islice(fh, count), d, first), count
+
+
+def _line_count(text: bytes) -> int:
+    """The number of lines of ``text`` in universal-newline mode."""
+    ends = text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+    return ends + (text[-1:] not in b"\r\n")  # and a last line without its end
+
+
+class _BadLine(Exception):
+    """Line ``args[0]`` of a CSV, numbered by its reader, is bad for reason ``args[1]``."""
 
 
 def _read_text(path, raw) -> np.ndarray:
-    """The rows of the CSV in binary stream ``raw`` by ``loadtxt``, else the line parser."""
+    """The rows of the CSV in binary stream ``raw``, header and all, by the line parser."""
     with _utf8_text(path, raw) as fh:
         header = fh.readline()
         if not header:
@@ -533,12 +534,7 @@ def _read_text(path, raw) -> np.ndarray:
         d = _header_width(header)
         if d is None:
             raise CsvFormatError(f"{path}: line 1: malformed header {header.strip()!r}")
-        data = _fast_parse(fh, d)
-        if data is not None:
-            return data
-        fh.seek(0)
-        fh.readline()
-        return _parse_lines(fh, path, d)
+        return _parse_lines(fh, d, 2)
 
 
 def _plain_header_width(header: bytes) -> int | None:
@@ -559,36 +555,25 @@ def _header_width(header: str) -> int | None:
     return len(names) if names == [f"x{i + 1}" for i in range(len(names))] else None
 
 
-def _fast_parse(fh, d: int) -> np.ndarray | None:
-    """``np.loadtxt`` of the rest of ``fh`` if it gives d columns of finite values, else None."""
-    try:
-        # comments=None: with numpy's default "#", "1,2#x" would parse as 1,2
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape[1] == d and np.isfinite(data).all() else None
+def _parse_lines(lines: Iterable[str], d: int, first: int) -> np.ndarray:
+    """The rows of CSV body ``lines``, the first being line ``first``; the reference parser.
 
-
-def _parse_lines(fh, path, d: int) -> np.ndarray:
-    """Line-by-line reader for the body of a CSV file; the reference parser."""
+    A bad line raises ``_BadLine``.
+    """
     rows = []
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(lines, start=first):
         line = line.strip()
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != d:
-            raise CsvFormatError(
-                f"{path}: line {lineno}: expected {d} fields, found {len(fields)}"
-            )
+            raise _BadLine(lineno, f"expected {d} fields, found {len(fields)}")
         try:
             row = [float(f) for f in fields]
         except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: non-numeric field") from None
+            raise _BadLine(lineno, "non-numeric field") from None
         if not all(np.isfinite(row)):
-            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+            raise _BadLine(lineno, "non-finite value")
         rows.append(row)
     return np.array(rows, dtype=np.float64) if rows else np.empty((0, d))
 

@@ -29,10 +29,7 @@ rows form one block.  Row sums are taken over each row's dense image, so
 they have the bits of ``alpha.sum(axis=1)``.  Validation, the slacks,
 lambda, the JSON form, the fingerprint, the digest and the sampler's factor
 max read this structure, so a sparse or synthesized spec holds O(nnz) and
-builds its dense alpha only when ``alpha`` is asked for.  The fingerprint
-hashes the bytes ``json.dumps`` writes for the dense spec, row by row, from
-:func:`mevgen._csvfmt.repr_rows` texts: the fully stored dense rows in one
-pass, the other rows as runs of ``0.0,`` between their stored entries.
+builds its dense alpha only when ``alpha`` is asked for.
 """
 
 from __future__ import annotations
@@ -58,6 +55,10 @@ _SYMMETRY_TOL = 1e-9
 #: Smallest admissible scale constant, the smallest normal float64.  With a
 #: subnormal C, ``alpha * v`` underflows in the copula.
 _MIN_SCALE = float(np.finfo(np.float64).tiny)
+
+#: Largest admissible scale constant: a weight is at most C and a unit Fréchet draw at most
+#: 2**52 (see :mod:`mevgen.sampling`), so no product ``sample`` or ``check`` forms overflows.
+_MAX_SCALE = 2.0**970
 
 
 def _as_readonly_matrix(values, name: str) -> np.ndarray:
@@ -250,7 +251,8 @@ class ModelSpec:
         """Content hash identifying this spec across serialization round trips.
 
         The sha256 of the compact, sorted-key JSON of the spec with alpha as
-        a dense list of lists, whichever layout :meth:`to_json_dict` picks.
+        a dense list of lists, whichever layout :meth:`to_json_dict` picks,
+        hashed row by row from :func:`mevgen._csvfmt.repr_rows` texts.
         """
         import hashlib  # here only, as is the kernel: stages that hash no spec never load them
 
@@ -482,6 +484,8 @@ def require_valid_spec(spec: ModelSpec) -> ModelSpec:
             f"scale constant C={spec.C!r} must be positive, finite and at least "
             f"{_MIN_SCALE!r}, the smallest normal float64"
         )
+    elif spec.C > _MAX_SCALE:
+        violations.append(f"scale constant C={spec.C!r} exceeds 2**970, above which draws overflow")
     bad = spec._first(lambda a: ~np.isfinite(a))
     violations += [f"alpha[{i}][{j}] is not finite" for i, j, _ in bad]
     if not bad:

@@ -12,10 +12,8 @@ easy as 1, 2, 3"): a chunk starting at observation ``start`` begins at word
 counter ``w // 4`` steps (one step gives four words) and discarding
 ``w % 4`` words, without drawing the words before it.  So any chunk can be
 drawn on its own, in any process, and the output never depends on which
-process drew it or in which order.  The ``sample`` subcommand uses this to
-draw and format chunks in forked workers, one per CPU, each stalling on a
-full pipe when it gets ahead of the writer, so its memory is
-O(workers x chunk) (see :mod:`mevgen.fileio`).
+process drew it or in which order: ``sample`` draws and formats them in
+the fork map of :mod:`mevgen.fileio`.
 
 :func:`sample_chunks` is the one generation loop: it maps that per-chunk
 function over the chunk starts, about ``CHUNK_WORDS`` words per chunk, so
@@ -23,13 +21,15 @@ memory is O(chunk) whatever n is: a caller that writes each chunk out before
 asking for the next never holds the whole batch.  :func:`sample_batch`
 collects the chunks into one (n, d) array.
 
-Uniforms are mapped to the open interval (0, 1) by taking the top 53 bits
-of each 64-bit word and centering on the lattice midpoint,
-``(k + 0.5) * 2**-53``, so log(0) and division by zero are impossible in
-the Fréchet inversion.  ``Generator.random`` gives ``k * 2**-53`` from one
-word per value, and adding ``2**-54`` to it rounds the same real number,
-``(k + 0.5) * 2**-53``, to the same double (scaling by a power of two does
-not change how a value rounds, and no value is subnormal).  Every step
+Uniforms are the lattice midpoints ``(k + 0.5) * 2**-53`` of the top 53
+bits k of each 64-bit word, so log(0) is impossible in the Fréchet
+inversion.  They lie in (0, 1 - 2**-52], so a unit Fréchet value is at
+most about 2**52, except at k = 2**53 - 1, where the midpoint rounds to
+1.0 and the value is -inf: once in 2**53 words.  ``Generator.random``
+gives ``k * 2**-53`` from one word per value, and adding ``2**-54`` to it
+rounds the same real number, ``(k + 0.5) * 2**-53``, to the same double
+(scaling by a power of two does not change how a value rounds, and no
+value is subnormal).  Every step
 after the draw runs in place on the chunk's array of uniforms.
 
 The factor max ``max_j alpha[i, j] * Z_j`` reads the spec's stored rows
@@ -40,19 +40,11 @@ The dense rows go through blocks of observations small enough to stay in
 cache.
 
 Unit Fréchet factors are heavy-tailed, so a dense row's max is nearly
-always set by one of an observation's few largest factors.  When a spec has
-at least ``2 * (_TOP_K + 1)`` dense rows and ``D > 4 * (_TOP_K + 1)``, each
-observation's ``_TOP_K + 1`` largest factors are found once per block and
-shared by all dense rows; the smallest of them, ``z_(k+1)``, bounds every
-other factor.  A row's largest product over those columns, ``best``, is its
-max whenever ``best >= amax_i * z_(k+1)``, where ``amax_i`` is the row's
-largest weight: multiplying nonnegative floats rounds correctly and
-monotonically, so no product outside those columns can exceed
-``fl(amax_i * z_(k+1))``.  Where the bound fails, the full product is taken,
-so the result never depends on the bound holding.
-
-Every branch forms the same products and a max does not depend on evaluation
-order, so the output is bitwise the same whichever branch a row takes.
+always set by one of an observation's few largest factors; with many dense
+rows, :func:`_factor_max` bounds each row by those factors first and takes
+the full product only where the bound fails.  Every branch forms the same
+products and a max does not depend on evaluation order, so the output is
+bitwise the same whichever branch a row takes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ from __future__ import annotations
 import io
 import os
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as mevgen.cli starts numpy
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays

@@ -632,6 +632,29 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @staticmethod
+    def _fresh(code: str, **env: str) -> str:
+        """The output of ``code`` in a new process without ``OPENBLAS_NUM_THREADS``, or with
+        ``env``."""
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env = {**base, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_starts_numpy_without_a_blas_thread_pool(self):
+        code = "import os, mevgen.cli; print(len(os.listdir('/proc/self/task')))"
+        assert self._fresh(code) == "1"
+
+    def test_a_preset_blas_thread_count_is_kept(self):
+        code = "import os, mevgen.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_the_package_import_alone_sets_nothing(self):
+        code = "import os, mevgen; print('OPENBLAS_NUM_THREADS' in os.environ)"
+        assert self._fresh(code) == "False"
+
     #: The mevgen modules that ``import mevgen.cli`` loads.
     CLI_MODULES = ["mevgen", "mevgen.cli", "mevgen.errors", "mevgen.fileio", "mevgen.model"]
 
@@ -1092,6 +1115,25 @@ class TestCheck:
         fileio.dump_json({"d": 2, "D": 1, "C": 5e-324, "alpha": [[5e-324], [5e-324]]}, bad)
         assert main(["check", "--spec", str(bad)]) == 3
         assert "smallest normal float64" in capsys.readouterr().err
+
+    def test_a_scale_whose_draws_overflow_is_rejected(self, tmp_path, capsys):
+        # weights up to 1e308 times unit Frechet draws up to 2**52 overflow: sample once wrote
+        # inf on 808 of 2000 lines with exit 0, and check reported a false failure
+        bad, out = tmp_path / "spec.json", tmp_path / "s.csv"
+        bad.write_text('{"d":2,"D":1,"C":1e308,"alpha":[[1e308],[1e308]]}')
+        assert main(["sample", "--spec", str(bad), "--n", "2000", "--out", str(out)]) == 3
+        assert main(["check", "--spec", str(bad)]) == 3
+        assert capsys.readouterr().err.count("exceeds 2**970, above which draws overflow") == 2
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_the_largest_scale_samples_finite_values(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "s.csv"
+        c = 2.0**970
+        fileio.dump_json({"d": 2, "D": 1, "C": c, "alpha": [[c], [c]]}, spec)
+        assert main(["sample", "--spec", str(spec), "--n", "2000", "--out", str(out)]) == 0
+        assert np.isfinite(fileio.read_csv(out)).all()
+        assert main(["check", "--spec", str(spec)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
 
 class TestSpecDigest:

@@ -13,6 +13,8 @@ import stat
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,13 +87,24 @@ def _in_fast_range(x: np.ndarray) -> np.ndarray:
 
 
 def _read_reference(path):
-    """What the line-by-line parser alone makes of a CSV file: array or error text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = len(fh.readline().strip().split(","))
+    """What the line parser alone makes of a whole CSV file: its array, or the type and text
+    of its error."""
+    with open(path, "rb") as raw:
         try:
-            return fileio._parse_lines(fh, path, d)
-        except CsvFormatError as exc:
-            return str(exc)
+            return fileio._read_text(path, raw)
+        except fileio._BadLine as bad:
+            return CsvFormatError, "%s: line %d: %s" % (path, *bad.args)
+        except (CsvFormatError, UnicodeDecodeError) as exc:
+            return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, expected) -> None:
+    """Two outcomes of ``_outcome`` or ``_read_reference`` are the same array or error."""
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestJsonFiles:
@@ -286,13 +299,7 @@ class TestCsv:
         _split_reads(monkeypatch, 1, step)
         path = tmp_path / "s.csv"
         path.write_bytes(b"x1,x2\n" + _second_range_body(bad or b"7.5,8"))
-        expected = _read_reference(path)
-        if isinstance(expected, str):
-            with pytest.raises(CsvFormatError) as err:
-                fileio.read_csv(path)
-            assert str(err.value) == expected
-        else:
-            assert fileio.read_csv(path).tobytes() == expected.tobytes()
+        _assert_same_outcome(_outcome(path), _read_reference(path))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -365,15 +372,7 @@ class TestCsv:
     def test_same_result_as_line_parser(self, tmp_path_factory, body, d):
         path = tmp_path_factory.mktemp("csv") / "s.csv"
         path.write_bytes((fileio.csv_header(d) + "\n" + body).encode())
-        expected = _read_reference(path)
-        if isinstance(expected, str):
-            with pytest.raises(CsvFormatError) as err:
-                fileio.read_csv(path)
-            assert str(err.value) == expected
-        else:
-            again = fileio.read_csv(path)
-            assert again.shape == expected.shape
-            assert again.tobytes() == expected.tobytes()
+        _assert_same_outcome(_outcome(path), _read_reference(path))
 
 
 def _split_reads(monkeypatch, cpus: int, span_bytes: int) -> list[int]:
@@ -535,7 +534,7 @@ class TestParallelRead:
     def test_a_named_pipe_reads_as_a_file_when_the_kernel_declines(
         self, tmp_path, monkeypatch, body, message
     ):
-        # the kernel declines a span after a first; the text path reads the bytes kept
+        # the kernel declines a span after a first; the line parser reads the bytes kept
         monkeypatch.setattr(fileio, "_READ_BYTES", 5)
         fifo = tmp_path / "s.csv"
         os.mkfifo(fifo)
@@ -563,8 +562,8 @@ class TestParallelRead:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
-        "body", [b"1.5,2\n" * 600, b"0.1,2\n" * 600, b"1,2\n" * 600 + b"3\n"],
-        ids=["kernel", "loadtxt", "line-parser"],
+        "body", [b"1.5,2\n" * 600, b"1e-1,2\n" * 600, b"1,2\n" * 600 + b"3\n"],
+        ids=["kernel", "fallback", "line-parser"],
     )
     def test_a_read_opens_the_path_once(self, tmp_path, monkeypatch, cpus, body):
         path = tmp_path / "s.csv"
@@ -576,7 +575,7 @@ class TestParallelRead:
         _outcome(path)
         assert [file for file in opened if not isinstance(file, int)] == [path]  # ints: the pipes
 
-    @pytest.mark.parametrize("fmt", [b"%d.25,%d", b"%d.1,%d"], ids=["kernel", "loadtxt"])
+    @pytest.mark.parametrize("fmt", [b"%d.25,%d", b"%de-1,%d"], ids=["kernel", "fallback"])
     def test_a_file_replaced_while_parsing_is_read_from_the_open_file(
         self, tmp_path, monkeypatch, fmt
     ):
@@ -596,27 +595,107 @@ class TestParallelRead:
         assert len(forks) == 2 and child_pids() == []
         assert data.tobytes() == expected.tobytes()
 
-    def test_a_declined_read_parses_at_most_one_span_per_worker(self, tmp_path, monkeypatch):
-        # a declined span stops its worker: the text read makes the rest useless
-        data = np.random.default_rng(4).uniform(0, 100, (2000, 3))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_declined_piece_alone_is_read_by_the_line_parser(self, tmp_path, monkeypatch, cpus):
+        data = np.random.default_rng(4).uniform(0, 100, (8000, 3))
         path, log = tmp_path / "s.csv", tmp_path / "parsed"
         np.savetxt(path, data, fmt="%.6f", delimiter=",", header="x1,x2,x3", comments="")
+        with open(path, "ab") as fh:
+            fh.write(b"1e-05,2,3\n")  # exponent notation: its piece falls back
         log.touch()
-        forks = _split_reads(monkeypatch, 2, 4096)
-        assert len(_spans(path)[1]) >= 8
-        parse = _csvfmt.parse_rows
+        monkeypatch.setattr(_csvfmt, "_PIECE_BYTES", 4096)
+        forks = _split_reads(monkeypatch, cpus, 2**16)
+        assert len(_spans(path)[1]) >= 4
+        parse = fileio._parse_lines
 
-        def logged(text, d):
+        def logged(lines, d, first):
+            rows = parse(lines, d, first)
             with open(log, "ab") as fh:  # O_APPEND: the workers' lines never mix
-                fh.write(b"parse\n")
-            return parse(text, d)
+                fh.write(b"%d\n" % rows.shape[0])
+            return rows
 
-        monkeypatch.setattr(_csvfmt, "parse_rows", logged)
+        monkeypatch.setattr(fileio, "_parse_lines", logged)
         again = fileio.read_csv(path)
-        assert len(forks) == 2 and child_pids() == []
-        assert log.read_bytes().count(b"\n") <= 2
+        assert len(forks) == (cpus if cpus > 1 else 0) and child_pids() == []
+        parsed = [int(n) for n in log.read_bytes().split()]
+        assert len(parsed) == 1 and 1 <= parsed[0] <= 4096 // len(b"1.000000,2.000000,3.000000\n")
         loaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert again.shape == loaded.shape and again.tobytes() == loaded.tobytes()
+        assert again.shape == loaded.shape == (8001, 3) and again.tobytes() == loaded.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "declined",
+        [b"1e0,2\n", b"1,2\r\n", b"1,2\r", b"\n"],
+        ids=["exponent", "crlf", "cr", "blank"],
+    )
+    def test_a_bad_line_after_a_fallen_back_piece_names_its_file_line(
+        self, tmp_path, monkeypatch, cpus, declined
+    ):
+        # pieces of about 100 bytes and spans of about 1000: line 2 falls back in the first
+        # span, and the bad line is in the third
+        lines = [b"%d.5,%d\n" % (i, i) for i in range(600)]
+        lines[0] = declined
+        lines[400] = b"7,x\n"
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\n" + b"".join(lines))
+        monkeypatch.setattr(_csvfmt, "_PIECE_BYTES", 100)
+        forks = _split_reads(monkeypatch, cpus, 1000)
+        spans = _spans(path)[1]
+        assert path.read_bytes().index(b"7,x") > spans[2][0]
+        outcome = _outcome(path)
+        assert outcome == (CsvFormatError, f"{path}: line 402: non-numeric field")
+        assert outcome == _read_reference(path)
+        assert len(forks) == (cpus if cpus > 1 else 0) and child_pids() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_text_errors_next_to_8k_chunks_read_as_the_whole_file(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # the whole file's text read decodes 8 KiB chunks from its start, each before the
+        # lines that end in it; a piece of about 2500 bytes starts inside such a chunk, maybe
+        # after a character that straddles its start, and may end in the next one
+        monkeypatch.setattr(_csvfmt, "_PIECE_BYTES", 2500)
+        _split_reads(monkeypatch, cpus, 6000)
+        text = b"x1,x2\n" + b"".join(b"%d.5,%d\n" % (i, i) for i in range(3000))
+        path = tmp_path / "s.csv"
+        cases = 0
+        for chunk in (8192, 16384):
+            for at in (chunk - 2, chunk - 1, chunk, chunk + 1):
+                # a no-break space is a valid character in a field
+                for edit in (b"\xff", b"\xe2\x82", b"\xc3\xa9", b"\xc2\xa0", b"\r", b"x"):
+                    edited = text[:at] + edit + text[at:]
+                    # alone, or with a byte that does not decode or a bad line after it
+                    for later, byte in [
+                        (0, b""), (60, b"\xff"), (5000, b"x"), (8191, b"\xff"), (8250, b"\xff")
+                    ]:
+                        where = at + later if later < 100 else chunk + later
+                        path.write_bytes(edited[:where] + byte + edited[where + len(byte) :])
+                        _assert_same_outcome(_outcome(path), _read_reference(path))
+                        cases += 1
+        assert cases == 240 and child_pids() == []
+
+    # each example patches inside monkeypatch.context(), undone before the next
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        body=st.lists(
+            st.sampled_from(list(b"15.,\n\n\re \xff\xc3\xa9")).map(lambda byte: bytes([byte])),
+            max_size=40,
+        ).map(b"".join),
+        header=st.sampled_from([b"x1,x2\n", b"x1,x2\r\n", b"x1,x2\r\r\n", b"x1\n"]),
+    )
+    def test_any_bytes_read_as_the_whole_file_on_two_cpus(
+        self, tmp_path_factory, monkeypatch, body, header
+    ):
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        path.write_bytes(header + body)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(fileio, "_READ_BYTES", 8)
+            patch.setattr(_csvfmt, "_PIECE_BYTES", 1)
+            _assert_same_outcome(_outcome(path), _read_reference(path))
+        assert child_pids() == []
 
     def test_a_worker_error_is_raised_and_every_worker_reaped(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
@@ -624,10 +703,10 @@ class TestParallelRead:
         _split_reads(monkeypatch, 2, 1000)
         parse = fileio._parse_span
 
-        def failing(raw, d, span):
+        def failing(raw, path, d, span):
             if span[0] > len(b"x1,x2\n"):
                 raise OSError("read failed")
-            return parse(raw, d, span)
+            return parse(raw, path, d, span)
 
         monkeypatch.setattr(fileio, "_parse_span", failing)
         with pytest.raises(OSError, match="read failed"):
@@ -884,22 +963,31 @@ def _loadtxt_and_line_parser(body: bytes, d: int) -> tuple:
     except ValueError:
         loaded = None
     try:
-        lines = fileio._parse_lines(text(), "s.csv", d)
-    except CsvFormatError as exc:
-        lines = str(exc)
+        lines = fileio._parse_lines(text(), d, 2)
+    except fileio._BadLine as bad:
+        lines = "s.csv: line %d: %s" % bad.args
     return loaded, lines
 
 
+def _kernel_rows(raw: bytes, d: int) -> np.ndarray | None:
+    """The rows of ``raw`` if the kernel accepts each of its pieces, else None."""
+    blocks = [rows for _, rows in parse_rows(raw, d)]
+    if not blocks or any(rows is None for rows in blocks):
+        return None
+    return np.concatenate(blocks)
+
+
 class TestRowParser:
-    """``parse_rows`` reads ``format_rows``'s fields bitwise as ``loadtxt`` and the line parser
-    do, and declines every body outside its form, which then reads as before."""
+    """``parse_rows`` reads ``format_rows``'s fields, and any other field of at most 17 digits
+    in its range, bitwise as ``loadtxt`` and the line parser do, and declines every piece
+    outside its form, which then reads as before."""
 
     @staticmethod
     def _assert_read_exactly(values, d: int = 1) -> None:
         x = np.asarray(values, dtype=np.float64)
         block = x[: x.size // d * d].reshape(-1, d)
         body = format_rows(block)
-        got = parse_rows(body, d)
+        got = _kernel_rows(body, d)
         assert got is not None
         loaded, lines = _loadtxt_and_line_parser(body, d)
         assert got.shape == block.shape and got.flags.c_contiguous
@@ -907,7 +995,7 @@ class TestRowParser:
 
     @staticmethod
     def _assert_declined(tmp_path, body: bytes, d: int) -> None:
-        assert parse_rows(body, d) is None
+        assert _kernel_rows(body, d) is None
         path = tmp_path / "s.csv"
         path.write_bytes((fileio.csv_header(d) + "\n").encode() + body)
         lines = _loadtxt_and_line_parser(body, d)[1]
@@ -970,8 +1058,10 @@ class TestRowParser:
             b"123456789012345678,2\n",
             b"18446744073709551621,2\n",  # 2**64 + 5: the digits must not wrap to 5
             b"0.1844674407370955162100,2\n",
-            b"0.1,2\n",
-            b"9007199254740993,2\n",  # a tie between two doubles: no 17-digit match
+            b"9007199254740993,2\n",  # halfway between two doubles, on the edge of both
+            b"4503599627370497.5,2\n",
+            b"9007199254740991.5,2\n",  # halfway below a power of two
+            b"1.5e-05,2\n",
             b"0,2\n",
             b"0.0,2\n",
             b"0.00001,2\n",
@@ -985,9 +1075,72 @@ class TestRowParser:
     def test_bodies_outside_the_form_are_declined_and_read_as_before(self, tmp_path, body):
         self._assert_declined(tmp_path, body, 2)
 
+    @pytest.mark.parametrize(
+        "fmt, top",
+        [("%.6f", 1e10), ("%.10g", 1e10), ("%r", 1e16), ("%.15g", 1e15), ("%.16g", 1e16)],
+    )
+    def test_short_decimals_read_as_loadtxt(self, fmt, top):
+        x = _log_uniform()[:20_000]
+        x = x[x < top]
+        for d in (1, 5):
+            rows = x[: x.size // d * d].reshape(-1, d).tolist()
+            body = "".join(",".join(fmt % v for v in row) + "\n" for row in rows).encode()
+            got = _kernel_rows(body, d)
+            assert got is not None
+            loaded, lines = _loadtxt_and_line_parser(body, d)
+            assert got.tobytes() == loaded.tobytes() == lines.tobytes()
+
+    def test_fields_that_are_not_their_doubles_17_digits(self):
+        body = b"0.1,0.2,0.3\n1.1,2.675,123.456\n0.0001,9999999999999998,4503599627370497\n"
+        got = _kernel_rows(body, 3)
+        assert got is not None
+        assert got.tobytes() == _loadtxt_and_line_parser(body, 3)[0].tobytes()
+        fields = body.replace(b"\n", b",")[:-1].split(b",")
+        assert got.ravel().tolist() == [float(f) for f in fields]
+
+    def test_fields_next_to_powers_of_two(self, monkeypatch):
+        # up to 3 ulps either side of each power of two, in steps of a sixteenth of the ulp
+        # above it; below it the doubles lie half as far apart
+        texts = []
+        for e in range(-13, 54):
+            power, ulp = Fraction(2) ** e, Fraction(2) ** (e - 52)
+            for step in range(-48, 49):
+                value = power + ulp * Fraction(step, 16)
+                for digits in (16, 17):
+                    with localcontext(prec=digits):
+                        text = format(Decimal(value.numerator) / value.denominator, "f")
+                    if 1e-4 <= float(text) < 1e16:
+                        texts.append(text.encode())
+        monkeypatch.setattr(_csvfmt, "_PIECE_BYTES", 1)  # a piece of a line or two
+        body = b"\n".join(texts) + b"\n"
+        start, declined = 0, 0
+        for end, rows in parse_rows(body, 1):
+            fields = body[start:end].split()
+            if rows is None:
+                declined += len(fields)
+            else:
+                assert rows.ravel().tolist() == [float(f) for f in fields]
+            start = end
+        assert declined < len(texts) // 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        values=st.lists(st.floats(1e-4, 1e9), min_size=1, max_size=24),
+        fmt=st.sampled_from(["%r", "%.17g", "%.16g", "%.10g", "%.6f"]),
+    )
+    def test_any_short_decimals_are_accepted(self, d, values, fmt):
+        values = values[: len(values) // d * d] or values[:1] * d
+        rows = [",".join(fmt % x for x in values[i : i + d]) for i in range(0, len(values), d)]
+        body = "".join(row + "\n" for row in rows).encode()
+        got = _kernel_rows(body, d)
+        assert got is not None
+        loaded, lines = _loadtxt_and_line_parser(body, d)
+        assert got.tobytes() == loaded.tobytes() == lines.tobytes()
+
     @staticmethod
     def _assert_as_loadtxt_or_declined(tmp_path_factory, raw: bytes, d: int) -> None:
-        got = parse_rows(raw, d)
+        got = _kernel_rows(raw, d)
         if got is None:
             TestRowParser._assert_declined(tmp_path_factory.mktemp("csv"), raw, d)
         else:
@@ -1022,7 +1175,7 @@ class TestRowParser:
     @given(
         d=st.integers(1, 4),
         values=st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=24),
-        fmt=st.sampled_from(["%.17g", "%.17g", "%r", "%.16g", "%.6f"]),
+        fmt=st.sampled_from(["%.17g", "%.17g", "%r", "%.16g", "%.10g", "%.6f", "%.18e"]),
     )
     def test_any_formatted_floats_read_as_loadtxt_or_are_declined(
         self, tmp_path_factory, d, values, fmt

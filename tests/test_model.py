@@ -85,6 +85,8 @@ def _ref_violations(alpha: np.ndarray, c: float) -> list[str]:
             f"scale constant C={c!r} must be positive, finite and at least "
             f"{tiny!r}, the smallest normal float64"
         )
+    elif c > 2.0**970:
+        violations.append(f"scale constant C={c!r} exceeds 2**970, above which draws overflow")
     if not np.all(np.isfinite(alpha)):
         for i, j in np.argwhere(~np.isfinite(alpha))[:10]:
             violations.append(f"alpha[{i}][{j}] is not finite")
@@ -516,6 +518,14 @@ class TestValidation:
         # alpha * v underflows for such a scale, breaking the copula
         spec = mg.ModelSpec(alpha=[[5e-324], [5e-324]], C=5e-324)
         assert any("smallest normal float64" in v for v in _spec_violations(spec))
+
+    def test_scale_constant_above_2_to_the_970_rejected(self):
+        c = 2.0**970
+        mg.require_valid_spec(mg.ModelSpec(alpha=[[c], [c]], C=c))
+        above = float(np.nextafter(c, np.inf))
+        assert _spec_violations(mg.ModelSpec(alpha=[[1.0], [1.0]], C=above)) == (
+            f"scale constant C={above!r} exceeds 2**970, above which draws overflow",
+        )
 
     def test_violations_keep_their_order(self):
         spec = mg.ModelSpec(alpha=[[2.0, -0.5]], C=-1.0)
