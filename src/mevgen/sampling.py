@@ -23,14 +23,14 @@ collects the chunks into one (n, d) array.
 
 Uniforms are the lattice midpoints ``(k + 0.5) * 2**-53`` of the top 53
 bits k of each 64-bit word, so log(0) is impossible in the Fréchet
-inversion.  They lie in (0, 1 - 2**-52], so a unit Fréchet value is at
-most about 2**52, except at k = 2**53 - 1, where the midpoint rounds to
-1.0 and the value is -inf: once in 2**53 words.  ``Generator.random``
-gives ``k * 2**-53`` from one word per value, and adding ``2**-54`` to it
-rounds the same real number, ``(k + 0.5) * 2**-53``, to the same double
-(scaling by a power of two does not change how a value rounds, and no
-value is subnormal).  Every step
-after the draw runs in place on the chunk's array of uniforms.
+inversion.  ``Generator.random`` gives ``k * 2**-53`` from one word per
+value, and adding ``2**-54`` to it rounds the same real number,
+``(k + 0.5) * 2**-53``, to the same double (scaling by a power of two does
+not change how a value rounds, and no value is subnormal).  At k = 2**53 - 1
+that midpoint rounds to 1.0, whose log is 0, so the uniforms are clamped to
+1 - 2**-52, the value k = 2**53 - 2 rounds to: they lie in (0, 1 - 2**-52],
+and a unit Fréchet value is at most about 2**52.  Every step after the
+draw runs in place on the chunk's array of uniforms.
 
 The factor max ``max_j alpha[i, j] * Z_j`` reads the spec's stored rows
 (see :mod:`mevgen.model`) once per :func:`sample_chunks` call.  A stored
@@ -59,6 +59,7 @@ from .model import ModelSpec, require_valid_spec
 
 _U64_FULL = 2**64
 _HALF_STEP = 2.0**-54  # half the lattice step 2**-53 of the uniforms
+_TOP_UNIFORM = 1.0 - 2.0**-52  # the largest uniform below 1.0 that a midpoint rounds to
 
 #: Stream words per default chunk, 2**19: its uniforms take 4 MiB, small
 #: enough to stay mostly in cache between the in-place steps, and enough
@@ -302,6 +303,7 @@ def _chunker(spec: ModelSpec, seed: int) -> Callable[[int, int], np.ndarray]:
         bit_gen.random_raw(w % 4)
         u = Generator(bit_gen).random(m * (big_d + d)).reshape(m, big_d + d)
         u += _HALF_STEP
+        np.minimum(u, _TOP_UNIFORM, out=u)  # k = 2**53 - 1 rounds to 1.0
         np.log(u, out=u)
         np.divide(-1.0, u, out=u)  # unit Frechet: Z in the first D columns, then Y
         out = np.empty((m, d))

@@ -119,6 +119,21 @@ def ex3_spec() -> ModelSpec:
     return ModelSpec(alpha=EX3_ALPHA, C=EX3_C)
 
 
+def digit_families(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Weights whose shortest digits are hard to find, ``size`` of each family: short
+    decimals, powers of two, integers, values below 1e-4 and either side of 1e15."""
+    return [
+        rng.uniform(0.0, 2.0, size),
+        *(np.round(rng.uniform(0.0, 1.0, size), places) for places in (1, 2, 3, 4)),
+        np.ldexp(1.0, rng.integers(-20, 20, size)),
+        np.ldexp(1.0, rng.integers(-30, 31, size)),
+        rng.choice([1.0, 2.0], size),
+        rng.uniform(0.0, 1e-4, size),
+        1e15 + rng.uniform(0.0, 10.0, size),
+        1e15 + rng.uniform(-8.0, 8.0, size),
+    ]
+
+
 def weight_matrices(max_d: int = 6, max_shared: int = 8):
     """Strategy for nonnegative (d, D) weight matrices."""
     return st.integers(2, max_d).flatmap(

@@ -750,18 +750,25 @@ class TestParallelEstimate:
     def test_report_and_svg_do_not_depend_on_the_cpu_count(
         self, samples_file, result_file, tmp_path, monkeypatch, capsys
     ):
-        outputs = []
-        for cpus in (1, 2, 3):
-            _split_reads(monkeypatch, cpus)
-            est, svg = tmp_path / f"e{cpus}.json", tmp_path / f"p{cpus}.svg"
-            argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
-            assert main([*argv, "--spec", str(result_file), "--out", str(est)]) == 0
-            assert main(["plot", "--data", str(samples_file), "--out", str(svg)]) == 0
-            outputs.append((est.read_bytes(), svg.read_bytes()))
-        with open(samples_file, "rb") as raw:
-            raw.readline()
-            assert len(fileio._line_spans(raw)) >= 3
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # the same rows as %.6f text, which the kernel reads, and as np.savetxt's
+        # default %.18e, whose every piece falls back to the line parser
+        data = fileio.read_csv(samples_file)
+        bodies = [samples_file, tmp_path / "short.csv", tmp_path / "long.csv"]
+        for path, fmt in zip(bodies[1:], ("%.6f", "%.18e")):
+            np.savetxt(path, data, fmt=fmt, delimiter=",", header="x1,x2,x3", comments="")
+        for csv in bodies:
+            outputs = []
+            for cpus in (1, 2, 3):
+                _split_reads(monkeypatch, cpus)
+                est, svg = tmp_path / f"e{cpus}.json", tmp_path / f"p{cpus}.svg"
+                argv = ["estimate", "--data", str(csv), "--u", "0.9"]
+                assert main([*argv, "--spec", str(result_file), "--out", str(est)]) == 0
+                assert main(["plot", "--data", str(csv), "--out", str(svg)]) == 0
+                outputs.append((est.read_bytes(), svg.read_bytes()))
+            with open(csv, "rb") as raw:
+                raw.readline()
+                assert len(fileio._line_spans(raw)) >= 3
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], csv.name
         assert child_pids() == []
 
     def test_a_csv_replaced_while_plot_reads_it_plots_the_opened_file(
@@ -872,6 +879,60 @@ class TestParallelEstimate:
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert child_pids() == []
+
+
+class TestAffinityMask:
+    """A real one-CPU affinity mask, set in a fresh process, gives the bytes of every CPU."""
+
+    #: Sets the mask given in argv[1] (none: the inherited one), runs the stages in argv[2],
+    #: and prints the CPU count the fork map sees.
+    CODE = (
+        "import json, os, sys\n"
+        "cpus, stages = map(json.loads, sys.argv[1:])\n"
+        "if cpus is not None:\n"
+        "    os.sched_setaffinity(0, cpus)\n"
+        "from mevgen import cli, fileio\n"
+        "for argv in stages:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(fileio._cpu_count())\n"
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks here")
+    def test_one_cpu_gives_the_bytes_of_every_cpu(self, tmp_path, result_file):
+        inherited = os.sched_getaffinity(0)
+        if len(inherited) < 2:
+            pytest.skip("this process may run on one CPU only, so no mask can narrow it")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = {}
+        for name, cpus in (("all", None), ("one", [min(inherited)])):
+            out = tmp_path / name
+            out.mkdir()
+            csv, spec = str(out / "s.csv"), str(result_file)
+            # 90k rows of three columns: a body over 4 MiB, read in at least two spans;
+            # sample draws five chunks
+            stages = [
+                ["sample", "--spec", spec, "--n", "90000", "--seed", "4", "--out", csv],
+                ["estimate", "--data", csv, "--u", "0.95", "--spec", spec],
+                ["plot", "--data", csv, "--pairs", "1,2", "--out", str(out / "p.svg")],
+            ]
+            stages[0] += ["--chunk-size", "20000"]
+            stages[1] += ["--out", str(out / "e.json")]
+            argv = [sys.executable, "-c", self.CODE, json.dumps(cpus), json.dumps(stages)]
+            runs[name] = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            )
+        seen = {}
+        for name, proc in runs.items():
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr.decode()
+            seen[name] = int(stdout.splitlines()[-1])  # after the stages' own lines
+        assert seen == {"all": len(inherited), "one": 1}
+        with open(tmp_path / "all" / "s.csv", "rb") as raw:
+            raw.readline()
+            assert len(fileio._line_spans(raw)) >= 2
+        for name in ("s.csv", "s.csv.meta.json", "e.json", "p.svg"):
+            all_cpus, one_cpu = (tmp_path / run / name for run in runs)
+            assert all_cpus.read_bytes() == one_cpu.read_bytes(), name
 
 
 class TestCoeffs:
@@ -1580,6 +1641,18 @@ class TestRoundTrip:
         expect = np.array(EX2_LAMBDA) / c_used
         off = ~np.eye(4, dtype=bool)
         assert np.allclose(lam[off], expect[off], rtol=0.0, atol=1e-12)
+
+    def test_json_files_re_encode_to_themselves(self, tmp_path, result_file, samples_file):
+        # a float's repr reads back to the same float, so a file re-encodes to
+        # itself only if its writer wrote the C encoder's bytes
+        coeffs, report = tmp_path / "coeffs.json", tmp_path / "report.json"
+        assert main(["coeffs", "--spec", str(result_file), "--out", str(coeffs)]) == 0
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        assert main([*argv, "--out", str(report)]) == 0
+        for path in (result_file, coeffs, report):
+            text = path.read_text(encoding="utf-8")
+            again = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+            assert text == again, path.name
 
     def test_flag_warning_names_ten_pairs_and_counts_the_rest(self, tmp_path, capsys):
         # comonotone unit Frechet data against an independence spec: every

@@ -28,7 +28,7 @@ from mevgen import _csvfmt
 from mevgen._csvfmt import format_rows, parse_rows, repr_rows
 from mevgen.errors import CsvFormatError, ShapeError
 
-from conftest import EX3_ALPHA, child_pids, savetxt_bytes
+from conftest import EX3_ALPHA, child_pids, digit_families, savetxt_bytes
 
 
 def _dump_old_layout(obj, path) -> None:
@@ -74,6 +74,16 @@ _JSON_DOCUMENTS = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def _family_document() -> dict:
+    """The float lists of a spec file over :func:`conftest.digit_families`: a dense matrix,
+    one row of it, and the entries of a sparse spec."""
+    rng = np.random.default_rng(7)
+    alpha = np.stack(digit_families(rng, 300))
+    sparse = alpha * (rng.random(alpha.shape) < 0.1)
+    spec = mg.ModelSpec(alpha=sparse, C=float(sparse.sum(axis=1).max()))
+    return {"m": alpha.tolist(), "v": alpha[0].tolist(), "spec": spec.to_json_dict()}
 
 
 def _percent_rows(block: np.ndarray) -> bytes:
@@ -157,6 +167,7 @@ class TestJsonFiles:
     )
     @given(obj=_JSON_DOCUMENTS)
     @example(obj={"m": [[0.0, -0.0, math.nan], [None, -0.0, 0.0]], "v": [-0.0, math.nan, 0.0]})
+    @example(obj=_family_document())
     def test_dump_json_bytes_equal_the_c_encoder(self, tmp_path, obj):
         # the writer groups floats by their bits: -0.0 and 0.0 keep their own
         # texts, a float NaN is written NaN, and only None becomes null

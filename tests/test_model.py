@@ -21,6 +21,7 @@ from conftest import (
     EX1_LAMBDA,
     EX3_ALPHA,
     EX3_C,
+    digit_families,
     model_specs,
     stored_row_alphas,
     tail_dep_targets,
@@ -372,19 +373,13 @@ class TestSpecJson:
     def test_fingerprint_of_mixed_layouts(self, seed):
         # fully stored rows take the kernel's one pass, the others its tokens between zeros
         rng = np.random.default_rng(seed)
-        weights = [
-            rng.uniform(0.0, 2.0, 400),
-            np.round(rng.uniform(0.0, 1.0, 400), 2),
-            np.ldexp(1.0, rng.integers(-20, 20, 400)),
-            rng.choice([1.0, 2.0], 400),
-            rng.uniform(0.0, 1e-4, 400),
-            1e15 + rng.uniform(0.0, 10.0, 400),
-        ]
-        alpha = np.stack([w[rng.permutation(400)] for w in weights] * 3).reshape(18, 400)
-        alpha[6:12] *= rng.random((6, 400)) < 0.1  # sparse rows
-        alpha[12] = 0.0
-        alpha[13, ::3] = -0.0
-        for a in (alpha, alpha[:6], alpha[6:]):
+        weights = digit_families(rng, 400)
+        k = len(weights)
+        alpha = np.stack([w[rng.permutation(400)] for w in weights] * 3)
+        alpha[k : 2 * k] *= rng.random((k, 400)) < 0.1  # sparse rows
+        alpha[2 * k] = 0.0
+        alpha[2 * k + 1, ::3] = -0.0
+        for a in (alpha, alpha[:k], alpha[k:]):
             spec = mg.ModelSpec(alpha=a, C=1.0)
             assert spec.fingerprint() == hashlib.sha256(_dense_json(spec).encode()).hexdigest()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,12 +43,14 @@ def one_shot_batch(spec: mg.ModelSpec, n: int, seed: int) -> np.ndarray:
 
     Implements the documented stream contract directly: observation t owns
     words [t*(D+d), (t+1)*(D+d)) of a Philox stream keyed by the seed,
-    shared factors first, uniforms on the open midpoint lattice.
+    shared factors first, uniforms on the midpoint lattice, the top one
+    (which rounds to 1.0) clamped to 1 - 2**-52.
     """
     words = n * (spec.D + spec.d)
     gen = np.random.Generator(np.random.Philox(key=seed))
     raw = gen.integers(0, 2**64, size=words, dtype=np.uint64)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = np.minimum(u, 1.0 - 2.0**-52)
     u = u.reshape(n, spec.D + spec.d)
     z = unit_frechet(u[:, : spec.D])
     y = unit_frechet(u[:, spec.D :])
@@ -124,6 +127,26 @@ class TestLatticeUniforms:
         words = np.random.Philox(key=9).random_raw(1000)
         drawn = np.random.Generator(np.random.Philox(key=9)).random(1000)
         assert drawn.tobytes() == ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tobytes()
+
+    def test_the_top_word_draws_as_the_word_below_it(self, monkeypatch):
+        # its midpoint rounds to 1.0, whose log is 0: unclamped, every factor
+        # is -inf, and a zero weight in a dense row makes it NaN
+        class Constant:  # a Generator whose every word is k
+            def __init__(self, bit_gen):
+                pass
+
+            def random(self, size):
+                return np.full(size, k * 2.0**-53)
+
+        monkeypatch.setattr(np.random, "Generator", Constant)
+        spec = mg.ModelSpec(alpha=[[0.0, 0.5, 0.5], [0.5, 0.25, 0.1]], C=1.0)
+        chunks = []
+        for k in (2**53 - 1, 2**53 - 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                chunks.append(mg.sampling._chunker(spec, seed=0)(0, 3))
+        assert np.all(np.isfinite(chunks[0]))
+        assert chunks[0].tobytes() == chunks[1].tobytes()
 
 
 class TestSampleVector:
