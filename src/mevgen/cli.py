@@ -133,7 +133,7 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--chunk-size must be positive, got {args.chunk_size}")
     if not 0 <= args.seed < 2**64:
         raise _UsageError("--seed must fit in an unsigned 64-bit integer")
-    from . import _csvfmt  # noqa: F401 (before the fork: the workers and the fingerprint share it)
+    from . import _csvfmt  # noqa: F401 (before the fork, so that the workers share it)
     from .sampling import _chunk_plan
 
     spec = fileio.load_spec(args.spec)
@@ -143,17 +143,8 @@ def cmd_sample(args) -> int:
         return b"".join(fileio._csv_pieces(chunk(start), spec.d))
 
     with _sigterm_exits(), fileio._forked_map(text, starts) as texts:
-        meta = None
-        if not args.no_sidecar:
-            # the workers draw their first chunks meanwhile, then stall on their pipes,
-            # as a chunk's text is far more than a pipe holds, until the CSV write below
-            fingerprint = spec.fingerprint()
-            meta = {
-                "n": args.n,
-                "seed": args.seed,
-                "spec_fingerprint": fingerprint,
-                "spec_digest": spec.digest(fingerprint),
-            }
+        # the workers draw their first chunks while the digest is taken
+        meta = None if args.no_sidecar else fileio._sidecar(args.n, args.seed, digest=spec.digest())
         fileio._write_csv_text(texts, spec.d, args.out, meta)
     print(f"wrote {args.n} observations of dimension {spec.d} to {args.out}")
     if meta is not None:
@@ -218,7 +209,7 @@ def cmd_estimate(args) -> int:
     if data.shape[0] == 0:
         raise _UsageError(f"{args.data} holds no observations")
     seed = int(meta["seed"]) if meta else 0
-    fingerprint = meta["spec_fingerprint"] if meta else ""
+    fingerprint = meta.get("spec_fingerprint", "") if meta else ""
     digest = meta.get("spec_digest") if meta else None
 
     if spec_error is not None:
@@ -226,7 +217,7 @@ def cmd_estimate(args) -> int:
     if spec is not None:
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
-            digest = spec.digest(fingerprint)  # binds the empty fingerprint to this spec
+            digest = spec.digest()  # binds the data to this spec
     batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint, spec_digest=digest)
 
     out = _estimate_json(batch, spec, args.u)

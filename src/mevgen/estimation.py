@@ -17,7 +17,8 @@ with limit coefficient ``lam`` follows from the pair copula diagonal
 Rank margins need only which ranks pass u, the top K of each column, so
 those are selected, not sorted.  A comparison against a spec confirms
 provenance through the batch's spec digest in O(nnz), and builds the
-O(d * D) fingerprint only when the digest is missing or differs.
+O(d * D) fingerprint only for a batch that carries one, from an old
+sidecar, when the digest is missing or differs.
 """
 
 from __future__ import annotations
@@ -233,16 +234,18 @@ def finite_u_tail_dep(u: float, lam):
 
 
 def _drawn_from(spec: ModelSpec, batch: SampleBatch) -> bool:
-    """Whether the batch's fingerprint is that of ``spec``.
+    """Whether the batch was drawn from ``spec``.
 
     A batch digest equal to ``spec.digest(batch.spec_fingerprint)`` shows
-    that ``spec`` is bitwise the spec that fingerprint was taken from, in
-    O(nnz).  Without a digest, or when it differs (an edited spec or an
-    edited fingerprint), the fingerprint is recomputed and compared.
+    that ``spec`` is bitwise the spec it was taken from, in O(nnz).
+    Without a digest, or when it differs (an edited spec or an edited
+    sidecar), a batch with a fingerprint, from an old sidecar, compares it
+    with the spec's; a batch without one was drawn from another spec.
     """
-    if batch.spec_digest is not None and batch.spec_digest == spec.digest(batch.spec_fingerprint):
+    fingerprint = batch.spec_fingerprint
+    if batch.spec_digest is not None and batch.spec_digest == spec.digest(fingerprint):
         return True
-    return batch.spec_fingerprint == spec.fingerprint()
+    return bool(fingerprint) and fingerprint == spec.fingerprint()
 
 
 def theoretical_vs_empirical(
@@ -253,7 +256,7 @@ def theoretical_vs_empirical(
     """Compare empirical estimates against the model's exact values.
 
     The spec is validated first (SpecValidationError), then the batch must
-    have one column per margin (ShapeError) and carry the fingerprint of
+    have one column per margin (ShapeError) and have been drawn from
     ``spec`` (ProvenanceError, see :func:`_drawn_from`).  Estimates use
     known margins with the spec's scale constant.  Each threshold yields
     one comparison; a pair is flagged when its estimate misses the exact
@@ -264,7 +267,7 @@ def theoretical_vs_empirical(
         raise ShapeError(f"data has {batch.d} columns but spec has dimension {spec.d}")
     if not _drawn_from(spec, batch):
         raise ProvenanceError(
-            "batch fingerprint does not match the spec it is compared against"
+            "batch spec hash does not match the spec it is compared against"
         )
     comparisons = []
     for u in u_grid:

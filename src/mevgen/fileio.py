@@ -3,10 +3,9 @@
 CSV layout: header ``x1,...,xd``, one observation per row, values written
 with 17 significant digits so float64 round-trips exactly.  Every sample
 file gets a sidecar ``<path>.meta.json`` carrying the observation count,
-the seed, the fingerprint of the generating spec and its digest
-(:meth:`ModelSpec.digest`); readers use them to refuse cross-spec
-comparisons.  Sidecars written before the digest existed lack it and are
-still read.
+the seed and the digest of the generating spec (:meth:`ModelSpec.digest`);
+readers use them to refuse cross-spec comparisons.  Old sidecars carry the
+spec's fingerprint instead, or beside its digest, and are still read.
 
 :func:`write_csv` writes a batch, and ``sample`` hands :func:`_write_csv_text`
 the texts of its chunks as the workers format them, so memory is O(chunk).
@@ -212,10 +211,18 @@ def csv_header(d: int) -> str:
 
 def write_csv(batch: SampleBatch, path, sidecar: bool = True) -> None:
     """Write a batch as CSV; optionally drop the provenance sidecar next to it."""
-    meta = {"n": batch.n, "seed": batch.seed, "spec_fingerprint": batch.spec_fingerprint}
-    if batch.spec_digest is not None:
-        meta["spec_digest"] = batch.spec_digest
+    meta = _sidecar(batch.n, batch.seed, batch.spec_fingerprint, batch.spec_digest)
     _write_csv_text(_csv_pieces(batch.data, batch.d), batch.d, path, meta if sidecar else None)
+
+
+def _sidecar(n: int, seed: int, fingerprint: str = "", digest: str | None = None) -> dict:
+    """The sidecar fields of n observations drawn with ``seed``, with the hashes given."""
+    meta = {"n": n, "seed": seed}
+    if fingerprint:
+        meta["spec_fingerprint"] = fingerprint
+    if digest is not None:
+        meta["spec_digest"] = digest
+    return meta
 
 
 def _csv_pieces(block: np.ndarray, d: int) -> Iterator[bytes]:
@@ -581,14 +588,15 @@ def _parse_lines(lines: Iterable[str], d: int, first: int) -> np.ndarray:
 def load_sidecar(csv_path) -> dict | None:
     """Return the sidecar dict for a CSV path, or None when absent.
 
-    ``n``, ``seed`` and ``spec_fingerprint`` are required; ``spec_digest`` is
-    optional.  Both hashes, when present, must be 64 lowercase hex digits.
+    ``n`` and ``seed`` are required; ``spec_digest`` and, in old sidecars,
+    ``spec_fingerprint`` are optional, and each must be 64 lowercase hex
+    digits when present.
     """
     meta = sidecar_path(csv_path)
     if not meta.exists():
         return None
     obj = load_json(meta)
-    missing = {"n", "seed", "spec_fingerprint"} - obj.keys()
+    missing = {"n", "seed"} - obj.keys()
     if missing:
         raise ShapeError(f"{meta}: sidecar missing fields {sorted(missing)}")
     for key in ("n", "seed"):

@@ -86,8 +86,7 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
 #: Most entries, d * D (a side of 0 counting as 1), that a spec made from
 #: stored entries (a sparse file, or :func:`mevgen.synthesize`) may have:
 #: 2**29, which admits a synthesized d = 1024.  Dense alpha would take 4 GiB
-#: there and the fingerprint text 2 GiB, so a larger shape is refused before
-#: anything of its size exists.
+#: there, so a larger shape is refused before anything of its size exists.
 _MAX_ENTRIES = 2**29
 
 #: Values per block of dense row images (256 KiB), through which the row sums
@@ -210,18 +209,14 @@ class ModelSpec:
             image[dense] = 0.0
             image[self._rows[e] - lo, self._cols[e]] = 0.0
 
-    def _entries(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices ``i * D + j`` and values of every stored entry, in row-major order;
-        the dense rows among them only where the mask ``rows`` holds."""
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices ``i * D + j`` and values of every stored entry, in row-major order."""
         flat, vals = self._rows * self.D + self._cols, self._vals
-        block, dense = self._block, np.flatnonzero(self._dense)
-        if rows is not None:
-            block, dense = block[rows[dense]], dense[rows[dense]]
-        if block.size:
-            at = np.flatnonzero(_stored(block))
-            block_vals = block.ravel()[at]
-            if dense.size < self.d:
-                at = dense[at // self.D] * self.D + at % self.D
+        if self._block.size:
+            at = np.flatnonzero(_stored(self._block))
+            block_vals = self._block.ravel()[at]
+            if not self._dense.all():
+                at = np.flatnonzero(self._dense)[at // self.D] * self.D + at % self.D
             if flat.size:
                 at, block_vals = np.concatenate([flat, at]), np.concatenate([vals, block_vals])
                 order = np.argsort(at, kind="stable")
@@ -252,50 +247,30 @@ class ModelSpec:
 
         The sha256 of the compact, sorted-key JSON of the spec with alpha as
         a dense list of lists, whichever layout :meth:`to_json_dict` picks,
-        hashed row by row from :func:`mevgen._csvfmt.repr_rows` texts.
+        hashed from one ``json.dumps`` per block of row images, at most
+        ``_IMAGE_VALUES`` values or one row.  Only old sidecars carry it:
+        those written now carry :meth:`digest` alone.
         """
-        import hashlib  # here only, as is the kernel: stages that hash no spec never load them
+        import hashlib  # here only: stages that hash no old sidecar never load it
 
-        from ._csvfmt import repr_rows
-
-        d, big_d = self.d, self.D
-        full = np.zeros(d, dtype=bool)  # dense rows with every entry stored
-        if big_d:  # an empty row has no value to end its line
-            full[self._dense] = _stored(self._block).all(axis=1)
-        # the full rows in one pass, the kernel writing their commas; the stored
-        # entries of the others as tokens, taken in turn between their runs of "0.0,"
-        full_texts = iter(repr_rows(self._block[full[self._dense]]).split(b"\n"))
-        flat, vals = self._entries(~full)
-        tokens = repr_rows(vals[None, :])[:-1].split(b",") if vals.size else []
-        bounds = np.searchsorted(flat, np.arange(d + 1) * big_d).tolist()
-        # the run of +0.0 before each stored entry, from the entry before it or its row's start
-        before = np.maximum(np.concatenate([[-1], flat[:-1]]), flat - flat % max(big_d, 1) - 1)
-        gaps, flat = (flat - before - 1).tolist(), flat.tolist()
-        zero = b"0.0,"
-        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), big_d))
-        for s in range(d):
-            h.update(b",[" if s else b"[")
-            if full[s]:
-                h.update(next(full_texts))
-            else:
-                lo, hi = bounds[s], bounds[s + 1]
-                row = [zero * g + t for g, t in zip(gaps[lo:hi], tokens[lo:hi])]
-                tail = (s + 1) * big_d - 1 - (flat[hi - 1] if hi > lo else s * big_d - 1)
-                if tail:
-                    row.append(memoryview(zero * tail)[:-1])
-                h.update(b",".join(row))
-            h.update(b"]")
-        h.update(b'],"d":%d}' % d)
+        step = max(1, _IMAGE_VALUES // max(self.D, 1))
+        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), self.D))
+        for lo, image in self._images():
+            for at in range(0, image.shape[0], step):  # a spec of dense rows only is one image
+                text = json.dumps(image[at : at + step].tolist(), separators=(",", ":"))
+                h.update((b"," if lo + at else b"") + text[1:-1].encode())
+        h.update(b'],"d":%d}' % self.d)
         return h.hexdigest()
 
-    def digest(self, fingerprint: str) -> str:
-        """sha256 binding a fingerprint string to this spec's exact bits, in O(nnz).
+    def digest(self, fingerprint: str = "") -> str:
+        """sha256 of this spec's exact bits, in O(nnz); sidecars carry ``digest()``.
 
         It hashes the JSON text of ``fingerprint``, d, D, the bits of C, and
         the flat index and float64 bits of every stored alpha entry (see
         :meth:`to_json_dict`).  Those determine :meth:`fingerprint`, so a
-        spec whose digest with a sidecar's fingerprint equals the sidecar's
-        digest has that fingerprint, without the O(d * D) text being built.
+        spec whose digest with an old sidecar's fingerprint equals that
+        sidecar's digest has that fingerprint, without the O(d * D) text
+        being built.
         """
         import hashlib
 

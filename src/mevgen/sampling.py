@@ -37,14 +37,8 @@ The factor max ``max_j alpha[i, j] * Z_j`` reads the spec's stored rows
 row takes the max over its nonzero columns only, so it costs O(n * nnz_i)
 instead of O(n * D); for d >= 4 every row of a synthesized spec is stored.
 The dense rows go through blocks of observations small enough to stay in
-cache.
-
-Unit Fréchet factors are heavy-tailed, so a dense row's max is nearly
-always set by one of an observation's few largest factors; with many dense
-rows, :func:`_factor_max` bounds each row by those factors first and takes
-the full product only where the bound fails.  Every branch forms the same
-products and a max does not depend on evaluation order, so the output is
-bitwise the same whichever branch a row takes.
+cache, bounded first by each observation's largest factors where that pays;
+:func:`_factor_max` gives why every branch yields the same bits.
 """
 
 from __future__ import annotations
@@ -84,19 +78,19 @@ _TOP_K = 8
 class SampleBatch:
     """A block of observations plus the provenance that produced it.
 
-    ``data`` is an (n, d) read-only array of strictly positive values;
-    ``spec_fingerprint`` ties the batch to the generating spec so later
-    comparisons can refuse foreign data, and ``spec_digest``, when known,
-    is :meth:`ModelSpec.digest` of that fingerprint, which lets them
-    confirm the generating spec without recomputing its fingerprint.  A
-    read-only float64 array that owns its memory is taken as it is;
-    anything else is copied, so a caller handing over an array it no
-    longer writes saves the copy.
+    ``data`` is an (n, d) read-only array of strictly positive values.
+    ``spec_digest``, when known, is :meth:`ModelSpec.digest` of the
+    generating spec with ``spec_fingerprint``, so later comparisons can
+    refuse foreign data.  The fingerprint is "" but for a batch read beside
+    an old sidecar, which carries the spec's fingerprint.  A read-only
+    float64 array that owns its memory is taken as it is; anything else is
+    copied, so a caller handing over an array it no longer writes saves the
+    copy.
     """
 
     data: np.ndarray
     seed: int
-    spec_fingerprint: str
+    spec_fingerprint: str = ""
     spec_digest: str | None = None
 
     def __post_init__(self):
@@ -331,10 +325,4 @@ def sample_batch(
         start += block.shape[0]
         del block  # freed before the next chunk is drawn
     data.flags.writeable = False
-    fingerprint = spec.fingerprint()
-    return SampleBatch(
-        data=data,
-        seed=int(seed),
-        spec_fingerprint=fingerprint,
-        spec_digest=spec.digest(fingerprint),
-    )
+    return SampleBatch(data=data, seed=int(seed), spec_digest=spec.digest())

@@ -142,12 +142,10 @@ class TestSample:
         assert rc == 0
         assert out.read_text() == "x1,x2,x3\n"
 
-    def test_sidecar_written_with_fingerprint(self, samples_file, result_file):
+    def test_sidecar_written_with_digest(self, samples_file, result_file):
         meta = fileio.load_sidecar(samples_file)
         spec = mg.ModelSpec.from_json_dict(json.loads(result_file.read_text())["spec"])
-        assert meta["seed"] == 7
-        assert meta["spec_fingerprint"] == spec.fingerprint()
-        assert meta["spec_digest"] == spec.digest(spec.fingerprint())
+        assert meta == {"n": 5000, "seed": 7, "spec_digest": spec.digest()}
 
     def test_plain_spec_file_accepted(self, tmp_path, ex3_spec):
         spec_path = tmp_path / "spec.json"
@@ -240,12 +238,7 @@ class TestSampleStream:
         assert main([*argv, *(["--chunk-size", chunk] if chunk else [])]) == 0
         batch = mg.sample_batch(spec, 40, seed=11)
         assert out.read_bytes() == savetxt_bytes(batch.data)
-        assert fileio.load_sidecar(out) == {
-            "n": 40,
-            "seed": 11,
-            "spec_fingerprint": spec.fingerprint(),
-            "spec_digest": spec.digest(spec.fingerprint()),
-        }
+        assert fileio.load_sidecar(out) == {"n": 40, "seed": 11, "spec_digest": spec.digest()}
 
     def test_memory_is_bounded_and_flat_in_n(self, tmp_path, monkeypatch, capsys):
         # at d=80, D=1600 the whole batch is 1.25 MB per 2k rows, but holding
@@ -370,10 +363,10 @@ class TestSampleWorkers:
     def test_interrupt_stops_every_worker(self, tmp_path, result_file, monkeypatch, capsys):
         # Ctrl-C reaches the parent while the workers draw: they are stopped,
         # the temporary file is removed, and the interrupt propagates
-        def interrupted(self):
+        def interrupted(self, fingerprint=""):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(mg.ModelSpec, "fingerprint", interrupted)
+        monkeypatch.setattr(mg.ModelSpec, "digest", interrupted)
         _cpus(monkeypatch, 2)
         out = tmp_path / "out" / "s.csv"
         out.parent.mkdir()
@@ -1197,8 +1190,23 @@ class TestCheck:
         assert "all checks passed" in capsys.readouterr().out
 
 
+#: ``samples_file``'s sidecar as ``sample`` wrote it while sidecars carried the spec
+#: fingerprint (the pinned EX3 hex) and its digest; before that, the fingerprint alone.
+OLD_SIDECAR = {
+    "n": 5000,
+    "seed": 7,
+    "spec_digest": "b71eb4487e2d9f6bf3e98cf816d950ea3d1e2179e6552d45c76da8fad8daf481",
+    "spec_fingerprint": "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a",
+}
+OLD_LAYOUTS = {
+    "fingerprint": ("n", "seed", "spec_fingerprint"),
+    "fingerprint-and-digest": ("n", "seed", "spec_digest", "spec_fingerprint"),
+}
+
+
 class TestSpecDigest:
-    """``estimate --spec`` skips the fingerprint only when the sidecar digest matches."""
+    """``sample`` writes the spec digest; ``estimate --spec`` takes a fingerprint only
+    for an old sidecar whose digest is missing or differs."""
 
     @staticmethod
     def _estimate(samples_file, result_file, monkeypatch, capsys) -> tuple[int, int, str]:
@@ -1220,15 +1228,37 @@ class TestSpecDigest:
         edit(meta)
         path.write_text(json.dumps(meta))
 
+    @staticmethod
+    def _write_old_sidecar(samples_file, layout: str) -> None:
+        meta = {key: OLD_SIDECAR[key] for key in OLD_LAYOUTS[layout]}
+        fileio.dump_json(meta, fileio.sidecar_path(samples_file))
+
+    @staticmethod
+    def _edit_spec(result_file) -> None:
+        obj = json.loads(result_file.read_text())
+        obj["spec"]["C"] = 1.5  # still valid, but not the sampled spec
+        result_file.write_text(json.dumps(obj))
+
+    def test_sample_takes_no_fingerprint(self, tmp_path, result_file, monkeypatch, capsys):
+        monkeypatch.setattr(
+            mg.ModelSpec, "fingerprint", lambda self: pytest.fail("fingerprint taken")
+        )
+        argv = ["sample", "--spec", str(result_file), "--n", "50", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert set(fileio.load_sidecar(tmp_path / "s.csv")) == {"n", "seed", "spec_digest"}
+
     @pytest.mark.parametrize(
-        "sidecar, fingerprints", [("with-digest", 0), ("without-digest", 1), ("absent", 0)]
+        "sidecar, fingerprints",
+        [("with-digest", 0), ("without-digest", 1), ("absent", 0), ("old-with-digest", 0)],
     )
     def test_fingerprint_calls(
         self, sidecar, fingerprints, samples_file, result_file, monkeypatch, capsys
     ):
         _, _, expected = self._estimate(samples_file, result_file, monkeypatch, capsys)
         if sidecar == "without-digest":  # as written before the digest existed
-            self._edit_sidecar(samples_file, lambda meta: meta.pop("spec_digest"))
+            self._write_old_sidecar(samples_file, "fingerprint")
+        elif sidecar == "old-with-digest":  # as written before the digest alone
+            self._write_old_sidecar(samples_file, "fingerprint-and-digest")
         elif sidecar == "absent":
             fileio.sidecar_path(samples_file).unlink()
         rc, calls, out = self._estimate(samples_file, result_file, monkeypatch, capsys)
@@ -1236,18 +1266,37 @@ class TestSpecDigest:
         assert out == expected
 
     def test_edited_spec_exits_4(self, samples_file, result_file, monkeypatch, capsys):
-        obj = json.loads(result_file.read_text())
-        obj["spec"]["C"] = 1.5  # still valid, but not the sampled spec
-        result_file.write_text(json.dumps(obj))
+        self._edit_spec(result_file)
+        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
+        assert (rc, calls) == (4, 0)
+
+    @pytest.mark.parametrize("layout", OLD_LAYOUTS)
+    def test_old_sidecar_against_another_spec_exits_4(
+        self, layout, samples_file, result_file, monkeypatch, capsys
+    ):
+        self._write_old_sidecar(samples_file, layout)
+        self._edit_spec(result_file)
         rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
         assert (rc, calls) == (4, 1)
 
     def test_edited_fingerprint_with_digest_intact_exits_4(
         self, samples_file, result_file, monkeypatch, capsys
     ):
+        self._write_old_sidecar(samples_file, "fingerprint-and-digest")
         self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint="0" * 64))
         rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
         assert (rc, calls) == (4, 1)
+
+    def test_a_batch_without_provenance_writes_a_sidecar_estimate_reads(
+        self, tmp_path, capsys
+    ):
+        path, spec = tmp_path / "s.csv", tmp_path / "spec.json"
+        fileio.write_csv(mg.SampleBatch(np.full((3, 2), 2.0), seed=0, spec_fingerprint=""), path)
+        assert fileio.sidecar_path(path).read_text() == '{"n":3,"seed":0}\n'
+        assert main(["estimate", "--data", str(path), "--u", "0.5"]) == 0
+        # a sidecar with no hash matches no spec
+        fileio.dump_json({"d": 2, "D": 1, "C": 1.0, "alpha": [[0.5], [0.5]]}, spec)
+        assert main(["estimate", "--data", str(path), "--u", "0.5", "--spec", str(spec)]) == 4
 
     @pytest.mark.parametrize(
         "digest",
@@ -1567,9 +1616,9 @@ class TestSpecLayout:
 
 class TestStoredRowSpecs:
     def test_absurd_declared_shape_exits_3_without_allocating(self, tmp_path):
-        # an 80-byte file declaring d = D = 10**5: dense alpha would take 80 GB and
-        # the fingerprint text 40 GB; each stage refuses it, in a child whose
-        # address space is capped at 1 GiB (set in the child only)
+        # an 80-byte file declaring d = D = 10**5: dense alpha would take 80 GB;
+        # each stage refuses it, in a child whose address space is capped at
+        # 1 GiB (set in the child only)
         import resource
 
         spec = tmp_path / "absurd.json"

@@ -306,6 +306,20 @@ class TestTheoreticalVsEmpirical:
         with pytest.raises(ProvenanceError):
             mg.theoretical_vs_empirical(ex3_spec, batch)
 
+    def test_a_batch_from_no_spec_is_refused_without_a_fingerprint(
+        self, ex3_spec, ex1_spec, monkeypatch
+    ):
+        # neither a batch without provenance nor one drawn from another spec
+        # carries a fingerprint, so the spec's is never taken
+        calls, fingerprint = [], mg.ModelSpec.fingerprint
+        monkeypatch.setattr(
+            mg.ModelSpec, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+        )
+        for batch in (_batch(np.ones((5, 3))), mg.sample_batch(ex1_spec, 100, seed=1)):
+            with pytest.raises(ProvenanceError):
+                mg.theoretical_vs_empirical(ex3_spec, batch)
+        assert calls == []
+
     def test_column_count_checked_before_provenance(self, ex3_spec):
         batch = _batch(np.ones((5, 2)))  # and a fingerprint of no spec
         with pytest.raises(ShapeError, match="data has 2 columns but spec has dimension 3"):

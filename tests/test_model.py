@@ -369,6 +369,27 @@ class TestSpecJson:
         expect = hashlib.sha256(_dense_json(spec).encode("ascii")).hexdigest()
         assert spec.fingerprint() == expect
 
+    def test_fingerprint_dumps_one_block_of_rows_at_a_time(self, monkeypatch):
+        # it builds no dense alpha, and json.dumps gets at most _IMAGE_VALUES
+        # values at once, or one row where a row holds more
+        lam = np.full((120, 120), 0.005)
+        np.fill_diagonal(lam, 1.0)
+        rng = np.random.default_rng(4)
+        specs = [
+            mg.synthesize(mg.TailDepMatrix(lam)).spec,
+            mg.ModelSpec(rng.random((40, 2000)), 2000.0),  # dense rows only: one image
+        ]
+        sizes, dumps = [], json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda obj, **kw: sizes.append(np.size(obj)) or dumps(obj, **kw)
+        )
+        fingerprints = [spec.fingerprint() for spec in specs]
+        monkeypatch.undo()
+        assert "alpha" not in specs[0].__dict__
+        for spec, fingerprint in zip(specs, fingerprints):
+            assert fingerprint == hashlib.sha256(_dense_json(spec).encode()).hexdigest()
+        assert max(sizes) == max(mg.model._IMAGE_VALUES // d * d for d in (7140, 2000))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fingerprint_of_mixed_layouts(self, seed):
         # fully stored rows take the kernel's one pass, the others its tokens between zeros

@@ -297,7 +297,7 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             batch.data[0, 0] = 1.0
         assert batch.seed == 99
-        assert batch.spec_fingerprint == ex3_spec.fingerprint()
+        assert (batch.spec_fingerprint, batch.spec_digest) == ("", ex3_spec.digest())
 
     def test_peak_memory_is_the_data_plus_one_chunk(self, ex3_spec):
         # besides the result, only the chunk being drawn may be alive: no
@@ -430,15 +430,18 @@ class TestDenseFactorMax:
         assert np.array_equal(kernel_factor_max(alpha, z), full_factor_max(alpha, z))
 
     def test_factors_near_the_largest_the_stream_gives(self):
-        # -1 / log(1 - 2**-54) is about 1.8e16; neighbouring floats and
-        # weights like 1/3 round to equal products from distinct factors
-        top = -1.0 / np.log1p(-(2.0**-54))
-        assert 1.8e16 < top < 1.81e16
+        # the largest uniform is 1 - 2**-52, so the largest factor is
+        # -1 / log(1 - 2**-52), about 4.5e15; near it, and near 1.8e16, a
+        # larger magnitude, neighbouring floats and weights like 1/3 round
+        # to equal products from distinct factors
+        largest = -1.0 / np.log(mg.sampling._TOP_UNIFORM)
+        assert 4.5e15 < largest < 4.51e15
         rng = np.random.default_rng(10)
-        steps = np.nextafter(top, 0.0) - top  # one ulp below, negative
-        z = top + steps * rng.integers(0, 40, size=(70, 45))
-        alpha = rng.choice([1 / 3, 2 / 3, 1.0, 0.1, np.nextafter(1.0, 0.0)], size=(18, 45))
-        assert np.array_equal(kernel_factor_max(alpha, z), full_factor_max(alpha, z))
+        for top in (-1.0 / np.log1p(-(2.0**-54)), largest):
+            steps = np.nextafter(top, 0.0) - top  # one ulp below, negative
+            z = top + steps * rng.integers(0, 40, size=(70, 45))
+            alpha = rng.choice([1 / 3, 2 / 3, 1.0, 0.1, np.nextafter(1.0, 0.0)], size=(18, 45))
+            assert np.array_equal(kernel_factor_max(alpha, z), full_factor_max(alpha, z))
 
     @given(spec=dense_row_specs(), n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -28,7 +28,35 @@ def test_run_pipeline_writes_readable_outputs(tmp_path):
     spec = fileio.load_spec(tmp_path / "model.json")
     data = fileio.read_csv(tmp_path / "samples.csv")
     assert data.shape == (2000, spec.d)
-    assert fileio.load_sidecar(tmp_path / "samples.csv")["spec_fingerprint"] == spec.fingerprint()
+    assert fileio.load_sidecar(tmp_path / "samples.csv")["spec_digest"] == spec.digest()
     estimates = json.loads((tmp_path / "estimates.json").read_text())
     assert [e["u"] for e in estimates] == list(mg.estimation.DEFAULT_U_GRID)
     assert all(e["n"] == 2000 for e in estimates)
+
+
+def _line_count(*args: str) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "line_count.py"), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_line_count_sorts_every_line_by_kind(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f():\n"
+        '    """One line."""\n'
+        "    return X\n"
+    )
+    assert _line_count(str(tmp_path))[-1] == (
+        f"{tmp_path.name}: 10 = 3 + 4 + 1 + 2 (code + docstring + comment + blank)"
+    )
+    # the package's total is its files' line count
+    total = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "mevgen").glob("*.py"))
+    assert _line_count()[-1].startswith(f"mevgen: {total:,} = ")
