@@ -11,9 +11,10 @@ estimate  estimate pairwise tail dependence from a sample CSV
 plot      render pairwise scatter panels to a deterministic SVG
 check     validate a spec file and run closed-form invariant smoke checks
 
-Exit codes: 0 success, 2 usage or parse failure, 3 validation or
-infeasibility, 4 provenance mismatch.  Coordinates in flags and file
-formats are 1-based (x1..xd); the Python API underneath is 0-based.
+Exit codes: 0 success, 2 usage, parse or resource failure (an I/O fault or
+running out of memory), 3 validation or infeasibility, 4 provenance
+mismatch.  Coordinates in flags and file formats are 1-based (x1..xd); the
+Python API underneath is 0-based.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def cmd_sample(args) -> int:
 
     with _sigterm_exits(), fileio._forked_map(text, starts) as texts:
         # the workers draw their first chunks while the digest is taken
-        meta = None if args.no_sidecar else fileio._sidecar(args.n, args.seed, digest=spec.digest())
+        meta = None if args.no_sidecar else fileio._sidecar(args.n, args.seed, spec.digest())
         fileio._write_csv_text(texts, spec.d, args.out, meta)
     print(f"wrote {args.n} observations of dimension {spec.d} to {args.out}")
     if meta is not None:
@@ -209,7 +210,6 @@ def cmd_estimate(args) -> int:
     if data.shape[0] == 0:
         raise _UsageError(f"{args.data} holds no observations")
     seed = int(meta["seed"]) if meta else 0
-    fingerprint = meta.get("spec_fingerprint", "") if meta else ""
     digest = meta.get("spec_digest") if meta else None
 
     if spec_error is not None:
@@ -218,7 +218,7 @@ def cmd_estimate(args) -> int:
         if meta is None:
             _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
             digest = spec.digest()  # binds the data to this spec
-    batch = SampleBatch(data=data, seed=seed, spec_fingerprint=fingerprint, spec_digest=digest)
+    batch = SampleBatch(data=data, seed=seed, spec_digest=digest)
 
     out = _estimate_json(batch, spec, args.u)
     del data, batch, spec  # the report alone is held while its text is written
@@ -453,6 +453,9 @@ def main(argv=None) -> int:
     except ProvenanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVENANCE
+    except MemoryError:  # a resource fault, as a full disk is
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

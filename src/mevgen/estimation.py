@@ -16,9 +16,7 @@ with limit coefficient ``lam`` follows from the pair copula diagonal
 
 Rank margins need only which ranks pass u, the top K of each column, so
 those are selected, not sorted.  A comparison against a spec confirms
-provenance through the batch's spec digest in O(nnz), and builds the
-O(d * D) fingerprint only for a batch that carries one, from an old
-sidecar, when the digest is missing or differs.
+provenance through the batch's spec digest, in O(nnz).
 """
 
 from __future__ import annotations
@@ -233,21 +231,6 @@ def finite_u_tail_dep(u: float, lam):
     return float(out) if lam_arr.ndim == 0 else out
 
 
-def _drawn_from(spec: ModelSpec, batch: SampleBatch) -> bool:
-    """Whether the batch was drawn from ``spec``.
-
-    A batch digest equal to ``spec.digest(batch.spec_fingerprint)`` shows
-    that ``spec`` is bitwise the spec it was taken from, in O(nnz).
-    Without a digest, or when it differs (an edited spec or an edited
-    sidecar), a batch with a fingerprint, from an old sidecar, compares it
-    with the spec's; a batch without one was drawn from another spec.
-    """
-    fingerprint = batch.spec_fingerprint
-    if batch.spec_digest is not None and batch.spec_digest == spec.digest(fingerprint):
-        return True
-    return bool(fingerprint) and fingerprint == spec.fingerprint()
-
-
 def theoretical_vs_empirical(
     spec: ModelSpec,
     batch: SampleBatch,
@@ -256,8 +239,8 @@ def theoretical_vs_empirical(
     """Compare empirical estimates against the model's exact values.
 
     The spec is validated first (SpecValidationError), then the batch must
-    have one column per margin (ShapeError) and have been drawn from
-    ``spec`` (ProvenanceError, see :func:`_drawn_from`).  Estimates use
+    have one column per margin (ShapeError) and carry the digest of
+    ``spec``, :meth:`ModelSpec.digest` (ProvenanceError).  Estimates use
     known margins with the spec's scale constant.  Each threshold yields
     one comparison; a pair is flagged when its estimate misses the exact
     finite-u value by more than three half-widths.
@@ -265,7 +248,7 @@ def theoretical_vs_empirical(
     lam_limit = tail_dep_matrix(spec).values
     if batch.d != spec.d:
         raise ShapeError(f"data has {batch.d} columns but spec has dimension {spec.d}")
-    if not _drawn_from(spec, batch):
+    if batch.spec_digest != spec.digest():
         raise ProvenanceError(
             "batch spec hash does not match the spec it is compared against"
         )

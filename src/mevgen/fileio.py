@@ -4,8 +4,8 @@ CSV layout: header ``x1,...,xd``, one observation per row, values written
 with 17 significant digits so float64 round-trips exactly.  Every sample
 file gets a sidecar ``<path>.meta.json`` carrying the observation count,
 the seed and the digest of the generating spec (:meth:`ModelSpec.digest`);
-readers use them to refuse cross-spec comparisons.  Old sidecars carry the
-spec's fingerprint instead, or beside its digest, and are still read.
+readers use them to refuse cross-spec comparisons.  :func:`load_sidecar`
+refuses the older layouts, which carry another spec hash.
 
 :func:`write_csv` writes a batch, and ``sample`` hands :func:`_write_csv_text`
 the texts of its chunks as the workers format them, so memory is O(chunk).
@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, ShapeError
+from .errors import CsvFormatError, ProvenanceError, ShapeError
 from .model import ModelSpec, TailDepMatrix
 
 if TYPE_CHECKING:  # for annotations only: a stage that samples or synthesizes nothing skips them
@@ -211,15 +211,13 @@ def csv_header(d: int) -> str:
 
 def write_csv(batch: SampleBatch, path, sidecar: bool = True) -> None:
     """Write a batch as CSV; optionally drop the provenance sidecar next to it."""
-    meta = _sidecar(batch.n, batch.seed, batch.spec_fingerprint, batch.spec_digest)
+    meta = _sidecar(batch.n, batch.seed, batch.spec_digest)
     _write_csv_text(_csv_pieces(batch.data, batch.d), batch.d, path, meta if sidecar else None)
 
 
-def _sidecar(n: int, seed: int, fingerprint: str = "", digest: str | None = None) -> dict:
-    """The sidecar fields of n observations drawn with ``seed``, with the hashes given."""
+def _sidecar(n: int, seed: int, digest: str | None) -> dict:
+    """The sidecar fields of n observations drawn with ``seed``, with the spec digest given."""
     meta = {"n": n, "seed": seed}
-    if fingerprint:
-        meta["spec_fingerprint"] = fingerprint
     if digest is not None:
         meta["spec_digest"] = digest
     return meta
@@ -588,9 +586,10 @@ def _parse_lines(lines: Iterable[str], d: int, first: int) -> np.ndarray:
 def load_sidecar(csv_path) -> dict | None:
     """Return the sidecar dict for a CSV path, or None when absent.
 
-    ``n`` and ``seed`` are required; ``spec_digest`` and, in old sidecars,
-    ``spec_fingerprint`` are optional, and each must be 64 lowercase hex
-    digits when present.
+    ``n`` and ``seed`` are required, and ``spec_digest``, when present, must
+    be 64 lowercase hex digits (ShapeError).  Any other field, such as the
+    other spec hash that older sidecars carry, marks a layout from before
+    the digest alone and raises ProvenanceError.
     """
     meta = sidecar_path(csv_path)
     if not meta.exists():
@@ -602,10 +601,15 @@ def load_sidecar(csv_path) -> dict | None:
     for key in ("n", "seed"):
         if type(obj[key]) is not int:
             raise ShapeError(f"{meta}: sidecar field {key!r}={obj[key]!r} must be an integer")
-    for key in ("spec_fingerprint", "spec_digest"):
-        value = obj.get(key)
-        if key in obj and not (
-            type(value) is str and len(value) == 64 and set(value) <= _HEX_DIGITS
-        ):
-            raise ShapeError(f"{meta}: sidecar field {key!r}={value!r} must be 64 hex digits")
+    other = sorted(obj.keys() - {"n", "seed", "spec_digest"})
+    if other:
+        raise ProvenanceError(
+            f"{meta}: sidecar carries {other}, the layout from before the spec digest alone; "
+            f"re-run `mevgen sample` with --n {obj['n']} --seed {obj['seed']}"
+        )
+    value = obj.get("spec_digest")
+    if "spec_digest" in obj and not (
+        type(value) is str and len(value) == 64 and set(value) <= _HEX_DIGITS
+    ):
+        raise ShapeError(f"{meta}: sidecar field 'spec_digest'={value!r} must be 64 hex digits")
     return obj

@@ -27,14 +27,13 @@ nonzeros per row of D = d(d - 1)/2.  A stored row, with 2 * nnz <= D, keeps
 its stored entries as row-major column and value arrays; the other, dense
 rows form one block.  Row sums are taken over each row's dense image, so
 they have the bits of ``alpha.sum(axis=1)``.  Validation, the slacks,
-lambda, the JSON form, the fingerprint, the digest and the sampler's factor
-max read this structure, so a sparse or synthesized spec holds O(nnz) and
-builds its dense alpha only when ``alpha`` is asked for.
+lambda, the JSON form, the digest and the sampler's factor max read this
+structure, so a sparse or synthesized spec holds O(nnz) and builds its
+dense alpha only when ``alpha`` is asked for.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -165,9 +164,10 @@ class ModelSpec:
         raise AttributeError(f"ModelSpec is immutable: cannot set {name!r}")
 
     def _with_scale(self, C) -> "ModelSpec":
-        """This spec with scale constant ``C``; the two share their arrays."""
+        """This spec with scale constant ``C``; the two share their arrays, not the digest."""
         spec = ModelSpec.__new__(ModelSpec)
         spec.__dict__.update(self.__dict__, C=float(C))
+        spec.__dict__.pop("_digest", None)
         return spec
 
     @cached_property
@@ -242,40 +242,22 @@ class ModelSpec:
         """Idiosyncratic coefficients ``C - row_sums``, clamped at zero."""
         return np.maximum(self.C - self._sums, 0.0)
 
-    def fingerprint(self) -> str:
-        """Content hash identifying this spec across serialization round trips.
+    def digest(self) -> str:
+        """sha256 of this spec's exact bits, in O(nnz); sidecars carry it.
 
-        The sha256 of the compact, sorted-key JSON of the spec with alpha as
-        a dense list of lists, whichever layout :meth:`to_json_dict` picks,
-        hashed from one ``json.dumps`` per block of row images, at most
-        ``_IMAGE_VALUES`` values or one row.  Only old sidecars carry it:
-        those written now carry :meth:`digest` alone.
+        It hashes ``b'""'``, d, D, the bits of C, and the flat index and
+        float64 bits of every stored alpha entry (see :meth:`to_json_dict`).
+        The first part, the JSON text of an empty string, keeps the bits of
+        the digests that sidecars already carry.  It is taken once per spec.
         """
-        import hashlib  # here only: stages that hash no old sidecar never load it
+        return self._digest
 
-        step = max(1, _IMAGE_VALUES // max(self.D, 1))
-        h = hashlib.sha256(b'{"C":%s,"D":%d,"alpha":[' % (json.dumps(self.C).encode(), self.D))
-        for lo, image in self._images():
-            for at in range(0, image.shape[0], step):  # a spec of dense rows only is one image
-                text = json.dumps(image[at : at + step].tolist(), separators=(",", ":"))
-                h.update((b"," if lo + at else b"") + text[1:-1].encode())
-        h.update(b'],"d":%d}' % self.d)
-        return h.hexdigest()
-
-    def digest(self, fingerprint: str = "") -> str:
-        """sha256 of this spec's exact bits, in O(nnz); sidecars carry ``digest()``.
-
-        It hashes the JSON text of ``fingerprint``, d, D, the bits of C, and
-        the flat index and float64 bits of every stored alpha entry (see
-        :meth:`to_json_dict`).  Those determine :meth:`fingerprint`, so a
-        spec whose digest with an old sidecar's fingerprint equals that
-        sidecar's digest has that fingerprint, without the O(d * D) text
-        being built.
-        """
+    @cached_property
+    def _digest(self) -> str:
         import hashlib
 
         flat, vals = self._entries()
-        h = hashlib.sha256(json.dumps(fingerprint).encode())
+        h = hashlib.sha256(b'""')
         h.update(np.array([self.d, self.D], dtype="<i8").tobytes())
         h.update(np.array([self.C], dtype="<f8").tobytes())
         h.update(flat.astype("<i8").tobytes())

@@ -80,17 +80,14 @@ class SampleBatch:
 
     ``data`` is an (n, d) read-only array of strictly positive values.
     ``spec_digest``, when known, is :meth:`ModelSpec.digest` of the
-    generating spec with ``spec_fingerprint``, so later comparisons can
-    refuse foreign data.  The fingerprint is "" but for a batch read beside
-    an old sidecar, which carries the spec's fingerprint.  A read-only
-    float64 array that owns its memory is taken as it is; anything else is
-    copied, so a caller handing over an array it no longer writes saves the
-    copy.
+    generating spec, so later comparisons can refuse foreign data.  A
+    read-only float64 array that owns its memory is taken as it is; anything
+    else is copied, so a caller handing over an array it no longer writes
+    saves the copy.
     """
 
     data: np.ndarray
     seed: int
-    spec_fingerprint: str = ""
     spec_digest: str | None = None
 
     def __post_init__(self):

@@ -7,7 +7,9 @@ frozen values, never against the code's own output.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as mevgen.cli starts numpy
@@ -97,6 +99,18 @@ def savetxt_bytes(data: np.ndarray) -> bytes:
     header = ",".join(f"x{i + 1}" for i in range(data.shape[1]))
     np.savetxt(buf, data, fmt="%.17g", delimiter=",", header=header, comments="")
     return buf.getvalue()
+
+
+def ref_digest(alpha: np.ndarray, c: float) -> str:
+    """Reference ``ModelSpec.digest`` over a dense alpha: the JSON text of "", the shape,
+    the bits of C, then the flat index and bits of every entry whose bits are not +0.0."""
+    flat = np.flatnonzero((alpha != 0) | np.signbit(alpha))
+    h = hashlib.sha256(json.dumps("").encode())
+    h.update(np.array(alpha.shape, dtype="<i8").tobytes())
+    h.update(np.array([c], dtype="<f8").tobytes())
+    h.update(flat.astype("<i8").tobytes())
+    h.update(alpha.ravel()[flat].astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture

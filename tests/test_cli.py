@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mevgen as mg
-from mevgen import fileio
+from mevgen import estimation, fileio, plotting
 from mevgen.cli import main
 from mevgen.errors import DomainError
 
@@ -363,7 +363,7 @@ class TestSampleWorkers:
     def test_interrupt_stops_every_worker(self, tmp_path, result_file, monkeypatch, capsys):
         # Ctrl-C reaches the parent while the workers draw: they are stopped,
         # the temporary file is removed, and the interrupt propagates
-        def interrupted(self, fingerprint=""):
+        def interrupted(self):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(mg.ModelSpec, "digest", interrupted)
@@ -1053,6 +1053,20 @@ class TestEstimate:
             capsys.readouterr().err
         )
 
+    def test_sidecar_is_checked_before_the_spec_is_validated(
+        self, samples_file, result_file, capsys
+    ):
+        # the order in README: the sidecar's fields and n, then the spec's validity
+        obj = json.loads(result_file.read_text())
+        obj["spec"]["C"] = -1.0
+        result_file.write_text(json.dumps(obj))
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        assert main(argv) == 3
+        samples_file.write_text("".join(samples_file.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "holds 4999 observations but its sidecar records n=5000" in capsys.readouterr().err
+
     def test_old_indented_sidecar_and_spec_accepted(self, samples_file, result_file, capsys):
         # files written before JSON output became one compact line
         for path in (fileio.sidecar_path(samples_file), result_file):
@@ -1191,7 +1205,8 @@ class TestCheck:
 
 
 #: ``samples_file``'s sidecar as ``sample`` wrote it while sidecars carried the spec
-#: fingerprint (the pinned EX3 hex) and its digest; before that, the fingerprint alone.
+#: fingerprint, the sha256 of its dense JSON, beside the digest of (that fingerprint,
+#: the spec); before that, the fingerprint alone.
 OLD_SIDECAR = {
     "n": 5000,
     "seed": 7,
@@ -1205,21 +1220,15 @@ OLD_LAYOUTS = {
 
 
 class TestSpecDigest:
-    """``sample`` writes the spec digest; ``estimate --spec`` takes a fingerprint only
-    for an old sidecar whose digest is missing or differs."""
+    """``sample`` writes the spec digest, and that digest alone decides ``estimate --spec``;
+    a sidecar of an older layout exits 4, with or without ``--spec``."""
 
     @staticmethod
-    def _estimate(samples_file, result_file, monkeypatch, capsys) -> tuple[int, int, str]:
-        calls = []
-        fingerprint = mg.ModelSpec.fingerprint
-        monkeypatch.setattr(
-            mg.ModelSpec, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
-        )
+    def _estimate(samples_file, result_file, capsys, with_spec=True) -> tuple[int, str, str]:
         capsys.readouterr()
-        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
-        rc = main(argv)
-        monkeypatch.undo()
-        return rc, len(calls), capsys.readouterr().out
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
+        rc = main(argv + ["--spec", str(result_file)] * with_spec)
+        return (rc, *capsys.readouterr())
 
     @staticmethod
     def _edit_sidecar(samples_file, edit) -> None:
@@ -1239,59 +1248,71 @@ class TestSpecDigest:
         obj["spec"]["C"] = 1.5  # still valid, but not the sampled spec
         result_file.write_text(json.dumps(obj))
 
-    def test_sample_takes_no_fingerprint(self, tmp_path, result_file, monkeypatch, capsys):
-        monkeypatch.setattr(
-            mg.ModelSpec, "fingerprint", lambda self: pytest.fail("fingerprint taken")
+    @staticmethod
+    def _old_layout_error(samples_file) -> str:
+        return (
+            f"error: {fileio.sidecar_path(samples_file)}: sidecar carries ['spec_fingerprint'], "
+            "the layout from before the spec digest alone; re-run `mevgen sample` with "
+            "--n 5000 --seed 7\n"
         )
+
+    def test_sample_takes_no_fingerprint(self, tmp_path, result_file):
+        assert not hasattr(mg.ModelSpec, "fingerprint")
         argv = ["sample", "--spec", str(result_file), "--n", "50", "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 0
         assert set(fileio.load_sidecar(tmp_path / "s.csv")) == {"n", "seed", "spec_digest"}
 
-    @pytest.mark.parametrize(
-        "sidecar, fingerprints",
-        [("with-digest", 0), ("without-digest", 1), ("absent", 0), ("old-with-digest", 0)],
-    )
-    def test_fingerprint_calls(
-        self, sidecar, fingerprints, samples_file, result_file, monkeypatch, capsys
+    def test_a_csv_without_a_sidecar_hashes_the_spec_once(
+        self, tmp_path, result_file, monkeypatch, capsys
     ):
-        _, _, expected = self._estimate(samples_file, result_file, monkeypatch, capsys)
-        if sidecar == "without-digest":  # as written before the digest existed
-            self._write_old_sidecar(samples_file, "fingerprint")
-        elif sidecar == "old-with-digest":  # as written before the digest alone
-            self._write_old_sidecar(samples_file, "fingerprint-and-digest")
-        elif sidecar == "absent":
-            fileio.sidecar_path(samples_file).unlink()
-        rc, calls, out = self._estimate(samples_file, result_file, monkeypatch, capsys)
-        assert (rc, calls) == (0, fingerprints)
-        assert out == expected
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--spec", str(result_file), "--n", "50", "--out", str(out)]
+        assert main([*argv, "--no-sidecar"]) == 0
+        calls, entries = [], mg.ModelSpec._entries
+        monkeypatch.setattr(
+            mg.ModelSpec, "_entries", lambda self: calls.append(1) or entries(self)
+        )
+        rc, _, err = self._estimate(out, result_file, capsys)
+        assert (rc, calls) == (0, [1])
+        assert "no provenance sidecar" in err
 
-    def test_edited_spec_exits_4(self, samples_file, result_file, monkeypatch, capsys):
+    def test_edited_spec_exits_4(self, samples_file, result_file, capsys):
         self._edit_spec(result_file)
-        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
-        assert (rc, calls) == (4, 0)
+        rc, _, err = self._estimate(samples_file, result_file, capsys)
+        assert rc == 4
+        assert "batch spec hash does not match the spec it is compared against" in err
+
+    @pytest.mark.parametrize("with_spec", [False, True], ids=["rank-only", "with-spec"])
+    @pytest.mark.parametrize("layout", OLD_LAYOUTS)
+    def test_old_layout_exits_4(self, layout, with_spec, samples_file, result_file, capsys):
+        self._write_old_sidecar(samples_file, layout)
+        paths = (samples_file, fileio.sidecar_path(samples_file))
+        before = [path.read_bytes() for path in paths]
+        rc, out, err = self._estimate(samples_file, result_file, capsys, with_spec)
+        assert (rc, out, err) == (4, "", self._old_layout_error(samples_file))
+        assert [path.read_bytes() for path in paths] == before
 
     @pytest.mark.parametrize("layout", OLD_LAYOUTS)
     def test_old_sidecar_against_another_spec_exits_4(
-        self, layout, samples_file, result_file, monkeypatch, capsys
+        self, layout, samples_file, result_file, capsys
     ):
         self._write_old_sidecar(samples_file, layout)
         self._edit_spec(result_file)
-        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
-        assert (rc, calls) == (4, 1)
+        rc, _, err = self._estimate(samples_file, result_file, capsys)
+        assert (rc, err) == (4, self._old_layout_error(samples_file))
 
-    def test_edited_fingerprint_with_digest_intact_exits_4(
-        self, samples_file, result_file, monkeypatch, capsys
-    ):
+    def test_edited_fingerprint_with_digest_intact_exits_4(self, samples_file, result_file, capsys):
+        # the old layout is refused whatever its fields hold
         self._write_old_sidecar(samples_file, "fingerprint-and-digest")
-        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint="0" * 64))
-        rc, calls, _ = self._estimate(samples_file, result_file, monkeypatch, capsys)
-        assert (rc, calls) == (4, 1)
+        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint=None))
+        rc, _, err = self._estimate(samples_file, result_file, capsys)
+        assert (rc, err) == (4, self._old_layout_error(samples_file))
 
     def test_a_batch_without_provenance_writes_a_sidecar_estimate_reads(
         self, tmp_path, capsys
     ):
         path, spec = tmp_path / "s.csv", tmp_path / "spec.json"
-        fileio.write_csv(mg.SampleBatch(np.full((3, 2), 2.0), seed=0, spec_fingerprint=""), path)
+        fileio.write_csv(mg.SampleBatch(np.full((3, 2), 2.0), seed=0), path)
         assert fileio.sidecar_path(path).read_text() == '{"n":3,"seed":0}\n'
         assert main(["estimate", "--data", str(path), "--u", "0.5"]) == 0
         # a sidecar with no hash matches no spec
@@ -1305,29 +1326,9 @@ class TestSpecDigest:
     )
     def test_malformed_digest_exits_3(self, digest, samples_file, result_file, capsys):
         self._edit_sidecar(samples_file, lambda meta: meta.update(spec_digest=digest))
-        capsys.readouterr()
-        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
+        rc, _, err = self._estimate(samples_file, result_file, capsys)
+        assert rc == 3
         assert "'spec_digest'" in err and "64 hex digits" in err
-        assert "Traceback" not in err
-
-
-    @pytest.mark.parametrize("with_spec", [False, True], ids=["rank-only", "with-spec"])
-    @pytest.mark.parametrize(
-        "fingerprint",
-        [None, 5, ["x"], "A" * 64, "a" * 63],
-        ids=["null", "int", "list", "uppercase", "short"],
-    )
-    def test_malformed_fingerprint_exits_3(
-        self, fingerprint, with_spec, samples_file, result_file, capsys
-    ):
-        self._edit_sidecar(samples_file, lambda meta: meta.update(spec_fingerprint=fingerprint))
-        capsys.readouterr()
-        argv = ["estimate", "--data", str(samples_file), "--u", "0.9"]
-        assert main(argv + ["--spec", str(result_file)] * with_spec) == 3
-        err = capsys.readouterr().err
-        assert "'spec_fingerprint'" in err and "64 hex digits" in err
         assert "Traceback" not in err
 
 
@@ -1575,6 +1576,23 @@ class TestNonUtf8Input:
         assert "input is not UTF-8 text" in err
         assert f"in {bad}\n" in err  # names the offending file
         assert "Traceback" not in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("stage", ["plot", "estimate"])
+    def test_exits_2_with_one_line(self, stage, tmp_path, samples_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        data = ["--data", str(samples_file)]
+        module, name, argv = {
+            "plot": (plotting, "pair_scatter_svg", [*data, "--out", str(tmp_path / "p.svg")]),
+            "estimate": (estimation, "estimate_tail_dep", [*data, "--u", "0.9"]),
+        }[stage]
+        monkeypatch.setattr(module, name, exhausted)
+        capsys.readouterr()
+        assert main([stage, *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {stage} ran out of memory\n")
 
 
 class TestCheckSlacks:

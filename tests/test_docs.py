@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import mevgen as mg
+from mevgen import fileio, sampling
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +61,22 @@ def test_readme_library_quick_start_runs():
     section = text.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, f"{README}:quick start", "exec"), {})
+
+
+def test_readme_references_resolve():
+    # `ModelSpec.x`, `fileio.x` and `sampling.X` name attributes; `tests/f.py::A::b`
+    # names a class or function defined in that file
+    text = README.read_text(encoding="utf-8")
+    owners = {"ModelSpec": mg.ModelSpec, "fileio": fileio, "sampling": sampling}
+    found, missing = set(), []
+    for owner, name in re.findall(r"`(ModelSpec|fileio|sampling)\.(\w+)`", text):
+        found.add(owner)
+        if not hasattr(owners[owner], name):
+            missing.append(f"{owner}.{name}")
+    for path, names in re.findall(r"`(tests/[\w/]+\.py)((?:::\w+)+)`", text):
+        found.add("tests")
+        source = (README.parent / path).read_text(encoding="utf-8")
+        for name in names.split("::")[1:]:
+            if not re.search(rf"^\s*(class|def) {name}\b", source, re.MULTILINE):
+                missing.append(f"{path}::{name}")
+    assert found and missing == []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -26,9 +25,9 @@ import mevgen as mg
 from mevgen import fileio
 from mevgen import _csvfmt
 from mevgen._csvfmt import format_rows, parse_rows, repr_rows
-from mevgen.errors import CsvFormatError, ShapeError
+from mevgen.errors import CsvFormatError, ProvenanceError, ShapeError
 
-from conftest import EX3_ALPHA, child_pids, digit_families, savetxt_bytes
+from conftest import EX3_ALPHA, child_pids, digit_families, ref_digest, savetxt_bytes
 
 
 def _dump_old_layout(obj, path) -> None:
@@ -122,9 +121,8 @@ class TestJsonFiles:
         path = tmp_path / "spec.json"
         fileio.dump_json(ex1_spec.to_json_dict(), path)
         again = fileio.load_spec(path)
-        assert np.array_equal(again.alpha, ex1_spec.alpha)
-        assert again.C == ex1_spec.C
-        assert again.fingerprint() == ex1_spec.fingerprint()
+        assert again.digest() == ref_digest(ex1_spec.alpha, ex1_spec.C)
+        assert again.alpha.tobytes() == ex1_spec.alpha.tobytes()
 
     def test_tail_dep_round_trip(self, tmp_path, ex2_target):
         path = tmp_path / "lam.json"
@@ -183,19 +181,19 @@ class TestJsonFiles:
         _dump_old_layout(ex3_spec.to_json_dict(), spec_path)
         _dump_old_layout(mg.synthesize(ex3_target).to_json_dict(), result_path)
         fileio.write_csv(mg.sample_batch(ex3_spec, 5, seed=77), csv_path, sidecar=False)
-        sidecar = {"n": 5, "seed": 77, "spec_fingerprint": ex3_spec.fingerprint()}
+        sidecar = {"n": 5, "seed": 77, "spec_digest": ex3_spec.digest()}
         _dump_old_layout(sidecar, fileio.sidecar_path(csv_path))
         assert "\n  " in spec_path.read_text()
         assert fileio.load_sidecar(csv_path) == sidecar
         compact = tmp_path / "compact.json"
         fileio.dump_json(ex3_spec.to_json_dict(), compact)
         for path in (spec_path, result_path, compact):
-            # the pinned EX3 fingerprint, whichever layout the spec came from
-            assert fileio.load_spec(path).fingerprint() == (
-                "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
+            # the pinned EX3 digest, whichever layout the spec came from
+            assert fileio.load_spec(path).digest() == (
+                "e31fa6e3a297d14a028a824e1253b4206b5122c4ae24b2c5dd064bae32265c4d"
             )
 
-    def test_old_dense_spec_files_keep_their_fingerprint(self, tmp_path):
+    def test_old_dense_spec_files_keep_their_digest(self, tmp_path):
         # a synthesized d=9 spec is now written sparse; files from before hold it dense
         lam = np.full((9, 9), 0.1)
         np.fill_diagonal(lam, 1.0)
@@ -203,18 +201,15 @@ class TestJsonFiles:
         obj = result.to_json_dict()
         assert set(obj["spec"]["alpha"]) == {"i", "j", "v"}
         obj["spec"]["alpha"] = result.spec.alpha.tolist()
-        dense = {"d": 9, "D": 36, "C": 1.0, "alpha": result.spec.alpha.tolist()}
-        expect = hashlib.sha256(
-            json.dumps(dense, sort_keys=True, separators=(",", ":")).encode("ascii")
-        ).hexdigest()
-        assert result.spec.fingerprint() == expect
+        expect = ref_digest(result.spec.alpha, 1.0)
+        assert result.spec.digest() == expect
         compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
         compact.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
         _dump_old_layout(obj, indented)
         for path in (compact, indented):
             spec = fileio.load_spec(path)
-            assert np.array_equal(spec.alpha, result.spec.alpha)
-            assert spec.fingerprint() == expect
+            assert spec.digest() == expect
+            assert spec.alpha.tobytes() == result.spec.alpha.tobytes()
 
     def test_malformed_json_raises_decode_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -260,6 +255,14 @@ class TestCsv:
         path.write_text("x1\n1.0\n")
         fileio.sidecar_path(path).write_text('{"n": 1}')
         with pytest.raises(ShapeError):
+            fileio.load_sidecar(path)
+
+    def test_sidecar_with_another_field_is_refused(self, tmp_path):
+        # one layout: a field of no current writer marks an older one
+        path = tmp_path / "s.csv"
+        path.write_text("x1\n1.0\n")
+        fileio.sidecar_path(path).write_text('{"n": 1, "seed": 2, "extra": null}')
+        with pytest.raises(ProvenanceError, match=r"carries \['extra'\], .* --n 1 --seed 2$"):
             fileio.load_sidecar(path)
 
     def test_blank_trailing_lines_are_skipped(self, tmp_path):
@@ -319,7 +322,7 @@ class TestCsv:
     )
     def test_written_arrays_read_back_bitwise(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("csv") / "s.csv"
-        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        fileio.write_csv(mg.SampleBatch(data, seed=0), path, sidecar=False)
         again = fileio.read_csv(path)
         assert again.dtype == np.float64
         assert again.shape == data.shape
@@ -446,7 +449,7 @@ class TestParallelRead:
     def test_arrays_equal_the_in_process_read_bitwise(self, tmp_path, monkeypatch, cpus):
         data = np.random.default_rng(3).standard_normal((500, 4)) * 1e5
         path = tmp_path / "s.csv"
-        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        fileio.write_csv(mg.SampleBatch(data, seed=0), path, sidecar=False)
         forks = _split_reads(monkeypatch, cpus, 4096)
         assert len(_spans(path)[1]) >= cpus
         again = fileio.read_csv(path)
@@ -1211,7 +1214,7 @@ class TestCsvWriter:
         fileio._write_csv_text(_texts(blocks, data.shape[1]), data.shape[1], path, None)
         assert path.read_bytes().count(b"\n") == 1 + data.shape[0]
         assert path.read_bytes() == savetxt_bytes(data)
-        fileio.write_csv(mg.SampleBatch(data, seed=0, spec_fingerprint=""), path, sidecar=False)
+        fileio.write_csv(mg.SampleBatch(data, seed=0), path, sidecar=False)
         assert path.read_bytes() == savetxt_bytes(data)
 
     @pytest.mark.parametrize("values_per_call", [1, 4, 7, 2**16])
@@ -1231,7 +1234,7 @@ class TestCsvWriter:
             raise RuntimeError("generator failed")
 
         with pytest.raises(RuntimeError, match="generator failed"):
-            fileio._write_csv_text(_texts(blocks(), 2), 2, path, {"n": 8, "seed": 0, "spec_fingerprint": ""})
+            fileio._write_csv_text(_texts(blocks(), 2), 2, path, {"n": 8, "seed": 0})
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_rerun_keeps_the_old_file_and_drops_its_sidecar(self, tmp_path, ex3_spec):
@@ -1244,7 +1247,7 @@ class TestCsvWriter:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            fileio._write_csv_text(_texts(blocks(), 3), 3, path, {"n": 4, "seed": 2, "spec_fingerprint": ""})
+            fileio._write_csv_text(_texts(blocks(), 3), 3, path, {"n": 4, "seed": 2})
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 

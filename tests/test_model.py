@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tracemalloc
 
@@ -23,6 +22,7 @@ from conftest import (
     EX3_C,
     digit_families,
     model_specs,
+    ref_digest,
     stored_row_alphas,
     tail_dep_targets,
     unit_points,
@@ -46,12 +46,6 @@ def edge_specs(draw) -> mg.ModelSpec:
     if draw(st.booleans()):
         alpha[draw(st.integers(0, d - 1))] = np.linspace(0.5, 1.5, big_d)
     return mg.ModelSpec(alpha=alpha, C=draw(st.sampled_from([1.0, 2.5, 1e300, 5e-324])))
-
-
-def _dense_json(spec: mg.ModelSpec) -> str:
-    """The spec JSON every fingerprint is taken over: compact, sorted, alpha dense."""
-    obj = {"d": spec.d, "D": spec.D, "C": spec.C, "alpha": spec.alpha.tolist()}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _tail_dep_full_sums(spec: mg.ModelSpec) -> np.ndarray:
@@ -121,16 +115,6 @@ def _ref_tail_dep(alpha: np.ndarray, c: float) -> np.ndarray:
     return lam
 
 
-def _ref_digest(alpha: np.ndarray, c: float, fingerprint: str) -> str:
-    flat = np.flatnonzero(_stored(alpha))
-    h = hashlib.sha256(json.dumps(fingerprint).encode())
-    h.update(np.array(alpha.shape, dtype="<i8").tobytes())
-    h.update(np.array([c], dtype="<f8").tobytes())
-    h.update(flat.astype("<i8").tobytes())
-    h.update(alpha.ravel()[flat].astype("<f8").tobytes())
-    return h.hexdigest()
-
-
 def _ref_json_dict(alpha: np.ndarray, c: float) -> dict:
     stored = _stored(alpha)
     if 4 * np.count_nonzero(stored) <= alpha.size:
@@ -159,12 +143,7 @@ def _assert_matches_dense_references(spec: mg.ModelSpec, alpha: np.ndarray) -> N
     assert got == want
     if not want:
         assert mg.tail_dep_matrix(spec).values.tobytes() == _ref_tail_dep(alpha, c).tobytes()
-    obj = {"d": spec.d, "D": spec.D, "C": c, "alpha": alpha.tolist()}
-    fingerprint = hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    assert spec.fingerprint() == fingerprint
-    assert spec.digest(fingerprint) == _ref_digest(alpha, c, fingerprint)
+    assert spec.digest() == ref_digest(alpha, c)
     assert json.dumps(spec.to_json_dict()) == json.dumps(_ref_json_dict(alpha, c))
     assert spec.alpha.tobytes() == alpha.tobytes()
 
@@ -244,41 +223,43 @@ class TestModelSpec:
         with pytest.raises(ShapeError):
             mg.ModelSpec(alpha=[[0.1, 0.2], [0.3]], C=1.0)
 
-    def test_fingerprint_distinguishes_specs(self, ex1_spec, ex3_spec):
-        assert ex1_spec.fingerprint() != ex3_spec.fingerprint()
+    def test_digest_distinguishes_specs(self, ex1_spec, ex3_spec):
+        assert ex1_spec.digest() != ex3_spec.digest()
         clone = mg.ModelSpec(alpha=EX1_ALPHA, C=EX1_C)
-        assert clone.fingerprint() == ex1_spec.fingerprint()
-
-    def test_fingerprint_is_pinned(self, ex3_spec):
-        # sidecars store this hex; any change to the serialized bytes would
-        # make every sidecar already written fail its provenance check
-        assert ex3_spec.fingerprint() == (
-            "1d3eec8248091cb7dc17b69230b85b4df73196a95d47c5a4e76a1b9a5f2bfd9a"
-        )
+        assert clone.digest() == ex1_spec.digest()
 
     def test_digest_is_pinned(self, ex3_spec):
-        # sidecars store this hex too; a change only costs estimate the
-        # fingerprint it would have skipped
-        assert ex3_spec.digest(ex3_spec.fingerprint()) == (
-            "b71eb4487e2d9f6bf3e98cf816d950ea3d1e2179e6552d45c76da8fad8daf481"
+        # sidecars store this hex; any change to the hashed bits would make
+        # every sidecar already written fail its provenance check
+        assert ex3_spec.digest() == (
+            "e31fa6e3a297d14a028a824e1253b4206b5122c4ae24b2c5dd064bae32265c4d"
         )
+
+    def test_digest_is_taken_once_and_not_kept_by_a_rescaled_copy(self, ex3_spec, monkeypatch):
+        calls, entries = [], mg.ModelSpec._entries
+        monkeypatch.setattr(
+            mg.ModelSpec, "_entries", lambda self: calls.append(1) or entries(self)
+        )
+        base = ex3_spec.digest()
+        assert ex3_spec.digest() == base and calls == [1]
+        rescaled = ex3_spec._with_scale(2 * ex3_spec.C)  # as synthesize rescales
+        assert rescaled.digest() == mg.ModelSpec(alpha=EX3_ALPHA, C=2 * EX3_C).digest() != base
+        assert ex3_spec._with_scale(ex3_spec.C).digest() == base
 
     @given(spec=edge_specs(), data=st.data())
     @settings(max_examples=200)
     def test_digest_changes_with_every_input(self, spec, data):
-        fp = spec.fingerprint()
-        base = spec.digest(fp)
-        assert spec.digest(fp[:-1]) != base
+        base = spec.digest()
         bumped_c = np.nextafter(spec.C, np.inf)
-        assert mg.ModelSpec(alpha=spec.alpha, C=bumped_c).digest(fp) != base
+        assert mg.ModelSpec(alpha=spec.alpha, C=bumped_c).digest() != base
         if spec.D:
             alpha = spec.alpha.copy()
             i, j = data.draw(st.integers(0, spec.d - 1)), data.draw(st.integers(0, spec.D - 1))
             alpha.view(np.uint64)[i, j] ^= np.uint64(data.draw(st.sampled_from([1, 2**63])))
-            assert mg.ModelSpec(alpha=alpha, C=spec.C).digest(fp) != base
+            assert mg.ModelSpec(alpha=alpha, C=spec.C).digest() != base
         if spec.d != spec.D:  # same stored entries under another shape
             reshaped = mg.ModelSpec(alpha=spec.alpha.reshape(spec.D, spec.d), C=spec.C)
-            assert reshaped.digest(fp) != base
+            assert reshaped.digest() != base
 
 
 class TestStoredRows:
@@ -365,34 +346,13 @@ class TestStoredRows:
 class TestSpecJson:
     @given(spec=st.one_of(edge_specs(), weight_matrices(5, 40).map(lambda a: mg.ModelSpec(a, 2.0))))
     @settings(max_examples=300)
-    def test_fingerprint_is_sha256_of_dense_json(self, spec):
-        expect = hashlib.sha256(_dense_json(spec).encode("ascii")).hexdigest()
-        assert spec.fingerprint() == expect
-
-    def test_fingerprint_dumps_one_block_of_rows_at_a_time(self, monkeypatch):
-        # it builds no dense alpha, and json.dumps gets at most _IMAGE_VALUES
-        # values at once, or one row where a row holds more
-        lam = np.full((120, 120), 0.005)
-        np.fill_diagonal(lam, 1.0)
-        rng = np.random.default_rng(4)
-        specs = [
-            mg.synthesize(mg.TailDepMatrix(lam)).spec,
-            mg.ModelSpec(rng.random((40, 2000)), 2000.0),  # dense rows only: one image
-        ]
-        sizes, dumps = [], json.dumps
-        monkeypatch.setattr(
-            json, "dumps", lambda obj, **kw: sizes.append(np.size(obj)) or dumps(obj, **kw)
-        )
-        fingerprints = [spec.fingerprint() for spec in specs]
-        monkeypatch.undo()
-        assert "alpha" not in specs[0].__dict__
-        for spec, fingerprint in zip(specs, fingerprints):
-            assert fingerprint == hashlib.sha256(_dense_json(spec).encode()).hexdigest()
-        assert max(sizes) == max(mg.model._IMAGE_VALUES // d * d for d in (7140, 2000))
+    def test_digest_matches_its_dense_reference(self, spec):
+        digest = spec.digest()  # before alpha exists, from the stored entries
+        assert digest == ref_digest(spec.alpha, spec.C)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_fingerprint_of_mixed_layouts(self, seed):
-        # fully stored rows take the kernel's one pass, the others its tokens between zeros
+    def test_digest_of_mixed_layouts(self, seed):
+        # the block's entries and the stored rows' interleave in row-major order
         rng = np.random.default_rng(seed)
         weights = digit_families(rng, 400)
         k = len(weights)
@@ -402,7 +362,8 @@ class TestSpecJson:
         alpha[2 * k + 1, ::3] = -0.0
         for a in (alpha, alpha[:k], alpha[k:]):
             spec = mg.ModelSpec(alpha=a, C=1.0)
-            assert spec.fingerprint() == hashlib.sha256(_dense_json(spec).encode()).hexdigest()
+            assert spec.digest() == ref_digest(a, 1.0)
+            assert spec.alpha.tobytes() == a.tobytes()
 
     @given(spec=edge_specs())
     @settings(max_examples=300)
@@ -414,8 +375,7 @@ class TestSpecJson:
         assert again.alpha.shape == spec.alpha.shape
         assert np.array_equal(again.alpha.view(np.uint64), spec.alpha.view(np.uint64))
         assert again.C == spec.C
-        assert again.fingerprint() == spec.fingerprint()
-        assert again.digest(again.fingerprint()) == spec.digest(spec.fingerprint())
+        assert again.digest() == spec.digest()
 
     def test_layout_threshold(self):
         # EX3 stores 6 of 9 entries, dense; 2 of 8 is exactly a quarter, sparse

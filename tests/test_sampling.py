@@ -297,7 +297,7 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             batch.data[0, 0] = 1.0
         assert batch.seed == 99
-        assert (batch.spec_fingerprint, batch.spec_digest) == ("", ex3_spec.digest())
+        assert batch.spec_digest == ex3_spec.digest()
 
     def test_peak_memory_is_the_data_plus_one_chunk(self, ex3_spec):
         # besides the result, only the chunk being drawn may be alive: no
@@ -319,7 +319,7 @@ class TestSampleBatch:
     def test_owned_read_only_data_is_taken_as_is(self):
         data = np.ones((2, 3))
         data.flags.writeable = False
-        assert mg.SampleBatch(data=data, seed=0, spec_fingerprint="").data is data
+        assert mg.SampleBatch(data=data, seed=0).data is data
 
     @pytest.mark.parametrize("kind", ["writable", "float32", "read-only view", "list"])
     def test_other_data_is_copied(self, kind):
@@ -334,14 +334,14 @@ class TestSampleBatch:
             source.flags.writeable = False
             if isinstance(data, np.ndarray):
                 data.flags.writeable = False
-        batch = mg.SampleBatch(data=data, seed=0, spec_fingerprint="")
+        batch = mg.SampleBatch(data=data, seed=0)
         assert not np.shares_memory(batch.data, source)
         assert batch.data.dtype == np.float64 and not batch.data.flags.writeable
         assert np.array_equal(batch.data, np.asarray(data, dtype=np.float64))
 
     def test_data_must_be_2d(self):
         with pytest.raises(ShapeError):
-            mg.SampleBatch(data=np.zeros(3), seed=0, spec_fingerprint="")
+            mg.SampleBatch(data=np.zeros(3), seed=0)
 
     def test_bad_arguments(self, ex3_spec):
         with pytest.raises(DomainError):
