@@ -15,6 +15,7 @@ _HOMES = {
     "errors": (
         "CsvFormatError",
         "DomainError",
+        "FormatError",
         "InfeasibleTargetError",
         "MevError",
         "ProvenanceError",

@@ -32,8 +32,8 @@ import numpy as np  # noqa: E402
 
 from . import fileio
 from .errors import (
-    CsvFormatError,
     DomainError,
+    FormatError,
     InfeasibleTargetError,
     ProvenanceError,
     ShapeError,
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .model import (
     FEASIBILITY_TOL,
-    _log_copula,
     _pair_log_copulas,
     log_copula,
     log_joint_cdf,
@@ -192,14 +191,7 @@ def cmd_estimate(args) -> int:
 
     if not 0.0 < args.u < 1.0:
         raise _UsageError(f"--u must lie strictly between 0 and 1, got {args.u}")
-    spec = spec_error = None
-    with fileio._parsing_csv(args.data) as read:
-        if args.spec is not None:  # while the workers parse; its errors come after the CSV's
-            try:
-                spec = fileio.load_spec(args.spec)
-            except Exception as exc:
-                spec_error = exc
-        data = read()
+    data = fileio.read_csv(args.data)
     data.flags.writeable = False  # the batch below takes it without a copy
     meta = fileio.load_sidecar(args.data)
     if meta is not None and meta["n"] != data.shape[0]:
@@ -212,12 +204,10 @@ def cmd_estimate(args) -> int:
     seed = int(meta["seed"]) if meta else 0
     digest = meta.get("spec_digest") if meta else None
 
-    if spec_error is not None:
-        raise spec_error
-    if spec is not None:
-        if meta is None:
-            _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
-            digest = spec.digest()  # binds the data to this spec
+    spec = None if args.spec is None else fileio.load_spec(args.spec)
+    if spec is not None and meta is None:
+        _warn(f"{args.data} has no provenance sidecar; trusting it was drawn from {args.spec}")
+        digest = spec.digest()  # binds the data to this spec
     batch = SampleBatch(data=data, seed=seed, spec_digest=digest)
 
     out = _estimate_json(batch, spec, args.u)
@@ -309,7 +299,6 @@ def cmd_check(args) -> int:
         )
     )
 
-    slack = spec.slacks()  # once: each copula point would recompute it in O(d * D)
     # eight fixed points, u in (0.05, 0.95)^d and t in (0.1, 5), from a golden-ratio
     # Weyl sequence: no generator, so check never imports numpy.random
     weyl = (np.arange(1, 9)[:, None] * np.arange(1, spec.d + 2) * 0.6180339887498949) % 1.0
@@ -317,7 +306,7 @@ def cmd_check(args) -> int:
     for point in weyl:
         u = 0.05 + 0.9 * point[:-1]
         t = 0.1 + 4.9 * point[-1]
-        ms = _log_copula(spec, u**t, slack) - t * _log_copula(spec, u, slack)
+        ms = log_copula(spec, u**t) - t * log_copula(spec, u)
         worst_ms = max(worst_ms, abs(ms))
     checks.append(
         (
@@ -329,7 +318,7 @@ def cmd_check(args) -> int:
 
     worst_diag = 0.0
     for s in range(spec.d - 1):
-        deviation = np.abs(2.0 + _pair_log_copulas(spec, slack, s) - lam[s, s + 1 :])
+        deviation = np.abs(2.0 + _pair_log_copulas(spec, s) - lam[s, s + 1 :])
         worst_diag = max(worst_diag, float(deviation.max()))
     checks.append(
         (
@@ -443,7 +432,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_INVALID
-    except (_UsageError, CsvFormatError, OSError, UnicodeDecodeError) as exc:
+    except (_UsageError, FormatError, OSError, UnicodeDecodeError) as exc:
         prefix = "input is not UTF-8 text: " if isinstance(exc, UnicodeDecodeError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_USAGE

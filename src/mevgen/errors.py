@@ -46,5 +46,9 @@ class ProvenanceError(MevError, RuntimeError):
     """A sample batch does not originate from the spec it is compared against."""
 
 
-class CsvFormatError(MevError, ValueError):
+class FormatError(MevError, ValueError):
+    """An input file cannot be read; the message names the file."""
+
+
+class CsvFormatError(FormatError):
     """A sample CSV file is malformed; the message names the offending row."""

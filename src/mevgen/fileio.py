@@ -29,19 +29,19 @@ JSON files are written as one compact line with sorted keys, the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: the C encoder,
 while ``json.dump`` to a file and any ``indent`` run the pure-Python one.
 :func:`_json_parts` writes a dict with str keys itself, key by sorted key,
-and formats each distinct float of its lists of floats, or of lists of
-equal-length rows of floats, once.  The reports are made of such lists,
-and they repeat: lambda and the extremal coefficients are symmetric, and an
-estimate at a finite u takes at most K + 1 values, so the 153,600 floats of
-a d = 160 estimate report hold 26,169 distinct ones.  Entries are grouped
-by their bits, so -0.0 and 0.0 stay apart; the distinct values are
-formatted by :func:`mevgen._csvfmt.repr_rows`, which writes the encoder's
-own texts, and None is written as ``null``.  Everything else, such as ints,
-bools, strings, numpy scalars, ragged or mixed lists and dicts with a key
-that is not a str, goes to ``json.dumps`` as it is, so the bytes never
-change.  Readers take any layout.
+and each list of floats, or of equal-length rows of floats, as it reaches
+it, formatting each distinct value of the list once.  The reports are made
+of such lists, and they repeat: lambda and the extremal coefficients are
+symmetric, and an estimate at a finite u takes at most K + 1 values.
+Entries are grouped by their bits, so -0.0 and 0.0 stay apart; the
+distinct values are formatted by :func:`mevgen._csvfmt.repr_rows`, which
+writes the encoder's own texts, and None is written as ``null``.
+Everything else, such as ints, bools, strings, numpy scalars, ragged or
+mixed lists and dicts with a key that is not a str, goes to
+``json.dumps`` as it is, so the bytes never change.  Readers take any
+layout.
 
-CSV files are read by one reader, :func:`_parsing_csv`, whose fork map
+CSV files are read by one reader, :func:`read_csv`, whose fork map
 parses the body's spans by :func:`_parse_span`: by the vectorized kernel
 :func:`mevgen._csvfmt.parse_rows`, and each piece that it declines by the
 line parser, the reference.
@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CsvFormatError, ProvenanceError, ShapeError
+from .errors import CsvFormatError, FormatError, ProvenanceError, ShapeError
 from .model import ModelSpec, TailDepMatrix
 
 if TYPE_CHECKING:  # for annotations only: a stage that samples or synthesizes nothing skips them
@@ -80,11 +80,6 @@ _FORMAT_VALUES = 2**14
 #: the fork map, so a body of one span is parsed in process, and only the
 #: text of one span per worker, not of the file, is held at once.
 _READ_BYTES = 2**22
-
-#: Floats of a JSON document whose lists are formatted by one
-#: :func:`mevgen._csvfmt.repr_rows` call: a call costs about 0.3 ms whatever its
-#: size, and the distinct values it holds are kept until their lists are written.
-_JSON_VALUES = 2**16
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -106,8 +101,16 @@ def _utf8_text(path, binary=None):
 
 
 def load_json(path) -> dict:
-    with _utf8_text(path) as fh:
-        obj = json.load(fh)
+    try:
+        with _utf8_text(path) as fh:
+            obj = json.load(fh)
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a JSON or UTF-8 error: the caller reports it
+            raise
+        # an integer of more digits than sys.get_int_max_str_digits() allows
+        raise FormatError(f"{path}: {str(exc).partition(';')[0]}") from None
     if not isinstance(obj, dict):
         raise ShapeError(f"{path}: expected a JSON object at top level")
     return obj
@@ -120,25 +123,18 @@ def dump_json(obj: dict | list, path) -> None:
 
 
 def _json_parts(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces;
-    the texts of its lists of floats, or of equal-length rows of them (None is ``null``),
-    come from :func:`_float_list_texts`, each made as it is asked for."""
-    parts: list = []
-    lists: list = []
-    _add_json_parts(obj, parts, lists)
-    texts = _float_list_texts(lists)
-    return (next(texts) if part is None else part for part in parts)
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces.
 
-
-def _add_json_parts(obj, parts: list, lists: list) -> None:
-    """Append the text of ``obj`` to ``parts``, with None in place of each float list,
-    whose ``(rows, nested)`` is appended to ``lists``."""
+    A list of floats, or of equal-length rows of them (None is ``null``), is
+    written as it is reached: its distinct values, by their bits, are
+    formatted by one :func:`mevgen._csvfmt.repr_rows` call.
+    """
     if type(obj) is dict and all(type(key) is str for key in obj):
-        parts.append("{")
+        yield "{"
         for n, key in enumerate(sorted(obj)):
-            parts.append(f"{',' if n else ''}{json.dumps(key)}:")
-            _add_json_parts(obj[key], parts, lists)
-        parts.append("}")
+            yield f"{',' if n else ''}{json.dumps(key)}:"
+            yield from _json_parts(obj[key])
+        yield "}"
         return
     if type(obj) is list and obj:
         nested = all(type(row) is list for row in obj)
@@ -149,40 +145,20 @@ def _add_json_parts(obj, parts: list, lists: list) -> None:
             and all(len(row) == width for row in rows)
             and set(map(type, chain.from_iterable(rows))) <= {float, type(None)}
         ):
-            parts.append(None)
-            lists.append((rows, nested))
-            return
-    parts.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            from ._csvfmt import repr_rows  # here only: a stage that writes none never loads it
 
-
-def _float_list_texts(lists: list) -> Iterator[str]:
-    """The JSON text of each ``(rows, nested)`` float list; the distinct values of
-    consecutive lists are formatted by one :func:`mevgen._csvfmt.repr_rows` call, up to
-    the list that brings them to ``_JSON_VALUES`` values."""
-    from ._csvfmt import repr_rows  # here only: stages that write no float list never load it
-
-    start = 0
-    while start < len(lists):
-        distinct, size = [], 0  # each list's distinct values, by their bits
-        for rows, _ in lists[start:]:
             values = np.array(rows, dtype=np.float64)  # None becomes NaN
             # np.unique without return_inverse would import numpy.ma
             bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-            distinct.append((bits, inverse.reshape(values.shape), np.argwhere(np.isnan(values))))
-            size += values.size
-            if size >= _JSON_VALUES:
-                break
-        every = np.unique(np.concatenate([bits for bits, _, _ in distinct]), return_inverse=True)[0]
-        texts = repr_rows(every.view(np.float64)[None, :]).decode("ascii")[:-1].split(",")
-        texts = np.array(texts, dtype=object)
-        for (rows, nested), (bits, inverse, nan) in zip(lists[start:], distinct):
-            tokens = texts[np.searchsorted(every, bits)][inverse]
-            for r, c in nan.tolist():
+            texts = repr_rows(bits.view(np.float64)[None, :]).decode("ascii")[:-1].split(",")
+            tokens = np.array(texts, dtype=object)[inverse.reshape(values.shape)]
+            for r, c in np.argwhere(np.isnan(values)).tolist():
                 if rows[r][c] is None:
                     tokens[r, c] = "null"
             text = "],[".join(map(",".join, tokens.tolist()))
             yield f"[[{text}]]" if nested else f"[{text}]"
-        start += len(distinct)
+            return
+    yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def load_spec(path) -> ModelSpec:
@@ -266,9 +242,11 @@ def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> 
                 fh.write(text)
         if atomic:
             os.replace(target, path)
-    except BaseException:
+    except BaseException as exc:
         if atomic:
             target.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == str(target):
+                exc.filename = str(path)  # the path asked for, not the temporary one
         raise
     if meta is not None:
         dump_json(meta, sidecar_path(path))
@@ -412,21 +390,12 @@ def read_csv(path) -> np.ndarray:
 
     The header fixes d.  Raises CsvFormatError naming the first bad line
     (1-based, header included) on width or parse problems.
-    """
-    with _parsing_csv(path) as read:
-        return read()
-
-
-@contextmanager
-def _parsing_csv(path):
-    """Start parsing the CSV at ``path``; yield ``read()``, which returns :func:`read_csv`'s result.
 
     The file is opened once, and a pipe read whole.  After a plain header,
-    the fork map parses the body's spans by :func:`_parse_span` while the
-    ``with`` block runs, and ``read()`` numbers each span's lines after
-    those of the spans before it, so nothing depends on the CPU count;
-    after any other header the line parser reads the file.  On leaving the
-    block every worker has been reaped.
+    the fork map parses the body's spans by :func:`_parse_span`, and each
+    span's lines are numbered after those of the spans before it, so nothing
+    depends on the CPU count; after any other header the line parser reads
+    the file.
     """
     from ._csvfmt import parse_rows  # noqa: F401 (imported before any fork: workers inherit it)
 
@@ -435,26 +404,21 @@ def _parsing_csv(path):
             raw = io.BytesIO(raw.read())
         header = raw.readline()
         d = _plain_header_width(header)
-        spans = [] if d is None else _line_spans(raw)
-        with _forked_map(partial(_parse_span, raw, path, d), spans) as results:
-
-            def read() -> np.ndarray:
-                before = 0  # lines before the span being read
-                try:
-                    if d is None:
-                        raw.seek(0)
-                        return _read_text(path, raw)
-                    before = _line_count(header)  # "x1,x2\r\r\n" is two
-                    blocks = [np.empty((0, d))]
-                    for rows, lines in results:
-                        blocks.append(rows)
-                        before += lines
-                    return np.concatenate(blocks)
-                except _BadLine as bad:
-                    line, reason = bad.args
-                    raise CsvFormatError(f"{path}: line {before + line}: {reason}") from None
-
-            yield read
+        before = 0  # lines before the span being read
+        try:
+            if d is None:
+                raw.seek(0)
+                return _read_text(path, raw)
+            before = _line_count(header)  # "x1,x2\r\r\n" is two
+            blocks = [np.empty((0, d))]
+            with _forked_map(partial(_parse_span, raw, path, d), _line_spans(raw)) as results:
+                for rows, lines in results:
+                    blocks.append(rows)
+                    before += lines
+            return np.concatenate(blocks)
+        except _BadLine as bad:
+            line, reason = bad.args
+            raise CsvFormatError(f"{path}: line {before + line}: {reason}") from None
 
 
 def _line_spans(raw) -> list[tuple[int, int]]:

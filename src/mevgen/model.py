@@ -549,11 +549,6 @@ def log_copula(spec: ModelSpec, u) -> float:
     Satisfies max-stability: ``t * log_copula(u) == log_copula(u**t)`` for
     every t > 0.
     """
-    return _log_copula(spec, u, spec.slacks())
-
-
-def _log_copula(spec: ModelSpec, u, slack: np.ndarray) -> float:
-    """:func:`log_copula` given ``spec.slacks()``, for callers that loop over points."""
     uv = _check_point(u, spec.d, "u")
     if not np.all((uv > 0) & (uv <= 1)):
         raise DomainError("copula requires every coordinate in (0, 1]")
@@ -561,12 +556,12 @@ def _log_copula(spec: ModelSpec, u, slack: np.ndarray) -> float:
     # a margin at u == 1 adds 0 to every column's max, so only the others enter
     below = np.flatnonzero(uv < 1)
     shared = (spec.alpha[below] * v[below, None]).max(axis=0, initial=0.0).sum()
-    own = (slack * v).sum()
+    own = (spec.slacks() * v).sum()
     return -(shared + own) / spec.C
 
 
-def _pair_log_copulas(spec: ModelSpec, slack: np.ndarray, s: int) -> np.ndarray:
-    """:func:`_log_copula` at the points ``u_s = u_k = 1/e``, every other u 1, for each k > s.
+def _pair_log_copulas(spec: ModelSpec, s: int) -> np.ndarray:
+    """:func:`log_copula` at the points ``u_s = u_k = 1/e``, every other u 1, for each k > s.
 
     The same floats as one call per point: ``-log(1/e)`` is ``v0``, the
     shared term takes the same products, the same maxima from 0 in the same
@@ -574,7 +569,7 @@ def _pair_log_copulas(spec: ModelSpec, slack: np.ndarray, s: int) -> np.ndarray:
     margin contributes -0.0, so its sum is ``slack[s] * v0 + slack[k] * v0``.
     """
     v0 = -np.log(np.exp(-1.0))
-    alpha = spec.alpha
+    alpha, slack = spec.alpha, spec.slacks()
     shared = np.maximum(np.maximum(0.0, alpha[s] * v0), alpha[s + 1 :] * v0).sum(axis=1)
     own = slack[s] * v0 + slack[s + 1 :] * v0
     return -(shared + own) / spec.C

@@ -23,6 +23,7 @@ def test_public_names_are_pinned():
         "DomainError",
         "EstimateReport",
         "FEASIBILITY_TOL",
+        "FormatError",
         "InfeasibleTargetError",
         "MevError",
         "ModelSpec",

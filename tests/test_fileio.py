@@ -598,10 +598,17 @@ class TestParallelRead:
         _split_reads(monkeypatch, 1, 10**6)
         expected = fileio.read_csv(path)
         forks = _split_reads(monkeypatch, 2, 1000)
-        with fileio._parsing_csv(path) as read:
-            os.replace(other, path)
-            data = read()
+        parse_span = fileio._parse_span
+
+        def replacing(raw, name, d, span):
+            if span[0] == len(b"x1,x2\n"):  # the first span: worker 0, before any is read
+                os.replace(other, path)
+            return parse_span(raw, name, d, span)
+
+        monkeypatch.setattr(fileio, "_parse_span", replacing)
+        data = fileio.read_csv(path)
         assert len(forks) == 2 and child_pids() == []
+        assert not other.exists()  # the worker replaced the file
         assert data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -748,10 +755,17 @@ class TestParallelRead:
         path = tmp_path / "s.csv"
         path.write_bytes(b"x1,x2\n" + b"1,2\n" * 1000)
         _split_reads(monkeypatch, 2, 1000)
+        running = []
+
+        def interrupted(readers, pids, count):  # the parent's first read of a result
+            running.append(len(child_pids()))
+            raise KeyboardInterrupt
+            yield
+
+        monkeypatch.setattr(fileio, "_in_order", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            with fileio._parsing_csv(path):
-                raise KeyboardInterrupt
-        assert child_pids() == []
+            fileio.read_csv(path)
+        assert running == [2] and child_pids() == []
 
 
 def _log_uniform() -> np.ndarray:
