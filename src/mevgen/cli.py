@@ -421,12 +421,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: JSON parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     except SpecValidationError as exc:
         print("error: validation failed:", file=sys.stderr)
         for v in exc.violations:

@@ -100,14 +100,23 @@ def _utf8_text(path, binary=None):
         raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
 
 
+class _JsonParseError(FormatError, json.JSONDecodeError):
+    """A file that is not JSON: its message names the file, and it keeps the fields of
+    ``json.JSONDecodeError`` for callers that catch that."""
+
+
 def load_json(path) -> dict:
     try:
         with _utf8_text(path) as fh:
             obj = json.load(fh)
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        err = _JsonParseError(exc.msg, exc.doc, exc.pos)
+        err.args = (f"{path}: JSON parse failure at line {err.lineno} column {err.colno}: {err.msg}",)
+        raise err from None
     except ValueError as exc:
-        if type(exc) is not ValueError:  # a JSON or UTF-8 error: the caller reports it
+        if type(exc) is not ValueError:  # a UTF-8 error: the caller reports it
             raise
         # an integer of more digits than sys.get_int_max_str_digits() allows
         raise FormatError(f"{path}: {str(exc).partition(';')[0]}") from None
@@ -216,18 +225,30 @@ def _csv_pieces(block: np.ndarray, d: int) -> Iterator[bytes]:
 
 
 def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> None:
-    """Write the header ``x1,...,xd`` and then ``texts`` as one CSV at ``path``.
+    """Write the header ``x1,...,xd`` and then ``texts`` as one CSV at ``path``, by
+    :func:`_write_file`.
 
     Any sidecar already at ``path`` is removed before the first text is
     asked for, and ``meta``, when given, is written as the new sidecar after
-    the CSV is in place.  When ``path`` is absent or a regular file, the CSV
-    goes to a temporary file that replaces it when complete, and if ``texts``
-    raises, the temporary file is deleted and ``path`` is left as it was.
-    Any other ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``)
-    is opened and written directly, as ``np.savetxt`` did.
+    the CSV is in place.
     """
     path = Path(path)
     sidecar_path(path).unlink(missing_ok=True)
+    _write_file(path, chain([csv_header(d).encode("ascii") + b"\n"], texts))
+    if meta is not None:
+        dump_json(meta, sidecar_path(path))
+
+
+def _write_file(path, pieces: Iterable[bytes]) -> None:
+    """Write ``pieces`` one after another as the file at ``path``.
+
+    When ``path`` is absent or a regular file, the pieces go to a temporary
+    file that replaces it when complete, and if a write or ``pieces`` raises,
+    the temporary file is deleted and ``path`` is left as it was.  Any other
+    ``path`` (a symlink, a pipe, a device such as ``/dev/stdout``) is opened
+    and written directly.
+    """
+    path = Path(path)
     try:
         atomic = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
@@ -237,9 +258,8 @@ def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> 
     target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if atomic else path
     try:
         with open(target, "wb") as fh:
-            fh.write(csv_header(d).encode("ascii") + b"\n")
-            for text in texts:
-                fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         if atomic:
             os.replace(target, path)
     except BaseException as exc:
@@ -248,8 +268,6 @@ def _write_csv_text(texts: Iterable[bytes], d: int, path, meta: dict | None) -> 
             if isinstance(exc, OSError) and exc.filename == str(target):
                 exc.filename = str(path)  # the path asked for, not the temporary one
         raise
-    if meta is not None:
-        dump_json(meta, sidecar_path(path))
 
 
 def _remove_dead_temps(path: Path) -> None:

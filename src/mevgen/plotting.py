@@ -5,14 +5,21 @@ near-square grid.  Axes are linear from 0 and clipped at the 99.5th
 percentile of each margin so single huge draws from the heavy upper tail
 do not flatten the cloud; points beyond the clip are dropped, and the
 panel title reports how many.  ``log_scale=True`` switches both axes to
-log10 over the positive clipped range instead.  Output is deterministic:
-fixed layout constants, fixed formatting, no randomness.
+log10 over the positive clipped range instead.
+
+A circle stands for the points that fall in one cell of the quarter-pixel
+grid: it is drawn at the cell's centre, so no point moves by more than
+0.125 px along either axis, and with fill-opacity 1 - 0.45**count, the
+exact composite of ``count`` coincident circles at opacity 0.55 (Porter and
+Duff 1984, "Compositing digital images").  A panel therefore holds at most
+(4 * 240 + 1)**2 circles whatever n is.  Output is deterministic: fixed
+layout constants, fixed formatting, cells in order, no randomness.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -74,15 +81,9 @@ def _axis_range(values: np.ndarray, log_scale: bool) -> tuple[float, float]:
 
 
 def _panel_svg(
-    parts: list[str],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    s: int,
-    k: int,
-    ox: float,
-    oy: float,
-    log_scale: bool,
-) -> None:
+    xs: np.ndarray, ys: np.ndarray, s: int, k: int, ox: int, oy: int, log_scale: bool
+) -> str:
+    """The SVG text of the panel of margins ``xs`` and ``ys`` with its corner at (ox, oy)."""
     x_lo, x_hi = _axis_range(xs, log_scale)
     y_lo, y_hi = _axis_range(ys, log_scale)
     if log_scale:
@@ -97,10 +98,10 @@ def _panel_svg(
     px = ox + (px_val[inside] - x_lo) / (x_hi - x_lo) * PANEL
     py = oy + PANEL - (py_val[inside] - y_lo) / (y_hi - y_lo) * PANEL
 
-    parts.append(
+    parts = [
         f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{PANEL}" height="{PANEL}" '
         f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
+    ]
     title = f"X_{s + 1} vs X_{k + 1}"
     if dropped:
         title += f" ({dropped} clipped)"
@@ -119,20 +120,31 @@ def _panel_svg(
     parts.append(f'<text x="{_fmt(ox - 4)}" y="{_fmt(oy + PANEL)}" text-anchor="end" {_FONT}>{lo_txt}</text>')
     parts.append(f'<text x="{_fmt(ox - 4)}" y="{_fmt(oy + 10)}" text-anchor="end" {_FONT}>{hi_txt}</text>')
     if px.size:
-        # one % over the interleaved coordinates, not one f-string per point
+        # quarter-pixel cells, numbered x-major from the panel's corner; px and py lie
+        # in [ox, ox + PANEL] and [oy, oy + PANEL], so each index lies in [0, 4 * PANEL]
+        side = 4 * PANEL + 1
+        cells = (np.rint(4 * px) - 4 * ox) * side + (np.rint(4 * py) - 4 * oy)
+        # np.unique with return_counts, as with return_inverse, does not import numpy.ma
+        cells, counts = np.unique(cells.astype(np.int64), return_counts=True)
+        cx, cy = np.divmod(cells, side)
+        # one % over the interleaved values, not one f-string per circle
         circle = (
-            f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="{_POINT_COLOR}" fill-opacity="0.55"/>'
+            f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="{_POINT_COLOR}" fill-opacity="%.3g"/>'
         )
-        coords = np.column_stack([px, py]).ravel().tolist()
-        parts.append("\n".join([circle] * px.size) % tuple(coords))
+        values = np.column_stack([cx / 4 + ox, cy / 4 + oy, 1 - 0.45**counts]).ravel().tolist()
+        parts.append("\n".join([circle] * cells.size) % tuple(values))
+    return "\n".join(parts) + "\n"
 
 
-def pair_scatter_svg(data, path=None, log_scale: bool = False, pairs=None) -> str:
+def pair_scatter_svg(data, path=None, log_scale: bool = False, pairs=None) -> str | None:
     """Render pairwise scatter panels for an (n, d) observation matrix.
 
     ``pairs`` selects 0-based coordinate pairs to render; the default is
-    every (s, k) with s < k.  Returns the SVG text; writes it to ``path`` as
-    well when given.  Empty batches render empty axes.
+    every (s, k) with s < k.  Returns the SVG text when ``path`` is None.
+    Otherwise the text is written to ``path``, one panel at a time, so that
+    only one panel's text is held, and None is returned; a regular file is
+    replaced only once the whole SVG is written (:func:`mevgen.fileio._write_file`).
+    Empty batches render empty axes.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
@@ -156,19 +168,24 @@ def pair_scatter_svg(data, path=None, log_scale: bool = False, pairs=None) -> st
     width = ncols * cell_w + GAP
     height = nrows * cell_h + GAP
 
-    parts = [
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f"<!-- linear axes from 0, clipped at the {CLIP_PERCENTILE}th percentile per margin -->",
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for idx, (s, k) in enumerate(pairs):
-        r, c = divmod(idx, ncols)
-        ox = GAP + c * cell_w + MARGIN_LEFT
-        oy = GAP + r * cell_h + MARGIN_TOP
-        _panel_svg(parts, arr[:, s], arr[:, k], s, k, ox, oy, log_scale)
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
-    return svg
+        f'viewBox="0 0 {width} {height}">\n'
+        f"<!-- linear axes from 0, clipped at the {CLIP_PERCENTILE}th percentile per margin -->\n"
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
+    )
+    panels = (
+        _panel_svg(
+            arr[:, s], arr[:, k], s, k,
+            GAP + idx % ncols * cell_w + MARGIN_LEFT, GAP + idx // ncols * cell_h + MARGIN_TOP,
+            log_scale,
+        )
+        for idx, (s, k) in enumerate(pairs)
+    )
+    pieces = chain([head], panels, ["</svg>\n"])
+    if path is None:
+        return "".join(pieces)
+    from .fileio import _write_file  # here only: drawing to a string needs no file layer
+
+    _write_file(path, (piece.encode("utf-8") for piece in pieces))
+    return None

@@ -1146,6 +1146,28 @@ class TestPlot:
             assert main(["plot", "--data", str(samples_file), "--out", str(out)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_a_failed_write_leaves_the_old_svg(self, samples_file, tmp_path):
+        # the child caps its file size below the SVG's (in the child only) and ignores
+        # SIGXFSZ, so that the write fails with EFBIG instead of killing it
+        out = tmp_path / "fig.svg"
+        out.write_bytes(b"<svg/>\n")
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "from mevgen.cli import main\n"
+            f"sys.exit(main(['plot', '--data', {str(samples_file)!r}, '--out', {str(out)!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "File too large" in proc.stderr and ".tmp" not in proc.stderr
+        assert out.read_bytes() == b"<svg/>\n"
+        assert list(tmp_path.glob(".*.tmp")) == []
+
 
 class TestCheck:
     def test_valid_spec_passes_smoke_suite(self, result_file, capsys):
@@ -1598,6 +1620,22 @@ class TestUnreadableJson:
             assert code == 2 and err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         else:
             assert code in (3, 4)
+
+
+class TestJsonParseError:
+    def test_names_the_file_that_does_not_parse(self, samples_file, result_file, capsys):
+        argv = ["estimate", "--data", str(samples_file), "--u", "0.9", "--spec", str(result_file)]
+        sidecar = fileio.sidecar_path(samples_file)
+        errors = []
+        for bad in (result_file, sidecar):
+            good = bad.read_bytes()
+            bad.write_text("{")
+            capsys.readouterr()
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+            bad.write_bytes(good)
+        reason = "JSON parse failure at line 1 column 2: Expecting property name enclosed in double quotes"
+        assert errors == [f"error: {result_file}: {reason}\n", f"error: {sidecar}: {reason}\n"]
 
 
 class TestOutputPath:
